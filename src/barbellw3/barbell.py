@@ -16,23 +16,21 @@ downstream verification fail loudly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .patterns import Pattern, eval_pattern, parse_pattern
+from .patterns import CompiledFormulas, Pattern, Run, parse_pattern, word_pieces
 from .ring import Functional, RingElement
 from .words import (
     BASE,
     QUAD,
-    Syllable,
     Word,
     WordError,
     _merge_runs,
     boundary_letter,
-    invert,
-    rename,
-    word_sort_key,
+    bounded_words,
 )
 
 
@@ -108,43 +106,24 @@ HEXAGON_TERMS: tuple[tuple[int, Pattern], ...] = _formula(
     (-1, "nu_1 mu_1^-1 nu_3"),
 )
 
-_FactorKey = tuple[str, int, bool]
-
-# Formulas flattened to piece-lookup keys for the evaluation fast path.
-_FORMULA_KEYS: dict[int, tuple[tuple[int, tuple[_FactorKey, ...]], ...]] = {
-    i: tuple(
-        (sign, tuple((f.var, f.tag, f.inverted) for f in pattern.factors))
-        for sign, pattern in formula
-    )
-    for i, formula in T_FORMULAS.items()
-}
+# Every formula compiled once: the 4 hexagon shapes, and the 21 distinct
+# shapes shared by the four polynomial kinds.
+HEXAGON_FORMULAS = CompiledFormulas(("nu", "mu"), {"H": HEXAGON_TERMS})
+T_POLY_FORMULAS = CompiledFormulas(("a", "c"), T_FORMULAS)
 
 
-def _pair_pieces(a: Word, c: Word) -> dict[_FactorKey, tuple[Syllable, ...]]:
-    pieces: dict[_FactorKey, tuple[Syllable, ...]] = {}
-    for var, value in (("a", a), ("c", c)):
-        for tag in (1, 3):
-            renamed = rename(value, tag)
-            pieces[(var, tag, False)] = renamed.syllables
-            pieces[(var, tag, True)] = invert(renamed).syllables
-    return pieces
+# _pair_pieces and _t_poly_coeffs stay separate functions because
+# bench/tracer.py times them by name.
+def _pair_pieces(a: Word, c: Word) -> tuple[Run, ...]:
+    return word_pieces(a) + word_pieces(c)
 
 
-def _t_poly_coeffs(
-    i: int, pieces: Mapping[_FactorKey, tuple[Syllable, ...]]
-) -> dict[tuple[Syllable, ...], int]:
-    acc: dict[tuple[Syllable, ...], int] = {}
-    for sign, keys in _FORMULA_KEYS[i]:
-        syllables = _merge_runs(pieces[key] for key in keys)
-        total = acc.get(syllables, 0) + sign
-        if total:
-            acc[syllables] = total
-        elif syllables in acc:
-            del acc[syllables]
-    return acc
+def _t_poly_coeffs(i: int, words: Sequence[Run]) -> dict[Run, int]:
+    """Coefficients of the kind-i polynomial on evaluated T_POLY_FORMULAS shapes."""
+    return T_POLY_FORMULAS.coefficients(i, words)
 
 
-def _element_from_coeffs(coeffs: Mapping[tuple[Syllable, ...], int]) -> RingElement:
+def _element_from_coeffs(coeffs: Mapping[Run, int]) -> RingElement:
     return RingElement(QUAD, [(Word._raw(QUAD, s), n) for s, n in coeffs.items()])
 
 
@@ -157,7 +136,8 @@ def t_poly(i: int, a: Word, c: Word) -> RingElement:
             raise BarbellError(f"{name} must be a word over the two-letter alphabet")
         if value.is_identity:
             raise BarbellError(f"{name} must be nontrivial")
-    return _element_from_coeffs(_t_poly_coeffs(i, _pair_pieces(a, c)))
+    words = T_POLY_FORMULAS.evaluate(_pair_pieces(a, c))
+    return _element_from_coeffs(_t_poly_coeffs(i, words))
 
 
 def hexagon(nu: Word, mu: Word) -> RingElement:
@@ -165,11 +145,8 @@ def hexagon(nu: Word, mu: Word) -> RingElement:
     for name, value in (("nu", nu), ("mu", mu)):
         if value.alphabet is not BASE:
             raise BarbellError(f"{name} must be a word over the two-letter alphabet")
-    assignment = {"nu": nu, "mu": mu}
-    terms = [
-        (eval_pattern(pattern, assignment), sign) for sign, pattern in HEXAGON_TERMS
-    ]
-    return RingElement(QUAD, terms)
+    words = HEXAGON_FORMULAS.evaluate(word_pieces(nu) + word_pieces(mu))
+    return _element_from_coeffs(HEXAGON_FORMULAS.coefficients("H", words))
 
 
 # ---------------------------------------------------------------------------
@@ -323,25 +300,7 @@ def is_admissible(a: Word, c: Word) -> bool:
     return tail != head
 
 
-def _words_by_syllable_count(max_syllables: int, max_exponent: int) -> list[list[Word]]:
-    """Nonempty reduced two-letter words grouped by syllable count, each group sorted."""
-    exponents = [e for e in range(-max_exponent, max_exponent + 1) if e != 0]
-    by_count: list[list[Word]] = [[] for _ in range(max_syllables + 1)]
-    level: list[tuple[Syllable, ...]] = [()]
-    for count in range(1, max_syllables + 1):
-        next_level: list[tuple[Syllable, ...]] = []
-        for prefix in level:
-            last = prefix[-1][0] if prefix else None
-            for letter in ("t", "u"):
-                if letter == last:
-                    continue
-                for exp in exponents:
-                    next_level.append(prefix + ((letter, exp),))
-        by_count[count] = sorted(
-            (Word._raw(BASE, syls) for syls in next_level), key=word_sort_key
-        )
-        level = next_level
-    return by_count
+_OTHER_LETTER = {"t": "u", "u": "t"}
 
 
 def enumerate_admissible(
@@ -354,48 +313,30 @@ def enumerate_admissible(
     """
     if max_syllables < 1 or max_exponent < 1:
         raise BarbellError("enumeration bounds must be at least 1")
-    by_count = _words_by_syllable_count(max_syllables, max_exponent)
-    heads: dict[tuple[int, str], list[Word]] = {}
-    for count in range(1, max_syllables + 1):
-        for letter in ("t", "u"):
-            heads[(count, letter)] = [
-                w for w in by_count[count] if w.syllables[0][0] == letter
-            ]
-    other = {"t": "u", "u": "t"}
+    words = bounded_words(max_syllables, max_exponent, BASE)
+    # Filtering the sorted words keeps each (syllable count, first letter)
+    # group in word order.
+    heads: dict[tuple[int, str], list[Word]] = {
+        (count, letter): [] for count in range(1, max_syllables + 1) for letter in "tu"
+    }
+    for w in words:
+        heads[(w.syllable_count, w.syllables[0][0])].append(w)
     for total in range(2, 2 * max_syllables + 1):
-        a_counts = [
-            sa
-            for sa in range(1, max_syllables + 1)
-            if 1 <= total - sa <= max_syllables
-        ]
-        a_candidates = sorted(
-            (a for sa in a_counts for a in by_count[sa]), key=word_sort_key
-        )
-        for a in a_candidates:
-            complement = other[a.syllables[-1][0]]
-            for c in heads[(total - a.syllable_count, complement)]:
-                yield AdmissiblePair(a, c)
+        for a in words:
+            c_count = total - a.syllable_count
+            if 1 <= c_count <= max_syllables:
+                for c in heads[(c_count, _OTHER_LETTER[a.syllables[-1][0]])]:
+                    yield AdmissiblePair(a, c)
 
 
 def count_admissible(max_syllables: int, max_exponent: int) -> int:
     """Number of pairs enumerate_admissible yields, without yielding them."""
     if max_syllables < 1 or max_exponent < 1:
         raise BarbellError("enumeration bounds must be at least 1")
-    by_count = _words_by_syllable_count(max_syllables, max_exponent)
-    head_counts: dict[tuple[int, str], int] = {}
-    for count in range(1, max_syllables + 1):
-        for letter in ("t", "u"):
-            head_counts[(count, letter)] = sum(
-                1 for w in by_count[count] if w.syllables[0][0] == letter
-            )
-    other = {"t": "u", "u": "t"}
-    total = 0
-    for sa in range(1, max_syllables + 1):
-        for a in by_count[sa]:
-            complement = other[a.syllables[-1][0]]
-            for sc in range(1, max_syllables + 1):
-                total += head_counts[(sc, complement)]
-    return total
+    words = bounded_words(max_syllables, max_exponent, BASE)
+    # Each c may have any syllable count, so only its first letter matters.
+    heads = Counter(w.syllables[0][0] for w in words)
+    return sum(heads[_OTHER_LETTER[a.syllables[-1][0]]] for a in words)
 
 
 @dataclass(frozen=True)
@@ -421,10 +362,10 @@ def span_generator_records(
     """Stream the span generators with their provenance, pairs outermost."""
     kind_list = _check_kinds(kinds)
     for pair in enumerate_admissible(max_syllables, max_exponent):
-        pieces = _pair_pieces(pair.a, pair.c)
+        words = T_POLY_FORMULAS.evaluate(_pair_pieces(pair.a, pair.c))
         for i in kind_list:
             yield SpanRecord(
-                i, pair.a, pair.c, _element_from_coeffs(_t_poly_coeffs(i, pieces))
+                i, pair.a, pair.c, _element_from_coeffs(_t_poly_coeffs(i, words))
             )
 
 

@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_nonnegative_int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, default=None,
-                   help="worker processes (default: all processors)")
+                   help="worker processes (default: the processors this process may use)")
     p.add_argument("--format", choices=("md", "json"), default="md")
 
     p = sub.add_parser("span-dump", help="dump span generators as JSON records")
@@ -209,8 +209,16 @@ def _write_span_dump(args, out) -> int:
 # ---------------------------------------------------------------------------
 # Dispatch.
 
+def _default_workers() -> int:
+    """Processors this process may run on; os.cpu_count() can count more."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
 def _run_verify(args) -> int:
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    workers = args.workers if args.workers is not None else _default_workers()
     if args.suite == "all":
         result: Report | list[Report] = verify_all(
             kmax=args.kmax,

@@ -24,17 +24,17 @@ from time import perf_counter
 from typing import Callable, Iterable
 
 from .barbell import (
-    Disk,
+    HEXAGON_FORMULAS,
     T_KINDS,
-    _pair_pieces,
-    _t_poly_coeffs,
+    T_POLY_FORMULAS,
+    Disk,
     count_admissible,
     enumerate_admissible,
-    hexagon,
     monomials_m,
     psi,
     w3_target,
 )
+from .patterns import Run, word_pieces
 from .ring import RingElement, matrix_rank_exact, rank
 from .solver import compare_with_reference, hexagon_case_analysis
 from .words import BASE, Word, bounded_words
@@ -139,27 +139,59 @@ def _merge_chunks(results: Iterable[tuple[int, list[str]]]) -> tuple[int, list[s
     return checked, violations[:_VIOLATION_CAP]
 
 
-def _witness_pairs(kmax: int) -> list[tuple[Word, Word]]:
-    return [monomials_m(k) for k in range(1, kmax + 1)]
+def _witness_index(kmax: int) -> dict[Run, tuple[int, int]]:
+    """Syllables of m1(k) and m2(k), k <= kmax, mapped to (k, weight in psi(k))."""
+    index = {}
+    for k in range(1, kmax + 1):
+        m1, m2 = monomials_m(k)
+        index[m1.syllables] = (k, 1)
+        index[m2.syllables] = (k, -1)
+    return index
+
+
+def _psi_violations(
+    terms: tuple[tuple[int, int], ...],
+    values: list[Run],
+    witness: dict[Run, tuple[int, int]],
+    label: str,
+    violations: list[str],
+) -> None:
+    # psi_k(label) for each k, ascending, where the signed terms that hit
+    # a witness monomial do not cancel.
+    differences: dict[int, int] = {}
+    for sign, shape in terms:
+        hit = witness.get(values[shape])
+        if hit:
+            k, weight = hit
+            differences[k] = differences.get(k, 0) + sign * weight
+    for k in sorted(differences):
+        if differences[k] and len(violations) < _VIOLATION_CAP:
+            violations.append(f"psi_{k}({label}) = {differences[k]}")
 
 
 # ---------------------------------------------------------------------------
-# Chunk workers (top level so process pools can import them).
+# Chunk workers (top level so process pools can import them).  Each one
+# evaluates every shape once per item and looks the words up in the
+# witness index; only an item that hits a witness monomial is summed.
+
 
 def _hexagon_chunk(task: tuple) -> tuple[int, list[str]]:
     max_syllables, max_exponent, kmax, start, stop = task
     words = bounded_words(max_syllables, max_exponent, BASE, include_identity=True)
+    pieces = [word_pieces(w) for w in words]
     n = len(words)
-    witness = _witness_pairs(kmax)
+    witness = _witness_index(kmax)
+    misses = witness.keys().isdisjoint
+    evaluate = HEXAGON_FORMULAS.evaluate
     violations: list[str] = []
     for flat in range(start, stop):
-        nu = words[flat // n]
-        mu = words[flat % n]
-        h = hexagon(nu, mu)
-        for k, (m1, m2) in enumerate(witness, start=1):
-            difference = h.coeff(m1) - h.coeff(m2)
-            if difference and len(violations) < _VIOLATION_CAP:
-                violations.append(f"psi_{k}(H({nu}, {mu})) = {difference}")
+        i, j = divmod(flat, n)
+        values = evaluate(pieces[i] + pieces[j])
+        if not misses(values):
+            label = f"H({words[i]}, {words[j]})"
+            _psi_violations(
+                HEXAGON_FORMULAS.terms["H"], values, witness, label, violations
+            )
     return (stop - start, violations)
 
 
@@ -177,36 +209,45 @@ def _random_word(rng: random.Random, max_syllables: int, max_exponent: int) -> W
 def _hexagon_random_chunk(task: tuple) -> tuple[int, list[str]]:
     max_syllables, max_exponent, kmax, seed, chunk_index, trials = task
     rng = random.Random(f"{seed}:{chunk_index}")
-    witness = _witness_pairs(kmax)
+    witness = _witness_index(kmax)
+    misses = witness.keys().isdisjoint
+    evaluate = HEXAGON_FORMULAS.evaluate
     violations: list[str] = []
     for _ in range(trials):
         nu = _random_word(rng, max_syllables, max_exponent)
         mu = _random_word(rng, max_syllables, max_exponent)
-        h = hexagon(nu, mu)
-        for k, (m1, m2) in enumerate(witness, start=1):
-            difference = h.coeff(m1) - h.coeff(m2)
-            if difference and len(violations) < _VIOLATION_CAP:
-                violations.append(f"psi_{k}(H({nu}, {mu})) = {difference}")
+        values = evaluate(word_pieces(nu) + word_pieces(mu))
+        if not misses(values):
+            label = f"H({nu}, {mu})"
+            _psi_violations(
+                HEXAGON_FORMULAS.terms["H"], values, witness, label, violations
+            )
     return (trials, violations)
 
 
 def _span_chunk(task: tuple) -> tuple[int, list[str]]:
     max_syllables, max_exponent, kinds, kmax, start, stop = task
-    witness = [(m1.syllables, m2.syllables) for m1, m2 in _witness_pairs(kmax)]
+    witness = _witness_index(kmax)
+    misses = witness.keys().isdisjoint
+    evaluate = T_POLY_FORMULAS.evaluate
+    pieces: dict[Word, tuple[Run, ...]] = {}
     violations: list[str] = []
     generators = 0
     pairs = islice(enumerate_admissible(max_syllables, max_exponent), start, stop)
     for pair in pairs:
-        pieces = _pair_pieces(pair.a, pair.c)
-        for i in kinds:
-            coefficients = _t_poly_coeffs(i, pieces)
-            generators += 1
-            for k, (s1, s2) in enumerate(witness, start=1):
-                difference = coefficients.get(s1, 0) - coefficients.get(s2, 0)
-                if difference and len(violations) < _VIOLATION_CAP:
-                    violations.append(
-                        f"psi_{k}(t_poly({i}, {pair.a}, {pair.c})) = {difference}"
-                    )
+        a, c = pair.a, pair.c
+        if a not in pieces:
+            pieces[a] = word_pieces(a)
+        if c not in pieces:
+            pieces[c] = word_pieces(c)
+        values = evaluate(pieces[a] + pieces[c])
+        generators += len(kinds)
+        if not misses(values):
+            for i in kinds:
+                label = f"t_poly({i}, {a}, {c})"
+                _psi_violations(
+                    T_POLY_FORMULAS.terms[i], values, witness, label, violations
+                )
     return (generators, violations)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from itertools import product
 
 from barbellw3.patterns import Pattern, eval_pattern
+from barbellw3.ring import RingElement
 from barbellw3.words import BASE, QUAD, Word, invert, rename, split_blocks
 
 
@@ -64,6 +65,25 @@ def naive_rename(w: Word, tag: int) -> Word:
     return reduce_letters(
         QUAD, [(_TAGGED[(letter, tag)], sign) for letter, sign in expand_letters(w)]
     )
+
+
+def naive_eval_pattern(pattern: Pattern, assignment) -> Word:
+    """A pattern's word, renamed, inverted and reduced letter by letter."""
+    pieces = []
+    for factor in pattern.factors:
+        value = assignment[factor.var]
+        if factor.inverted:
+            value = naive_invert(value)
+        pieces.append(naive_rename(value, factor.tag))
+    return naive_concat(*pieces)
+
+
+def naive_formula(formula, assignment) -> RingElement:
+    """A signed sum of patterns, term by term through naive_eval_pattern."""
+    total = RingElement.zero(QUAD)
+    for sign, pattern in formula:
+        total = total + RingElement.monomial(naive_eval_pattern(pattern, assignment), sign)
+    return total
 
 
 def all_base_words(max_syllables: int, max_exponent: int, include_identity=False):

@@ -9,6 +9,7 @@ import pytest
 
 import barbellw3.barbell as barbell
 from barbellw3.barbell import (
+    AdmissiblePair,
     BarbellError,
     BarbellWord,
     Disk,
@@ -33,7 +34,7 @@ from barbellw3.barbell import (
     w3_target,
 )
 from barbellw3.ring import RingElement
-from barbellw3.words import BASE, identity, parse_word
+from barbellw3.words import BASE, identity, parse_word, word_sort_key
 
 from oracles import all_base_words, naive_concat, naive_invert, naive_rename
 from test_words import rand_word
@@ -237,6 +238,21 @@ def test_admissible_enumeration_order_is_deterministic():
     sizes = [pair.a.syllable_count + pair.c.syllable_count for pair in pairs]
     assert sizes == sorted(sizes)
     assert pairs == list(enumerate_admissible(2, 2))
+
+
+def test_admissible_enumeration_order_matches_oracle():
+    # total syllable count, then the word order of a, then that of c
+    words = sorted(all_base_words(2, 2), key=word_sort_key)
+    expected = [
+        AdmissiblePair(a, c)
+        for total in range(2, 5)
+        for a in words
+        for c in words
+        if a.syllable_count + c.syllable_count == total
+        and a.syllables[-1][0] != c.syllables[0][0]
+    ]
+    assert list(enumerate_admissible(2, 2)) == expected
+    assert count_admissible(2, 2) == len(expected)
 
 
 def test_span_generators():

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+import barbellw3.cli as cli
 from barbellw3.cli import main
+from barbellw3.verify import Report
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -241,3 +244,26 @@ def test_verify_exit_code_reflects_failure(capsys, monkeypatch):
     )
     assert code == 1
     assert json.loads(out)["overall"] == "fail"
+
+
+def test_verify_defaults_to_the_affinity_set(capsys, monkeypatch):
+    seen = []
+
+    def fake_suite(**kwargs):
+        seen.append(kwargs["workers"])
+        return Report("hexagon-vanishing", {})
+
+    monkeypatch.setattr(cli, "verify_hexagon_vanishing", fake_suite)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    code, _, _ = run_cli(capsys, "verify", "hexagon")
+    assert code == 0 and seen == [3]
+    code, _, _ = run_cli(capsys, "verify", "hexagon", "--workers", "2")
+    assert code == 0 and seen == [3, 2]
+    # platforms without affinity masks fall back to the processor count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    code, _, _ = run_cli(capsys, "verify", "hexagon")
+    assert code == 0 and seen == [3, 2, 64]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    code, _, _ = run_cli(capsys, "verify", "hexagon")
+    assert code == 0 and seen == [3, 2, 64, 1]
