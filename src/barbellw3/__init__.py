@@ -4,7 +4,6 @@ from .words import (
     Alphabet,
     BASE,
     QUAD,
-    SubscriptMap,
     Word,
     WordError,
     WordSyntaxError,
@@ -21,27 +20,18 @@ from .words import (
 )
 from .ring import (
     Functional,
-    Mod2Element,
     RingElement,
-    add,
-    coeff,
-    evaluate,
     matrix_rank_exact,
-    mod2_project,
     rank,
-    scale,
 )
 from .patterns import Pattern, PatternError, PatternFactor, eval_pattern, parse_pattern
 from .barbell import (
     AdmissiblePair,
     BarbellError,
-    BarbellWord,
     Disk,
     SelfCheckError,
     SpanRecord,
-    SpinShapeError,
     W3Value,
-    barbell_word,
     count_admissible,
     enumerate_admissible,
     hexagon,
@@ -50,7 +40,6 @@ from .barbell import (
     psi,
     span_generator_records,
     span_generators,
-    spin_to_barbell,
     t_poly,
     w3_target,
 )

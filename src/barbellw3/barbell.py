@@ -27,8 +27,6 @@ from .words import (
     BASE,
     QUAD,
     Word,
-    WordError,
-    _merge_runs,
     boundary_letter,
     bounded_words,
 )
@@ -375,76 +373,3 @@ def span_generators(
     """Stream the span generator values within bounds."""
     for record in span_generator_records(max_syllables, max_exponent, kinds):
         yield record.value
-
-
-# ---------------------------------------------------------------------------
-# Barbell words and the spin generator substitution.
-
-BARBELL_SYMBOLS = ("t", "u", "nu_B", "nu_R")
-
-
-class SpinShapeError(ValueError):
-    """A word that is not of the alternating t/u shape the substitution needs."""
-
-
-@dataclass(frozen=True)
-class BarbellWord:
-    """A name for a barbell diffeomorphism: a reduced word in four symbols.
-
-    No group structure is imposed beyond merging adjacent equal symbols;
-    these are opaque labels.
-    """
-
-    factors: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        previous = None
-        for symbol, exp in self.factors:
-            if symbol not in BARBELL_SYMBOLS:
-                raise WordError(f"unknown barbell symbol {symbol!r}")
-            if exp == 0:
-                raise WordError("zero exponent in barbell word")
-            if symbol == previous:
-                raise WordError("barbell word is not reduced")
-            previous = symbol
-
-    def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        return " ".join(
-            symbol if exp == 1 else f"{symbol}^{exp}" for symbol, exp in self.factors
-        )
-
-
-def barbell_word(factors: Iterable[tuple[str, int]]) -> BarbellWord:
-    """Build a barbell word, merging adjacent equal symbols."""
-    return BarbellWord(_merge_runs([tuple(factors)]))
-
-
-def spin_to_barbell(s: Word) -> BarbellWord:
-    """Rewrite a spin generator word as its barbell word.
-
-    The input must alternate t- and u-syllables, starting and ending
-    with t.  Each u-syllable u^y becomes nu_R nu_B u^y nu_B^-1 nu_R^-1;
-    t-syllables pass through.
-    """
-    if s.alphabet is not BASE:
-        raise SpinShapeError("spin words live over the two-letter alphabet")
-    syllables = s.syllables
-    if not syllables or len(syllables) % 2 == 0:
-        raise SpinShapeError(f"word {s} does not alternate t and u syllables ending in t")
-    for position, (letter, _) in enumerate(syllables):
-        expected = "t" if position % 2 == 0 else "u"
-        if letter != expected:
-            raise SpinShapeError(
-                f"word {s} does not alternate t and u syllables ending in t"
-            )
-    factors: list[tuple[str, int]] = []
-    for letter, exp in syllables:
-        if letter == "t":
-            factors.append(("t", exp))
-        else:
-            factors.extend(
-                [("nu_R", 1), ("nu_B", 1), ("u", exp), ("nu_B", -1), ("nu_R", -1)]
-            )
-    return BarbellWord(tuple(factors))

@@ -218,46 +218,26 @@ def _default_workers() -> int:
 
 
 def _run_verify(args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
-    if args.suite == "all":
-        result: Report | list[Report] = verify_all(
-            kmax=args.kmax,
-            max_syllables=args.max_syllables,
-            max_exponent=args.max_exponent,
-            random_trials=args.trials,
-            seed=args.seed,
-            workers=workers,
-        )
-        failed = any(r.overall != "pass" for r in result)
-    else:
-        if args.suite == "psi":
-            result = verify_psi_targets(kmax=args.kmax)
-        elif args.suite == "hexagon":
-            result = verify_hexagon_vanishing(
-                kmax=args.kmax,
-                max_syllables=args.max_syllables,
-                max_exponent=args.max_exponent,
-                random_trials=args.trials,
-                seed=args.seed,
-                workers=workers,
-            )
-        elif args.suite == "span":
-            result = verify_span_vanishing(
-                kmax=args.kmax,
-                max_syllables=args.max_syllables,
-                max_exponent=args.max_exponent,
-                workers=workers,
-            )
-        else:
-            result = verify_main_theorem(
-                kmax=args.kmax,
-                max_syllables=args.max_syllables,
-                max_exponent=args.max_exponent,
-                workers=workers,
-            )
-        failed = result.overall != "pass"
+    bounds = {
+        "kmax": args.kmax,
+        "max_syllables": args.max_syllables,
+        "max_exponent": args.max_exponent,
+        "workers": args.workers if args.workers is not None else _default_workers(),
+    }
+    sampling = {"random_trials": args.trials, "seed": args.seed}
+    # Each lambda looks its suite function up when called, so replacing
+    # a module attribute takes effect.
+    suites = {
+        "all": lambda: verify_all(**bounds, **sampling),
+        "psi": lambda: verify_psi_targets(kmax=args.kmax),
+        "hexagon": lambda: verify_hexagon_vanishing(**bounds, **sampling),
+        "span": lambda: verify_span_vanishing(**bounds),
+        "main": lambda: verify_main_theorem(**bounds),
+    }
+    result = suites[args.suite]()
+    reports = result if isinstance(result, list) else [result]
     sys.stdout.write(emit(result, args.format))
-    return 1 if failed else 0
+    return 0 if all(report.overall == "pass" for report in reports) else 1
 
 
 def _run_psi(args, parser: argparse.ArgumentParser) -> int:

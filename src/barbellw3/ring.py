@@ -205,18 +205,6 @@ class RingElement:
 _ZERO = Fraction(0)
 
 
-def add(x: RingElement, y: RingElement) -> RingElement:
-    return x + y
-
-
-def scale(q, x: RingElement) -> RingElement:
-    return x.scale(q)
-
-
-def coeff(x: RingElement, w: Word) -> Fraction:
-    return x.coeff(w)
-
-
 class Functional:
     """A linear functional given by finitely many word weights."""
 
@@ -253,71 +241,6 @@ class Functional:
         return total
 
     __call__ = evaluate
-
-
-def evaluate(f: Functional, x: RingElement) -> Fraction:
-    return f.evaluate(x)
-
-
-class Mod2Element:
-    """A mod-2 combination of nontrivial two-letter words: just its support."""
-
-    __slots__ = ("support",)
-
-    def __init__(self, support: Iterable[Word] = ()):
-        words = frozenset(support)
-        for word in words:
-            if not isinstance(word, Word) or word.alphabet is not Alphabet.BASE:
-                raise ValueError("mod-2 support must consist of two-letter-alphabet words")
-            if word.is_identity:
-                raise ValueError("the identity word is dropped mod 2, not stored")
-        self.support = words
-
-    def __add__(self, other: "Mod2Element") -> "Mod2Element":
-        if not isinstance(other, Mod2Element):
-            return NotImplemented
-        result = Mod2Element.__new__(Mod2Element)
-        result.support = self.support.symmetric_difference(other.support)
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Mod2Element):
-            return NotImplemented
-        return self.support == other.support
-
-    def __hash__(self) -> int:
-        return hash(self.support)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.support
-
-    def __str__(self) -> str:
-        if not self.support:
-            return "0"
-        return " + ".join(str(w) for w in sorted(self.support, key=word_sort_key))
-
-    def __repr__(self) -> str:
-        return f"Mod2Element({self})"
-
-
-def mod2_project(x: RingElement) -> Mod2Element:
-    """Reduce an integer element mod 2, dropping the identity word.
-
-    The element must have integer coefficients; a fractional coefficient
-    has no mod-2 reduction and raises CoefficientError.
-    """
-    if x.alphabet is not Alphabet.BASE:
-        raise AlphabetMismatchError("mod-2 projection is defined over the two-letter alphabet")
-    support = []
-    for word, coefficient in x._terms.items():
-        if coefficient.denominator != 1:
-            raise CoefficientError(
-                f"mod-2 projection needs integer coefficients, got {coefficient} on {word}"
-            )
-        if coefficient.numerator % 2 and not word.is_identity:
-            support.append(word)
-    return Mod2Element(support)
 
 
 def matrix_rank_exact(rows: Sequence[Sequence]) -> int:

@@ -9,6 +9,11 @@ stated bounds, "randomized" for seeded sampling, and
 of a finite analysis.  Bounded enumeration is never presented as a
 proof of the unbounded statement.
 
+The main-theorem suite cites the hexagon and span checks its
+certificates rest on.  ``verify_all`` passes it the hexagon and span
+reports it has already built, so every check runs once per call;
+``verify_main_theorem`` on its own runs those two suites itself.
+
 Reports serialize byte-identically from run to run: wall-clock timings
 stay in memory only, enumerations are chunked the same way regardless
 of the worker count, and chunk results are merged in enumeration order.
@@ -467,6 +472,35 @@ def verify_main_theorem(
     target_factory: Callable[[Disk, int], RingElement] | None = None,
 ) -> Report:
     """Assemble the non-membership certificate for both disks, k = 1..kmax."""
+    hexagon = verify_hexagon_vanishing(
+        kmax=kmax,
+        max_syllables=max_syllables,
+        max_exponent=max_exponent,
+        random_trials=0,
+        seed=0,
+        workers=workers,
+    )
+    span = verify_span_vanishing(
+        kmax=kmax,
+        max_syllables=max_syllables,
+        max_exponent=max_exponent,
+        workers=workers,
+    )
+    return _main_theorem(
+        kmax, max_syllables, max_exponent, hexagon, span, target_factory
+    )
+
+
+def _main_theorem(
+    kmax: int,
+    max_syllables: int,
+    max_exponent: int,
+    hexagon: Report,
+    span: Report,
+    target_factory: Callable[[Disk, int], RingElement] | None = None,
+) -> Report:
+    """The main-theorem report, citing the checks of hexagon and span reports
+    built at the same kmax and word bounds; their random trials are not cited."""
     report = Report(
         "main-theorem",
         {
@@ -483,35 +517,16 @@ def verify_main_theorem(
             w3_target(Disk.D2, k)
         return f"both disks, k = 1..{kmax}: formula and expansion constructions agree"
 
-    report.checks.append(
-        _run_check(
-            "target_expansions_agree",
-            "the polynomial construction of every target equals the hard-coded "
-            f"expansion termwise for both disks, k = 1..{kmax}",
-            "exact",
-            expansions,
-        )
+    agree = _run_check(
+        "target_expansions_agree",
+        "the polynomial construction of every target equals the hard-coded "
+        f"expansion termwise for both disks, k = 1..{kmax}",
+        "exact",
+        expansions,
     )
-
-    hexagon_report = verify_hexagon_vanishing(
-        kmax=kmax,
-        max_syllables=max_syllables,
-        max_exponent=max_exponent,
-        random_trials=0,
-        seed=0,
-        workers=workers,
-    )
-    report.checks.extend(
-        check for check in hexagon_report.checks if check.name != "hexagon_random"
-    )
-
-    span_report = verify_span_vanishing(
-        kmax=kmax,
-        max_syllables=max_syllables,
-        max_exponent=max_exponent,
-        workers=workers,
-    )
-    report.checks.extend(span_report.checks)
+    exhaustive, _random, *hexagon_cases = hexagon.checks
+    span_generators, *solution_tables = span.checks
+    report.checks += [agree, exhaustive, *hexagon_cases, span_generators, *solution_tables]
 
     targets = {disk: {} for disk in Disk}
     for disk in Disk:
@@ -522,6 +537,7 @@ def verify_main_theorem(
                 targets[disk][k] = None
     expected = {Disk.D1: 1, Disk.D2: 3}
 
+    target_checks: dict[tuple[Disk, int], Check] = {}
     for k in range(1, kmax + 1):
         functional = psi(k)
         for disk in Disk:
@@ -538,16 +554,16 @@ def verify_main_theorem(
                     )
                 return f"psi_{k} = {expected[disk]} != 0"
 
-            report.checks.append(
-                _run_check(
-                    f"target_psi_{disk.value}_k{k}",
-                    f"psi({k}) is nonzero (value {expected[disk]}) on the "
-                    f"{disk.value} value at k={k}",
-                    "exact",
-                    nonvanishing,
-                )
+            target_checks[disk, k] = _run_check(
+                f"target_psi_{disk.value}_k{k}",
+                f"psi({k}) is nonzero (value {expected[disk]}) on the "
+                f"{disk.value} value at k={k}",
+                "exact",
+                nonvanishing,
             )
+            report.checks.append(target_checks[disk, k])
 
+    rank_checks: dict[Disk, Check] = {}
     for disk in Disk:
 
         def ranks(disk=disk) -> str:
@@ -570,29 +586,27 @@ def verify_main_theorem(
                 f"{matrix_rank} by the psi matrix; both equal kmax = {kmax}"
             )
 
-        report.checks.append(
-            _run_check(
-                f"rank_{disk.value}",
-                f"the {disk.value} family values for k = 1..{kmax} are linearly "
-                "independent, by exact elimination and by the psi functional matrix",
-                "exact",
-                ranks,
-            )
+        rank_checks[disk] = _run_check(
+            f"rank_{disk.value}",
+            f"the {disk.value} family values for k = 1..{kmax} are linearly "
+            "independent, by exact elimination and by the psi functional matrix",
+            "exact",
+            ranks,
         )
+        report.checks.append(rank_checks[disk])
 
-    status = {check.name: check.passed for check in report.checks}
     for k in range(1, kmax + 1):
         for disk in Disk:
             prerequisites = [
-                "target_expansions_agree",
-                "hexagon_exhaustive",
-                f"hexagon_cases_k{k}",
-                "span_generators",
-                f"solution_table_k{k}",
-                f"target_psi_{disk.value}_k{k}",
-                f"rank_{disk.value}",
+                agree,
+                exhaustive,
+                hexagon_cases[k - 1],
+                span_generators,
+                solution_tables[k - 1],
+                target_checks[disk, k],
+                rank_checks[disk],
             ]
-            failed = [name for name in prerequisites if not status.get(name, False)]
+            failed = [check.name for check in prerequisites if not check.passed]
             if failed:
                 check = Check(
                     name=f"certificate_{disk.value}_k{k}",
@@ -632,27 +646,26 @@ def verify_all(
     seed: int = 0,
     workers: int = 1,
 ) -> list[Report]:
-    """Run the four suites in a fixed order."""
+    """Run the four suites in a fixed order, each check once: main-theorem
+    cites the hexagon and span checks run just before it."""
+    psi_targets = verify_psi_targets(kmax=kmax)
+    hexagon = verify_hexagon_vanishing(
+        kmax=kmax,
+        max_syllables=max_syllables,
+        max_exponent=max_exponent,
+        random_trials=random_trials,
+        seed=seed,
+        workers=workers,
+    )
+    span = verify_span_vanishing(
+        kmax=kmax,
+        max_syllables=max_syllables,
+        max_exponent=max_exponent,
+        workers=workers,
+    )
     return [
-        verify_psi_targets(kmax=kmax),
-        verify_hexagon_vanishing(
-            kmax=kmax,
-            max_syllables=max_syllables,
-            max_exponent=max_exponent,
-            random_trials=random_trials,
-            seed=seed,
-            workers=workers,
-        ),
-        verify_span_vanishing(
-            kmax=kmax,
-            max_syllables=max_syllables,
-            max_exponent=max_exponent,
-            workers=workers,
-        ),
-        verify_main_theorem(
-            kmax=kmax,
-            max_syllables=max_syllables,
-            max_exponent=max_exponent,
-            workers=workers,
-        ),
+        psi_targets,
+        hexagon,
+        span,
+        _main_theorem(kmax, max_syllables, max_exponent, hexagon, span),
     ]

@@ -16,7 +16,6 @@ the identity (``e`` accepted on input), ``^1`` omitted when printing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Literal
 
@@ -235,23 +234,6 @@ def invert(w: Word) -> Word:
     )
 
 
-@dataclass(frozen=True)
-class SubscriptMap:
-    """The letter renaming t -> t_tag, u -> u_tag for tag 1 or 3."""
-
-    tag: int
-
-    def __post_init__(self):
-        if self.tag not in (1, 3):
-            raise WordError(f"subscript tag must be 1 or 3, got {self.tag!r}")
-
-    def apply(self, w: Word) -> Word:
-        return rename(w, self.tag)
-
-
-SUB1 = SubscriptMap(1)
-SUB3 = SubscriptMap(3)
-
 _RENAME = {
     1: {"t": "t_1", "u": "u_1"},
     3: {"t": "t_3", "u": "u_3"},
@@ -261,10 +243,8 @@ _RENAME = {
 _PULLBACK = {"t_1": ("t", 1), "u_1": ("u", 1), "t_3": ("t", 3), "u_3": ("u", 3)}
 
 
-def rename(w: Word, tag: int | SubscriptMap) -> Word:
+def rename(w: Word, tag: int) -> Word:
     """Apply the injective homomorphism sending t, u to their tagged copies."""
-    if isinstance(tag, SubscriptMap):
-        tag = tag.tag
     if tag not in (1, 3):
         raise WordError(f"subscript tag must be 1 or 3, got {tag!r}")
     if w.alphabet is not BASE:

@@ -11,13 +11,10 @@ import barbellw3.barbell as barbell
 from barbellw3.barbell import (
     AdmissiblePair,
     BarbellError,
-    BarbellWord,
     Disk,
     SelfCheckError,
-    SpinShapeError,
     T_FORMULAS,
     T_KINDS,
-    barbell_word,
     count_admissible,
     enumerate_admissible,
     hexagon,
@@ -26,7 +23,6 @@ from barbellw3.barbell import (
     psi,
     span_generator_records,
     span_generators,
-    spin_to_barbell,
     t4_expansion,
     t6_expansion,
     t_poly,
@@ -266,29 +262,3 @@ def test_span_generators():
     assert kinds == sorted(kinds)
     elements = list(span_generators(1, 1))
     assert elements == [record.value for record in records]
-
-
-def test_spin_to_barbell():
-    examples = [
-        ("t", "t"),
-        ("t^2 u^3 t^-1", "t^2 nu_R nu_B u^3 nu_B^-1 nu_R^-1 t^-1"),
-        ("t u t", "t nu_R nu_B u nu_B^-1 nu_R^-1 t"),
-        ("t u^2 t u t^-2", "t nu_R nu_B u^2 nu_B^-1 nu_R^-1 t nu_R nu_B u nu_B^-1 nu_R^-1 t^-2"),
-    ]
-    for spin, expected in examples:
-        assert str(spin_to_barbell(parse_word(spin))) == expected
-
-
-def test_spin_to_barbell_rejects_bad_shapes():
-    for bad in ("u t", "t u", "u", "1", "u^2"):
-        with pytest.raises(SpinShapeError):
-            spin_to_barbell(parse_word(bad))
-
-
-def test_barbell_word_constructor():
-    w = barbell_word([("t", 2), ("nu_B", 1), ("u", 3), ("nu_B", -1)])
-    assert isinstance(w, BarbellWord)
-    assert str(w) == "t^2 nu_B u^3 nu_B^-1"
-    assert str(barbell_word([("t", 1), ("t", 1)])) == "t^2"
-    with pytest.raises(Exception):
-        barbell_word([("x", 1)])

@@ -150,16 +150,27 @@ def test_table_json(capsys):
     assert first["admissible"] is False
 
 
-def test_verify_json_schema(capsys):
+@pytest.mark.parametrize(
+    "suite, name, check_count",
+    [
+        ("psi", "psi-targets", 2),
+        ("hexagon", "hexagon-vanishing", 3),
+        ("span", "span-vanishing", 2),
+        ("main", "main-theorem", 11),
+    ],
+    ids=["psi", "hexagon", "span", "main"],
+)
+def test_verify_json_schema(capsys, suite, name, check_count):
     code, out, _ = run_cli(
         capsys,
-        "verify", "psi", "--kmax", "2", "--format", "json", "--workers", "1",
+        "verify", suite, "--kmax", "1", "--max-syllables", "1", "--max-exponent", "1",
+        "--trials", "20", "--format", "json", "--workers", "1",
     )
     assert code == 0
     report = json.loads(out)
     jsonschema.validate(report, REPORT_SCHEMA)
-    assert report["overall"] == "pass"
-    assert len(report["checks"]) == 4
+    assert report["suite"] == name and report["overall"] == "pass"
+    assert len(report["checks"]) == check_count
 
 
 def test_verify_all_json(capsys):

@@ -11,11 +11,9 @@ import sympy
 from barbellw3.ring import (
     CoefficientError,
     Functional,
-    Mod2Element,
     RingElement,
     as_fraction,
     matrix_rank_exact,
-    mod2_project,
     rank,
 )
 from barbellw3.words import (
@@ -162,37 +160,6 @@ def test_functional_rejects_cross_alphabet_input():
     f = Functional([(parse_word("t"), 1)])
     with pytest.raises(AlphabetMismatchError):
         f(RingElement.monomial(parse_word("t_1")))
-
-
-def test_mod2_element_addition_is_symmetric_difference():
-    t, u = parse_word("t"), parse_word("u")
-    a = Mod2Element([t])
-    b = Mod2Element([t, u])
-    assert (a + b).support == frozenset({u})
-    assert (a + a).support == frozenset()
-    rng = random.Random(71)
-    for _ in range(100):
-        xs = frozenset(rand_word(rng) for _ in range(3)) - {identity(BASE)}
-        ys = frozenset(rand_word(rng) for _ in range(3)) - {identity(BASE)}
-        assert (Mod2Element(xs) + Mod2Element(ys)).support == xs ^ ys
-
-
-def test_mod2_projection():
-    t, u = parse_word("t"), parse_word("u")
-    x = RingElement(BASE, {t: 3, u: 2, identity(BASE): 5})
-    assert mod2_project(x).support == frozenset({t})
-    with pytest.raises(CoefficientError):
-        mod2_project(RingElement(BASE, {t: Fraction(1, 3)}))
-    with pytest.raises(AlphabetMismatchError):
-        mod2_project(RingElement.monomial(parse_word("t_1")))
-
-
-def test_mod2_projection_is_additive():
-    rng = random.Random(83)
-    for _ in range(150):
-        x = RingElement(BASE, {rand_word(rng): rng.randint(-4, 4) for _ in range(4)})
-        y = RingElement(BASE, {rand_word(rng): rng.randint(-4, 4) for _ in range(4)})
-        assert mod2_project(x + y) == mod2_project(x) + mod2_project(y)
 
 
 def test_matrix_rank_exact_examples():

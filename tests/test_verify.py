@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 import barbellw3.barbell as barbell
 import barbellw3.solver as solver
+import barbellw3.verify as verify
 from barbellw3.barbell import t_poly
+from barbellw3.cli import emit
 from barbellw3.verify import (
     Check,
     Report,
@@ -114,6 +117,34 @@ def test_verify_all_returns_four_reports():
     assert all(report.overall == "pass" for report in reports)
 
 
+def test_verify_all_runs_each_check_once(monkeypatch):
+    calls = []
+
+    def count(name):
+        original = getattr(verify, name)
+
+        def counted(arg):
+            calls.append((name, arg))
+            return original(arg)
+
+        monkeypatch.setattr(verify, name, counted)
+
+    names = ("compare_with_reference", "hexagon_case_analysis",
+             "_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk")
+    for name in names:
+        count(name)
+    kwargs = dict(kmax=2, max_syllables=1, max_exponent=1)
+    reports = verify_all(**kwargs, random_trials=10, seed=0, workers=1)
+    counts = Counter(name for name, _ in calls)
+    assert counts["compare_with_reference"] == counts["hexagon_case_analysis"] == 2
+    assert set(counts) == set(names)
+    assert len(calls) == len(set(calls))  # no (function, k or task) runs twice
+    # Citing the checks already run leaves the report bytes unchanged.
+    monkeypatch.undo()
+    alone = verify_main_theorem(**kwargs, workers=1)
+    assert emit(reports[3], "json") == emit(alone, "json")
+
+
 def test_reports_are_deterministic():
     kwargs = dict(kmax=2, max_syllables=2, max_exponent=1, random_trials=40, seed=11)
     first = verify_hexagon_vanishing(workers=1, **kwargs)
@@ -176,6 +207,17 @@ def test_corrupted_reference_table_is_caught(monkeypatch):
     status = {check.name: check.status for check in report.checks}
     assert status["solution_table_k1"] == "fail"
     assert status["span_generators"] == "pass"
+    # Through verify_all, main-theorem cites the failed table check.
+    reports = verify_all(
+        kmax=1, max_syllables=1, max_exponent=1, random_trials=10, seed=0, workers=1
+    )
+    span, main = reports[2], reports[3]
+    for suite in (span, main):
+        status = {check.name: check.status for check in suite.checks}
+        assert status["solution_table_k1"] == "fail"
+    certificates = [c for c in main.checks if c.name.startswith("certificate_")]
+    assert [c.name for c in certificates] == ["certificate_d1_k1", "certificate_d2_k1"]
+    assert all(c.status == "fail" for c in certificates)
 
 
 def test_empty_report_passes():
