@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .words import (
     Alphabet,
@@ -243,60 +242,46 @@ class Functional:
     __call__ = evaluate
 
 
-def matrix_rank_exact(rows: Sequence[Sequence]) -> int:
-    """Rank of a rational matrix by fraction-free (Bareiss) elimination."""
-    matrix: list[list[int]] = []
+def _eliminate(rows: Iterable[dict]) -> int:
+    """Rank of sparse rational rows, each a column -> nonzero Fraction map.
+
+    Each pivot row is kept under its least column.  A new row is reduced
+    at its least column until it is zero or starts a column that no
+    pivot holds, where it becomes that column's pivot.
+    """
+    pivots: dict = {}
     for row in rows:
-        fractions = [as_fraction(x) for x in row]
-        scale_factor = lcm(*(f.denominator for f in fractions)) if fractions else 1
-        matrix.append([int(f * scale_factor) for f in fractions])
-    if not matrix or not matrix[0]:
-        return 0
-    n_rows = len(matrix)
-    n_cols = len(matrix[0])
-    if any(len(row) != n_cols for row in matrix):
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            factor = row[lead] / pivot[lead]
+            for column, value in pivot.items():
+                updated = row.get(column, _ZERO) - factor * value
+                if updated:
+                    row[column] = updated
+                else:
+                    del row[column]
+    return len(pivots)
+
+
+def matrix_rank_exact(rows: Sequence[Sequence]) -> int:
+    """Rank of a rational matrix by exact elimination."""
+    matrix = [[as_fraction(x) for x in row] for row in rows]
+    if any(len(row) != len(matrix[0]) for row in matrix):
         raise ValueError("ragged matrix")
-    rank_so_far = 0
-    previous_pivot = 1
-    for col in range(n_cols):
-        pivot_row = next(
-            (i for i in range(rank_so_far, n_rows) if matrix[i][col]), None
-        )
-        if pivot_row is None:
-            continue
-        matrix[rank_so_far], matrix[pivot_row] = matrix[pivot_row], matrix[rank_so_far]
-        pivot = matrix[rank_so_far][col]
-        row_p = matrix[rank_so_far]
-        for i in range(rank_so_far + 1, n_rows):
-            row_i = matrix[i]
-            head = row_i[col]
-            for j in range(col + 1, n_cols):
-                row_i[j] = (row_i[j] * pivot - head * row_p[j]) // previous_pivot
-            row_i[col] = 0
-        previous_pivot = pivot
-        rank_so_far += 1
-        if rank_so_far == n_rows:
-            break
-    return rank_so_far
+    return _eliminate({j: q for j, q in enumerate(row) if q} for row in matrix)
 
 
 def rank(vectors: Iterable[RingElement]) -> int:
     """Dimension of the span of finitely many elements, computed exactly."""
     elements = list(vectors)
-    if not elements:
-        return 0
-    alphabet = elements[0].alphabet
     for element in elements:
-        if element.alphabet is not alphabet:
+        if element.alphabet is not elements[0].alphabet:
             raise AlphabetMismatchError("rank needs elements over one alphabet")
-    columns = sorted({w for e in elements for w in e._terms}, key=word_sort_key)
-    if not columns:
-        return 0
-    column_index = {w: i for i, w in enumerate(columns)}
-    rows = []
-    for element in elements:
-        row = [_ZERO] * len(columns)
-        for word, coefficient in element._terms.items():
-            row[column_index[word]] = coefficient
-        rows.append(row)
-    return matrix_rank_exact(rows)
+    return _eliminate(
+        {word_sort_key(word): q for word, q in element._terms.items()}
+        for element in elements
+    )

@@ -26,8 +26,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .barbell import (
     HEXAGON_TERMS,
-    T_FORMULAS,
-    T_KINDS,
+    T_POLY_FORMULAS,
     hexagon,
     is_admissible,
     monomials_m,
@@ -255,20 +254,19 @@ def solve(
 # The 21-row solution table.
 
 def table_patterns() -> list[tuple[Pattern, tuple[int, ...]]]:
-    """Distinct monomial shapes of the four polynomials, in order of first
-    appearance, each with the kinds it appears in (recomputed from the
-    formulas)."""
-    ordered: list[Pattern] = []
-    appears: dict[tuple, list[int]] = {}
-    for i in T_KINDS:
-        for _, pattern in T_FORMULAS[i]:
-            key = pattern.factors
-            if key not in appears:
-                appears[key] = []
-                ordered.append(pattern)
-            if i not in appears[key]:
-                appears[key].append(i)
-    return [(pattern, tuple(appears[pattern.factors])) for pattern in ordered]
+    """The distinct monomial shapes of the four polynomials, numbered as in
+    T_POLY_FORMULAS, each with the kinds whose terms cite it."""
+    return [
+        (
+            shape,
+            tuple(
+                kind
+                for kind, terms in T_POLY_FORMULAS.terms.items()
+                if any(cited == index for _, cited in terms)
+            ),
+        )
+        for index, shape in enumerate(T_POLY_FORMULAS.shapes)
+    ]
 
 
 @dataclass(frozen=True)

@@ -537,9 +537,9 @@ def _main_theorem(
                 targets[disk][k] = None
     expected = {Disk.D1: 1, Disk.D2: 3}
 
+    functionals = [psi(k) for k in range(1, kmax + 1)]
     target_checks: dict[tuple[Disk, int], Check] = {}
-    for k in range(1, kmax + 1):
-        functional = psi(k)
+    for k, functional in enumerate(functionals, start=1):
         for disk in Disk:
 
             def nonvanishing(functional=functional, disk=disk, k=k) -> str:
@@ -572,7 +572,7 @@ def _main_theorem(
                 raise CheckFailure("target construction failed")
             elimination_rank = rank(family)
             functional_matrix = [
-                [psi(k)(value) for value in family] for k in range(1, kmax + 1)
+                [functional(value) for value in family] for functional in functionals
             ]
             matrix_rank = matrix_rank_exact(functional_matrix)
             if elimination_rank != kmax or matrix_rank != kmax:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -187,6 +188,22 @@ def test_verify_all_json(capsys):
     ]
     for suite in combined["suites"]:
         jsonschema.validate(suite, REPORT_SCHEMA)
+
+
+# The sha256 of a canonical `verify all` report.  A refactor must leave
+# these bytes unchanged; a change that means to alter the report updates
+# the pin and says so in CHANGES.md.
+PINNED_REPORT_SHA256 = "3056b6a6859fe878e78f9cd77e46f6b963c38f0816260a706e92606a9334dcdd"
+
+
+def test_verify_all_report_bytes_are_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "all", "--kmax", "12", "--max-syllables", "1", "--max-exponent", "1",
+        "--trials", "50", "--seed", "0", "--workers", "1", "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORT_SHA256
 
 
 def test_verify_markdown(capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from barbellw3.barbell import Disk, w3_target
 from barbellw3.ring import (
     CoefficientError,
     Functional,
@@ -170,6 +171,14 @@ def test_matrix_rank_exact_examples():
     assert matrix_rank_exact([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]]) == 1
 
 
+def test_matrix_rank_exact_rejects_ragged_rows():
+    for rows in ([[1, 2], [3]], [[], [1]]):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            matrix_rank_exact(rows)
+    with pytest.raises(CoefficientError):
+        matrix_rank_exact([[0.5]])
+
+
 def test_matrix_rank_matches_sympy_random():
     rng = random.Random(101)
     for _ in range(60):
@@ -190,3 +199,48 @@ def test_rank_of_elements():
     assert rank([x, x.scale(2), y]) == 2
     assert rank([x - x]) == 0
     assert rank([]) == 0
+
+
+def sympy_rank(elements):
+    columns = sorted({word for x in elements for word in x.support()}, key=lambda w: w.sort_key())
+    if not elements or not columns:
+        return 0
+    return sympy.Matrix(
+        [[sympy.Rational(x.coeff(word)) for word in columns] for x in elements]
+    ).rank()
+
+
+def test_rank_with_fill_in():
+    a, b, c = (RingElement.monomial(parse_word(text)) for text in ("t", "u", "t u"))
+    # Reducing a - c by a + b fills in -b, which b + c then cancels.
+    assert rank([a + b, b + c, a - c]) == 2
+    assert rank([a + b, b + c, a + c]) == 3
+    assert matrix_rank_exact([[1, 1, 0], [0, 1, 1], [1, 0, -1]]) == 2
+    assert matrix_rank_exact([[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == 3
+
+
+def test_rank_matches_sympy_on_overlapping_supports():
+    rng = random.Random(131)
+    pool = [parse_word(text) for text in ("t", "u", "t u", "u t", "t^2", "u^-1", "t^-1 u")]
+    for _ in range(150):
+        family = []
+        for _ in range(rng.randint(1, 7)):
+            if family and rng.random() < 0.3:
+                # A combination of earlier rows, so that some families are dependent.
+                x = sum(
+                    (y.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for y in family),
+                    RingElement.zero(BASE),
+                )
+            else:
+                x = RingElement(BASE, {
+                    word: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    for word in rng.sample(pool, rng.randint(1, 4))
+                })
+            family.append(x)
+        assert rank(family) == sympy_rank(family)
+
+
+def test_rank_of_target_families_matches_sympy():
+    for disk in Disk:
+        family = [w3_target(disk, k).value for k in range(1, 7)]
+        assert rank(family) == sympy_rank(family) == 6

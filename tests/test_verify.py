@@ -187,6 +187,23 @@ def test_negative_control_fails_main_suite():
     assert status["span_generators"] == "pass"
 
 
+def test_planted_dependence_fails_the_rank_check():
+    def dependent(disk, k):
+        if disk is barbell.Disk.D1 and k == 3:
+            return dependent(disk, 1) + dependent(disk, 2)
+        return barbell.w3_target(disk, k).value
+
+    report = verify_main_theorem(
+        kmax=3, max_syllables=1, max_exponent=1, workers=1, target_factory=dependent
+    )
+    checks = {check.name: check for check in report.checks}
+    assert checks["rank_d1"].status == "fail"
+    assert "is 2 by elimination" in checks["rank_d1"].details
+    assert checks["certificate_d1_k3"].status == "fail"
+    assert checks["rank_d2"].status == "pass"
+    assert checks["certificate_d2_k3"].status == "pass"
+
+
 def test_corrupted_expansion_table_is_caught(monkeypatch):
     sign, word = barbell.T4_EXPANSION_ROWS[0]
     monkeypatch.setattr(
