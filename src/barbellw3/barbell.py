@@ -150,8 +150,9 @@ def hexagon(nu: Word, mu: Word) -> RingElement:
 # ---------------------------------------------------------------------------
 # The target family, built twice.
 
-# Exponent templates: an int, or "k" / "-k" for the family parameter.
-ExpansionRow = tuple[int, tuple[tuple[str, object], ...]]
+# A word whose exponents are ints or "k" / "-k" for the family parameter.
+SyllableTemplate = tuple[tuple[str, int | str], ...]
+ExpansionRow = tuple[int, SyllableTemplate]
 
 T4_EXPANSION_ROWS: tuple[ExpansionRow, ...] = (
     (+1, (("t_1", -1), ("t_3", 1), ("u_3", "-k"), ("t_3", -2))),
@@ -189,8 +190,8 @@ def _check_k(k: int) -> None:
         raise BarbellError(f"the family parameter k must be a positive integer, got {k!r}")
 
 
-def word_at_k(template: tuple[tuple[str, object], ...], k: int, alphabet=QUAD) -> Word:
-    """Instantiate a syllable template whose exponents may be k or -k."""
+def word_at_k(template: SyllableTemplate, k: int, alphabet=QUAD) -> Word:
+    """Instantiate a syllable template at k; the word must be reduced."""
     syllables = []
     for letter, exp in template:
         if exp == "k":

@@ -11,27 +11,39 @@ free-group equations.  Whenever an equation has exactly one unknown
 occurrence the unknown is forced by one-sided division; systems that
 never reach that state fall back to bounded enumeration of one
 variable at a time, so the solver is exhaustive in general only up to
-the fallback bounds (every shape appearing in the reference table and
-the hexagon analysis is division-solvable, no fallback involved).
+the fallback bounds.  ``solve`` says whether any branch needed the
+fallback, and the solution table and the hexagon case analysis refuse
+a result that did.
+
+The collapse branches depend on the pattern alone, so each pattern is
+compiled once into a plan that indexes them by the subscript tags of
+their surviving runs; solving against a target visits only the
+branches whose tags are those of the target's blocks.
 
 The module also regenerates the solution table for the 21 monomial
 shapes of the four T-polynomials and carries an independently
-transcribed copy of that table to compare against.
+transcribed copy of that table to compare against.  Its entries are
+syllable templates in k, each read once and instantiated with
+``barbell.word_at_k``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .barbell import (
+    HEXAGON_FORMULAS,
     HEXAGON_TERMS,
     T_POLY_FORMULAS,
+    SyllableTemplate,
     hexagon,
     is_admissible,
     monomials_m,
+    word_at_k,
 )
-from .patterns import Pattern, eval_pattern
+from .patterns import Pattern, eval_pattern, word_pieces
 from .words import (
     BASE,
     QUAD,
@@ -40,7 +52,6 @@ from .words import (
     concat_words,
     identity,
     invert,
-    parse_word,
     split_blocks,
     word_sort_key,
 )
@@ -79,7 +90,23 @@ class Solution:
         return ", ".join(f"{var} = {word}" for var, word in self.items)
 
 
-Run = tuple[int, tuple[tuple[str, bool], ...]]
+class Solutions(tuple):
+    """What ``solve`` returns: its solutions, plus ``used_fallback``, True
+    when some branch was not division-solvable and reached the bounded
+    enumeration, so the solutions are complete only within its bounds."""
+
+    used_fallback: bool
+
+    def __new__(cls, solutions: Iterable[Solution], used_fallback: bool):
+        result = super().__new__(cls, solutions)
+        result.used_fallback = used_fallback
+        return result
+
+
+Factors = tuple[tuple[str, bool], ...]
+Run = tuple[int, Factors]
+# The factors of the surviving runs, then those of the collapsed runs.
+Branch = tuple[tuple[Factors, ...], tuple[Factors, ...]]
 
 
 def _pattern_runs(pattern: Pattern) -> tuple[Run, ...]:
@@ -105,9 +132,9 @@ def _merge_adjacent(runs: tuple[Run, ...]) -> tuple[Run, ...]:
 
 def _collapse_branches(
     runs: tuple[Run, ...],
-    collapsed: tuple[tuple[tuple[str, bool], ...], ...],
+    collapsed: tuple[Factors, ...],
     seen: set,
-) -> Iterator[tuple[tuple[Run, ...], tuple]]:
+) -> Iterator[tuple[tuple[Run, ...], tuple[Factors, ...]]]:
     """Every way of striking out runs that multiply to the identity.
 
     Striking out a run can make its neighbours adjacent with equal
@@ -128,6 +155,19 @@ def _collapse_branches(
         )
 
 
+@lru_cache(maxsize=256)
+def _plan(pattern: Pattern) -> tuple[tuple[str, ...], dict[tuple[int, ...], list[Branch]]]:
+    """A pattern compiled for solving: its variables, and its collapse
+    branches indexed by the subscript tags of their surviving runs."""
+    branches: dict[tuple[int, ...], list[Branch]] = {}
+    for surviving, collapsed in _collapse_branches(_pattern_runs(pattern), (), set()):
+        tags = tuple(tag for tag, _ in surviving)
+        branches.setdefault(tags, []).append(
+            (tuple(factors for _, factors in surviving), collapsed)
+        )
+    return pattern.variables(), branches
+
+
 def _product(
     factors: Iterable[tuple[str, bool]], known: Mapping[str, Word]
 ) -> Word:
@@ -139,12 +179,13 @@ def _product(
 
 
 def _solve_system(
-    equations: list[tuple[tuple[tuple[str, bool], ...], Word]],
+    equations: list[tuple[Factors, Word]],
     known: dict[str, Word],
     fallback_syllables: int,
     fallback_exponent: int,
-) -> list[dict[str, Word]]:
-    """All in-bounds assignments satisfying every equation.
+) -> tuple[list[dict[str, Word]], bool]:
+    """All in-bounds assignments satisfying every equation, and whether
+    the bounded fallback was used.
 
     Division steps are exact; only systems with no equation containing a
     single unknown occurrence resort to enumerating one variable over
@@ -161,7 +202,7 @@ def _solve_system(
             ]
             if not unknown_positions:
                 if _product(factors, known) != rhs:
-                    return []
+                    return [], False
                 progress = True
                 continue
             if len(unknown_positions) == 1:
@@ -173,7 +214,7 @@ def _solve_system(
                 if inverted:
                     value = invert(value)
                 if value.is_identity:
-                    return []
+                    return [], False
                 known[var] = value
                 progress = True
                 continue
@@ -182,8 +223,8 @@ def _solve_system(
         if pending and not progress:
             return _enumerate_one_variable(
                 pending, known, fallback_syllables, fallback_exponent
-            )
-    return [known]
+            ), True
+    return [known], False
 
 
 def _enumerate_one_variable(
@@ -202,7 +243,7 @@ def _enumerate_one_variable(
         results.extend(
             _solve_system(
                 pending, {**known, var: candidate}, fallback_syllables, fallback_exponent
-            )
+            )[0]
         )
     return results
 
@@ -212,33 +253,30 @@ def solve(
     target: Word,
     fallback_max_syllables: int = 4,
     fallback_max_exponent: int | None = None,
-) -> tuple[Solution, ...]:
+) -> Solutions:
     """All assignments of nontrivial words satisfying pattern = target.
 
     Returned in a deterministic order.  Complete whenever every branch
-    is division-solvable; otherwise complete up to the fallback bounds.
+    is division-solvable; otherwise complete up to the fallback bounds,
+    and the result's ``used_fallback`` is True.
     """
     if target.alphabet is not QUAD:
         raise SolveError("the target must be a word over the four-letter alphabet")
     if fallback_max_exponent is None:
         fallback_max_exponent = target.max_exponent() + 1
     blocks = split_blocks(target)
-    variables = pattern.variables()
-    runs = _pattern_runs(pattern)
+    block_words = [block_word for _, block_word in blocks]
+    variables, branches = _plan(pattern)
     found: set[tuple[tuple[str, Word], ...]] = set()
-    for surviving, collapsed in _collapse_branches(runs, (), set()):
-        if len(surviving) != len(blocks):
-            continue
-        if any(run[0] != block[0] for run, block in zip(surviving, blocks)):
-            continue
-        equations = [
-            (factors, block_word)
-            for (_, factors), (_, block_word) in zip(surviving, blocks)
-        ]
+    used_fallback = False
+    for surviving, collapsed in branches.get(tuple(tag for tag, _ in blocks), ()):
+        equations = list(zip(surviving, block_words))
         equations += [(factors, identity(BASE)) for factors in collapsed]
-        for assignment in _solve_system(
+        assignments, fell_back = _solve_system(
             equations, {}, fallback_max_syllables, fallback_max_exponent
-        ):
+        )
+        used_fallback = used_fallback or fell_back
+        for assignment in assignments:
             if any(var not in assignment for var in variables):
                 continue
             if any(assignment[var].is_identity for var in variables):
@@ -246,8 +284,9 @@ def solve(
             if eval_pattern(pattern, assignment) == target:
                 found.add(tuple(sorted((v, assignment[v]) for v in variables)))
     solutions = [Solution(items) for items in found]
-    solutions.sort(key=Solution.sort_key)
-    return tuple(solutions)
+    if len(solutions) > 1:
+        solutions.sort(key=Solution.sort_key)
+    return Solutions(solutions, used_fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +321,11 @@ class TableRow:
 
 def _unique_pair_solution(pattern: Pattern, target: Word, label: str) -> tuple[Word, Word]:
     solutions = solve(pattern, target)
+    if solutions.used_fallback:
+        raise TableError(
+            f"pattern {pattern} = {label} needed the bounded fallback, so its "
+            "solutions are complete only within bounds"
+        )
     if len(solutions) != 1:
         raise TableError(
             f"pattern {pattern} = {label} has {len(solutions)} solutions, expected 1"
@@ -294,7 +338,8 @@ def regenerate_table(k: int) -> list[TableRow]:
     """Solve every table shape against both witness monomials at this k.
 
     Raises TableError unless every shape has exactly one solution per
-    monomial and none of the solutions is an admissible pair.
+    monomial, found without the bounded fallback, and none of the
+    solutions is an admissible pair.
     """
     m1, m2 = monomials_m(k)
     rows = []
@@ -339,8 +384,15 @@ REFERENCE_TABLE_ROWS: tuple[tuple[str, tuple[int, ...], tuple[str, str], tuple[s
 )
 
 
-def _word_from_template(template: str, k: int) -> Word:
-    return parse_word(template.replace("k", str(k)), BASE)
+@lru_cache(maxsize=128)
+def _syllable_template(text: str) -> SyllableTemplate:
+    """Read table text such as "t^2 u^-k t^-1" as syllables whose exponents
+    are integers or "k" / "-k"."""
+    syllables = []
+    for token in text.split(" "):
+        letter, _, exp = token.partition("^")
+        syllables.append((letter, exp if exp in ("k", "-k") else int(exp or "1")))
+    return tuple(syllables)
 
 
 @dataclass(frozen=True)
@@ -359,8 +411,8 @@ def reference_table(k: int) -> list[ReferenceRow]:
             ReferenceRow(
                 pattern_text,
                 appears_in,
-                tuple(_word_from_template(text, k) for text in pair1),
-                tuple(_word_from_template(text, k) for text in pair2),
+                tuple(word_at_k(_syllable_template(text), k, BASE) for text in pair1),
+                tuple(word_at_k(_syllable_template(text), k, BASE) for text in pair2),
             )
         )
     return rows
@@ -416,29 +468,36 @@ def hexagon_case_analysis(k: int) -> HexagonCaseAnalysis:
     """Check the pairing that makes psi(k) kill every hexagon.
 
     For each of the four hexagon terms and each witness monomial, the
-    equation term = monomial has exactly one solution (nu, mu); at that
-    solution exactly one other term equals the other monomial, with the
-    same sign, and the remaining two terms hit neither monomial.  The
-    two matched contributions therefore cancel inside psi(k).
+    equation term = monomial has exactly one solution (nu, mu), found
+    without the bounded fallback; at that solution, evaluated on the
+    compiled hexagon formula, exactly one other term equals the other
+    monomial, with the same sign, and the remaining two terms hit
+    neither monomial.  The two matched contributions therefore cancel
+    inside psi(k).
     """
     m1, m2 = monomials_m(k)
     monomials = {"m1": m1, "m2": m2}
+    shapes = [shape for _, shape in HEXAGON_FORMULAS.terms["H"]]
     cases = []
     for term_index, (sign, pattern) in enumerate(HEXAGON_TERMS, start=1):
         for target_name, monomial in monomials.items():
             solutions = solve(pattern, monomial)
+            if solutions.used_fallback:
+                raise CaseAnalysisError(
+                    f"term {term_index} = {target_name}({k}) needed the bounded "
+                    "fallback, so its solutions are complete only within bounds"
+                )
             if len(solutions) != 1:
                 raise CaseAnalysisError(
                     f"term {term_index} = {target_name}({k}) has "
                     f"{len(solutions)} solutions, expected exactly 1"
                 )
             assignment = solutions[0].assignment
-            values = {
-                index: eval_pattern(term_pattern, assignment)
-                for index, (_, term_pattern) in enumerate(HEXAGON_TERMS, start=1)
-            }
+            nu, mu = assignment["nu"], assignment["mu"]
+            words = HEXAGON_FORMULAS.evaluate(word_pieces(nu) + word_pieces(mu))
+            values = {index: words[shape] for index, shape in enumerate(shapes, start=1)}
             other_name = "m2" if target_name == "m1" else "m1"
-            other = monomials[other_name]
+            other = monomials[other_name].syllables
             partners = [
                 index
                 for index, value in values.items()
@@ -459,12 +518,12 @@ def hexagon_case_analysis(k: int) -> HexagonCaseAnalysis:
             for index, value in values.items():
                 if index in (term_index, partner_index):
                     continue
-                if value == m1 or value == m2:
+                if value == m1.syllables or value == m2.syllables:
                     raise CaseAnalysisError(
                         f"term {term_index} = {target_name}({k}): term {index} "
                         "also hits a witness monomial"
                     )
-            h = hexagon(assignment["nu"], assignment["mu"])
+            h = hexagon(nu, mu)
             if h.coeff(m1) != h.coeff(m2):
                 raise CaseAnalysisError(
                     f"term {term_index} = {target_name}({k}): hexagon coefficients "
@@ -474,8 +533,8 @@ def hexagon_case_analysis(k: int) -> HexagonCaseAnalysis:
                 HexagonCase(
                     term_index=term_index,
                     target_name=target_name,
-                    nu=assignment["nu"],
-                    mu=assignment["mu"],
+                    nu=nu,
+                    mu=mu,
                     partner_index=partner_index,
                     sign=sign,
                     partner_sign=partner_sign,

@@ -12,7 +12,9 @@ proof of the unbounded statement.
 The main-theorem suite cites the hexagon and span checks its
 certificates rest on.  ``verify_all`` passes it the hexagon and span
 reports it has already built, so every check runs once per call;
-``verify_main_theorem`` on its own runs those two suites itself.
+``verify_main_theorem`` on its own runs those two suites itself.  The
+target values are built once per call as well, and a target whose
+construction fails fails only the checks that use it.
 
 Reports serialize byte-identically from run to run: wall-clock timings
 stay in memory only, enumerations are chunked the same way regardless
@@ -208,7 +210,8 @@ def _random_word(rng: random.Random, max_syllables: int, max_exponent: int) -> W
         exponent = rng.randint(1, max_exponent) * rng.choice((1, -1))
         syllables.append((letter, exponent))
         letter = "u" if letter == "t" else "t"
-    return Word(BASE, syllables)
+    # Alternating letters and nonzero exponents: the word is reduced.
+    return Word._raw(BASE, tuple(syllables))
 
 
 def _hexagon_random_chunk(task: tuple) -> tuple[int, list[str]]:
@@ -257,15 +260,46 @@ def _span_chunk(task: tuple) -> tuple[int, list[str]]:
 
 
 # ---------------------------------------------------------------------------
+# Target values, each one or the reason its construction failed.
+
+Targets = dict[tuple[Disk, int], RingElement | str]
+
+
+def _build_targets(
+    kmax: int, factory: Callable[[Disk, int], RingElement] | None = None
+) -> Targets:
+    """Both disks' targets for k = 1..kmax, by w3_target (which compares its
+    two constructions) unless a factory is given."""
+    targets: Targets = {}
+    for k in range(1, kmax + 1):
+        for disk in Disk:
+            try:
+                if factory is None:
+                    targets[disk, k] = w3_target(disk, k).value
+                else:
+                    targets[disk, k] = factory(disk, k)
+            except Exception as error:
+                targets[disk, k] = f"{type(error).__name__}: {error}"
+    return targets
+
+
+def _target(targets: Targets, disk: Disk, k: int) -> RingElement:
+    value = targets[disk, k]
+    if isinstance(value, str):
+        raise CheckFailure(f"target construction failed for {disk.value} at k={k}: {value}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Suites.
 
 def verify_psi_targets(kmax: int = 10) -> Report:
     """psi(k) takes value 1 on disk-1 targets, 3 on disk-2 targets, 0 across."""
+    return _psi_targets(kmax, _build_targets(kmax))
+
+
+def _psi_targets(kmax: int, targets: Targets) -> Report:
     report = Report("psi-targets", {"kmax": kmax})
-    targets = {
-        disk: {j: w3_target(disk, j).value for j in range(1, kmax + 1)}
-        for disk in Disk
-    }
     expected = {Disk.D1: 1, Disk.D2: 3}
     for k in range(1, kmax + 1):
         functional = psi(k)
@@ -273,7 +307,9 @@ def verify_psi_targets(kmax: int = 10) -> Report:
             value = expected[disk]
 
             def body(functional=functional, disk=disk, k=k, value=value) -> str:
-                row = {j: functional(targets[disk][j]) for j in range(1, kmax + 1)}
+                row = {
+                    j: functional(_target(targets, disk, j)) for j in range(1, kmax + 1)
+                }
                 if row[k] != value:
                     raise CheckFailure(
                         f"psi_{k} on the {disk.value} target at k={k} is {row[k]}, "
@@ -460,10 +496,6 @@ def verify_span_vanishing(
     return report
 
 
-def _default_target_factory(disk: Disk, k: int) -> RingElement:
-    return w3_target(disk, k).value
-
-
 def verify_main_theorem(
     kmax: int = 10,
     max_syllables: int = 3,
@@ -486,9 +518,9 @@ def verify_main_theorem(
         max_exponent=max_exponent,
         workers=workers,
     )
-    return _main_theorem(
-        kmax, max_syllables, max_exponent, hexagon, span, target_factory
-    )
+    built = _build_targets(kmax)
+    values = built if target_factory is None else _build_targets(kmax, target_factory)
+    return _main_theorem(kmax, max_syllables, max_exponent, hexagon, span, built, values)
 
 
 def _main_theorem(
@@ -497,10 +529,15 @@ def _main_theorem(
     max_exponent: int,
     hexagon: Report,
     span: Report,
-    target_factory: Callable[[Disk, int], RingElement] | None = None,
+    built: Targets,
+    values: Targets,
 ) -> Report:
     """The main-theorem report, citing the checks of hexagon and span reports
-    built at the same kmax and word bounds; their random trials are not cited."""
+    built at the same kmax and word bounds; their random trials are not cited.
+
+    ``built`` holds the w3_target values for k = 1..kmax, ``values`` the
+    targets the certificates test (the same unless a factory replaced them).
+    """
     report = Report(
         "main-theorem",
         {
@@ -509,12 +546,13 @@ def _main_theorem(
             "max_exponent": max_exponent,
         },
     )
-    factory = target_factory or _default_target_factory
 
     def expansions() -> str:
-        for k in range(1, kmax + 1):
-            w3_target(Disk.D1, k)
-            w3_target(Disk.D2, k)
+        failures = [value for value in built.values() if isinstance(value, str)]
+        if failures:
+            raise CheckFailure(
+                f"{len(failures)} of {len(built)} targets failed, first: {failures[0]}"
+            )
         return f"both disks, k = 1..{kmax}: formula and expansion constructions agree"
 
     agree = _run_check(
@@ -528,13 +566,6 @@ def _main_theorem(
     span_generators, *solution_tables = span.checks
     report.checks += [agree, exhaustive, *hexagon_cases, span_generators, *solution_tables]
 
-    targets = {disk: {} for disk in Disk}
-    for disk in Disk:
-        for k in range(1, kmax + 1):
-            try:
-                targets[disk][k] = factory(disk, k)
-            except Exception:
-                targets[disk][k] = None
     expected = {Disk.D1: 1, Disk.D2: 3}
 
     functionals = [psi(k) for k in range(1, kmax + 1)]
@@ -543,10 +574,7 @@ def _main_theorem(
         for disk in Disk:
 
             def nonvanishing(functional=functional, disk=disk, k=k) -> str:
-                target = targets[disk][k]
-                if target is None:
-                    raise CheckFailure("target construction failed")
-                value = functional(target)
+                value = functional(_target(values, disk, k))
                 if value != expected[disk]:
                     raise CheckFailure(
                         f"psi_{k} on the {disk.value} value is {value}, "
@@ -567,9 +595,7 @@ def _main_theorem(
     for disk in Disk:
 
         def ranks(disk=disk) -> str:
-            family = [targets[disk][k] for k in range(1, kmax + 1)]
-            if any(value is None for value in family):
-                raise CheckFailure("target construction failed")
+            family = [_target(values, disk, k) for k in range(1, kmax + 1)]
             elimination_rank = rank(family)
             functional_matrix = [
                 [functional(value) for value in family] for functional in functionals
@@ -646,9 +672,15 @@ def verify_all(
     seed: int = 0,
     workers: int = 1,
 ) -> list[Report]:
-    """Run the four suites in a fixed order, each check once: main-theorem
-    cites the hexagon and span checks run just before it."""
-    psi_targets = verify_psi_targets(kmax=kmax)
+    """Run the four suites in a fixed order, each check once.
+
+    The 2 * kmax targets are built once, by w3_target, and shared by the
+    psi-targets checks and main-theorem's expansion, target and rank
+    checks; main-theorem cites the hexagon and span checks run just
+    before it.
+    """
+    targets = _build_targets(kmax)
+    psi_targets = _psi_targets(kmax, targets)
     hexagon = verify_hexagon_vanishing(
         kmax=kmax,
         max_syllables=max_syllables,
@@ -667,5 +699,7 @@ def verify_all(
         psi_targets,
         hexagon,
         span,
-        _main_theorem(kmax, max_syllables, max_exponent, hexagon, span),
+        _main_theorem(
+            kmax, max_syllables, max_exponent, hexagon, span, targets, targets
+        ),
     ]

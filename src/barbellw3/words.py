@@ -95,7 +95,9 @@ class Word:
             previous = letter
         self.alphabet = alphabet
         self.syllables = syls
-        self._hash = hash((alphabet, syls))
+        # The alphabets share no letter, so the syllables alone hash well;
+        # __eq__ still compares the alphabet (the two identities differ).
+        self._hash = hash(syls)
 
     @classmethod
     def _raw(cls, alphabet: Alphabet, syllables: tuple[Syllable, ...]) -> "Word":
@@ -103,7 +105,7 @@ class Word:
         w = object.__new__(cls)
         w.alphabet = alphabet
         w.syllables = syllables
-        w._hash = hash((alphabet, syllables))
+        w._hash = hash(syllables)
         return w
 
     @property

@@ -6,10 +6,20 @@ import random
 
 import pytest
 
-from barbellw3.barbell import T_FORMULAS, hexagon, is_admissible, monomials_m
+import barbellw3.solver as solver
+from barbellw3.barbell import (
+    HEXAGON_TERMS,
+    T_FORMULAS,
+    hexagon,
+    is_admissible,
+    monomials_m,
+)
 from barbellw3.patterns import eval_pattern, parse_pattern
 from barbellw3.solver import (
+    REFERENCE_TABLE_ROWS,
+    CaseAnalysisError,
     Solution,
+    Solutions,
     TableError,
     compare_with_reference,
     hexagon_case_analysis,
@@ -18,7 +28,7 @@ from barbellw3.solver import (
     solve,
     table_patterns,
 )
-from barbellw3.words import QUAD, identity, parse_word
+from barbellw3.words import BASE, QUAD, identity, parse_word, split_blocks
 
 from oracles import oracle_solutions
 from test_words import rand_word
@@ -65,6 +75,57 @@ def test_solve_never_returns_trivial_values():
     assert assignments(found) == {
         (("a", "t"),), (("a", "t^-1"),), (("a", "u"),), (("a", "u^-1"),)
     }
+    # a a^-1 = 1 is not division-solvable: only the fallback finds these.
+    assert found.used_fallback
+
+
+CERTIFICATE_SHAPES = [pattern for pattern, _ in table_patterns()] + [
+    pattern for _, pattern in HEXAGON_TERMS
+]
+
+
+def branch_solutions(pattern, target):
+    """solve's answer recomputed by matching every collapse branch of the
+    pattern, enumerated afresh, against the target's blocks."""
+    blocks = split_blocks(target)
+    variables = pattern.variables()
+    runs = solver._pattern_runs(pattern)
+    found = set()
+    for surviving, collapsed in solver._collapse_branches(runs, (), set()):
+        if [tag for tag, _ in surviving] != [tag for tag, _ in blocks]:
+            continue
+        equations = [
+            (factors, word) for (_, factors), (_, word) in zip(surviving, blocks)
+        ]
+        equations += [(factors, identity(BASE)) for factors in collapsed]
+        assignments, _ = solver._solve_system(
+            equations, {}, 4, target.max_exponent() + 1
+        )
+        for assignment in assignments:
+            if all(v in assignment and not assignment[v].is_identity for v in variables):
+                if eval_pattern(pattern, assignment) == target:
+                    found.add(tuple(sorted((v, assignment[v]) for v in variables)))
+    return found
+
+
+def test_planned_solve_matches_fresh_branch_enumeration():
+    assert len(CERTIFICATE_SHAPES) == 25
+    for k in range(1, 6):
+        for target in monomials_m(k):
+            for pattern in CERTIFICATE_SHAPES:
+                found = solve(pattern, target)
+                assert {s.items for s in found} == branch_solutions(pattern, target)
+                assert len(found) == 1 and not found.used_fallback
+    # Targets whose blocks only a collapse can reach.
+    for pattern_text, target_text in [
+        ("a_1 c_3^-1 a_3", "t_1"),
+        ("c_1^-1 a_1 a_3", "t_3^2"),
+        ("c_1 a_1^-1 a_3^-1", "u_3^2"),
+        ("nu_1^-1 mu_3 nu_3^-1", "t_1^-1"),
+    ]:
+        pattern, target = parse_pattern(pattern_text), parse_word(target_text)
+        found = solve(pattern, target)
+        assert {s.items for s in found} == branch_solutions(pattern, target)
 
 
 def test_solve_output_is_sorted_and_verified():
@@ -142,6 +203,30 @@ def test_reference_rows_substitute_k():
     first = rows[0]
     assert str(first.m1_solution[1]) == "t u^3 t^-1"
     assert str(first.m2_solution[0]) == "t^2 u^3 t^-1"
+
+
+def test_reference_templates_match_text_substitution():
+    # The transcription read by substituting k into the text and parsing it.
+    for k in range(1, 31):
+        for row, (text, appears_in, pair1, pair2) in zip(
+            reference_table(k), REFERENCE_TABLE_ROWS
+        ):
+            parsed = [parse_word(t.replace("k", str(k)), BASE) for t in pair1 + pair2]
+            assert (row.pattern_text, row.appears_in) == (text, appears_in)
+            assert [*row.m1_solution, *row.m2_solution] == parsed
+
+
+def test_fallback_use_fails_the_structural_checks(monkeypatch):
+    original = solver.solve
+
+    def flagged(pattern, target):
+        return Solutions(original(pattern, target), True)
+
+    monkeypatch.setattr(solver, "solve", flagged)
+    with pytest.raises(TableError, match="bounded fallback"):
+        regenerate_table(1)
+    with pytest.raises(CaseAnalysisError, match="bounded fallback"):
+        hexagon_case_analysis(1)
 
 
 def test_case_analysis_structure():

@@ -145,6 +145,60 @@ def test_verify_all_runs_each_check_once(monkeypatch):
     assert emit(reports[3], "json") == emit(alone, "json")
 
 
+def test_verify_all_builds_each_target_once(monkeypatch):
+    built = []
+    original = verify.w3_target
+
+    def counted(disk, k):
+        built.append((disk, k))
+        return original(disk, k)
+
+    monkeypatch.setattr(verify, "w3_target", counted)
+    kmax = 3
+    reports = verify_all(
+        kmax=kmax, max_syllables=1, max_exponent=1, random_trials=10, seed=0, workers=1
+    )
+    assert all(report.overall == "pass" for report in reports)
+    assert len(built) == 2 * kmax
+    assert set(built) == {(disk, k) for disk in barbell.Disk for k in range(1, kmax + 1)}
+
+
+def test_one_failed_target_fails_only_the_checks_that_use_it(monkeypatch):
+    original = verify.w3_target
+
+    def broken(disk, k):
+        if (disk, k) == (barbell.Disk.D2, 2):
+            raise barbell.SelfCheckError("planted")
+        return original(disk, k)
+
+    monkeypatch.setattr(verify, "w3_target", broken)
+    psi_report, _, _, main = verify_all(
+        kmax=2, max_syllables=1, max_exponent=1, random_trials=10, seed=0, workers=1
+    )
+    failed = {
+        check.name: check.details
+        for report in (psi_report, main)
+        for check in report.checks
+        if not check.passed
+    }
+    assert set(failed) == {
+        "psi_target_d2_k1",
+        "psi_target_d2_k2",
+        "target_expansions_agree",
+        "target_psi_d2_k2",
+        "rank_d2",
+        "certificate_d1_k1",
+        "certificate_d2_k1",
+        "certificate_d1_k2",
+        "certificate_d2_k2",
+    }
+    reason = "target construction failed for d2 at k=2: SelfCheckError: planted"
+    assert failed["psi_target_d2_k1"] == failed["rank_d2"] == reason
+    assert failed["target_expansions_agree"] == (
+        "1 of 4 targets failed, first: SelfCheckError: planted"
+    )
+
+
 def test_reports_are_deterministic():
     kwargs = dict(kmax=2, max_syllables=2, max_exponent=1, random_trials=40, seed=11)
     first = verify_hexagon_vanishing(workers=1, **kwargs)
@@ -213,6 +267,23 @@ def test_corrupted_expansion_table_is_caught(monkeypatch):
     assert report.overall == "fail"
     status = {check.name: check.status for check in report.checks}
     assert status["target_expansions_agree"] == "fail"
+    # The suites that share the target build fail their checks, not the run.
+    psi_report = verify_psi_targets(2)
+    assert [check.status for check in psi_report.checks] == ["fail"] * 4
+    assert psi_report.checks[0].details == (
+        "target construction failed for d1 at k=1: SelfCheckError: polynomial and "
+        "hard-coded constructions of the d1 target disagree at k=1"
+    )
+    psi_report, hexagon_report, span_report, main = verify_all(
+        kmax=1, max_syllables=1, max_exponent=1, random_trials=10, seed=0, workers=1
+    )
+    assert psi_report.overall == main.overall == "fail"
+    assert hexagon_report.overall == span_report.overall == "pass"
+    status = {check.name: check.status for check in main.checks}
+    for name in ("target_expansions_agree", "target_psi_d1_k1", "target_psi_d2_k1",
+                 "rank_d1", "rank_d2", "certificate_d1_k1", "certificate_d2_k1"):
+        assert status[name] == "fail", name
+    assert status["hexagon_exhaustive"] == status["span_generators"] == "pass"
 
 
 def test_corrupted_reference_table_is_caught(monkeypatch):

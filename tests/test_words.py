@@ -124,6 +124,12 @@ def test_equality_and_hash():
     counts = {v: 1}
     counts[w] = counts.get(w, 0) + 1
     assert counts[v] == 2
+    # The hash reads only the syllables, so the two identities collide,
+    # but equality still tells their alphabets apart.
+    one, one_quad = identity(BASE), identity(QUAD)
+    assert one != one_quad and Word(QUAD) == one_quad
+    assert {one: "BASE", one_quad: "QUAD"} == {Word(BASE): "BASE", Word(QUAD): "QUAD"}
+    assert len({one, one_quad, Word(BASE), Word(QUAD)}) == 2
 
 
 def test_group_laws_random():
