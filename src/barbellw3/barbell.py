@@ -26,9 +26,12 @@ from .ring import Functional, RingElement
 from .words import (
     BASE,
     QUAD,
+    Affine,
+    Exponent,
     Word,
-    boundary_letter,
+    at_k,
     bounded_words,
+    parse_word,
 )
 
 
@@ -150,69 +153,63 @@ def hexagon(nu: Word, mu: Word) -> RingElement:
 # ---------------------------------------------------------------------------
 # The target family, built twice.
 
-# A word whose exponents are ints or "k" / "-k" for the family parameter.
-SyllableTemplate = tuple[tuple[str, int | str], ...]
-ExpansionRow = tuple[int, SyllableTemplate]
+# The hard-coded expansions, as signed words with exponents affine in k.
+def _expansion(*rows: tuple[int, str]) -> tuple[tuple[int, Word], ...]:
+    return tuple((sign, parse_word(text, QUAD, k=True)) for sign, text in rows)
 
-T4_EXPANSION_ROWS: tuple[ExpansionRow, ...] = (
-    (+1, (("t_1", -1), ("t_3", 1), ("u_3", "-k"), ("t_3", -2))),
-    (+1, (("t_1", 1), ("t_3", 1), ("u_3", "-k"))),
-    (-1, (("t_1", 1), ("u_1", "-k"), ("t_1", -1), ("t_3", -1))),
-    (-1, (("t_1", 1), ("u_1", "-k"), ("t_1", -1), ("t_3", 1))),
-    (+1, (("t_1", -1), ("t_3", 1), ("u_3", "-k"), ("t_3", -1))),
-    (+1, (("t_1", 1), ("t_3", 1), ("u_3", "-k"), ("t_3", -1))),
-    (-1, (("t_1", 1), ("u_1", "-k"), ("t_1", -2), ("t_3", -1))),
-    (-1, (("t_1", 1), ("u_1", "-k"), ("t_3", 1))),
+
+T4_EXPANSION_ROWS = _expansion(
+    (+1, "t_1^-1 t_3 u_3^-k t_3^-2"),
+    (+1, "t_1 t_3 u_3^-k"),
+    (-1, "t_1 u_1^-k t_1^-1 t_3^-1"),
+    (-1, "t_1 u_1^-k t_1^-1 t_3"),
+    (+1, "t_1^-1 t_3 u_3^-k t_3^-1"),
+    (+1, "t_1 t_3 u_3^-k t_3^-1"),
+    (-1, "t_1 u_1^-k t_1^-2 t_3^-1"),
+    (-1, "t_1 u_1^-k t_3"),
 )
 
-T6_EXPANSION_ROWS: tuple[ExpansionRow, ...] = (
-    (+1, (("t_1", 1), ("u_1", "-k"), ("t_1", -1), ("u_3", "-k"), ("t_3", -1))),
-    (+1, (("t_1", 1), ("u_1", "k"), ("t_1", -1), ("u_3", "k"), ("t_3", -1))),
-    (-1, (("t_1", 1), ("t_3", 1), ("u_3", "k"))),
-    (-1, (("t_1", 1), ("t_3", 1), ("u_3", "-k"))),
-    (+1, (("t_1", -1), ("t_3", 1), ("u_3", "k"), ("t_3", -2))),
-    (+1, (("t_1", -1), ("t_3", 1), ("u_3", "-k"), ("t_3", -2))),
-    (+1, (("t_1", -1), ("t_3", 1), ("u_3", "-k"), ("t_3", -1))),
-    (+1, (("t_1", -1), ("t_3", 1), ("u_3", "k"), ("t_3", -1))),
-    (-1, (("t_1", 1), ("u_1", "-k"), ("t_1", -1), ("t_3", -1))),
-    (-1, (("t_1", 1), ("u_1", "k"), ("t_1", -1), ("t_3", -1))),
-    (-1, (("t_1", 1), ("u_1", "-k"), ("t_1", -2), ("t_3", -1))),
-    (-1, (("t_1", 1), ("u_1", "k"), ("t_1", -2), ("t_3", -1))),
-    (+1, (("t_1", 1), ("u_1", "-k"), ("t_3", 1))),
-    (+1, (("t_1", 1), ("u_1", "k"), ("t_3", 1))),
-    (-1, (("u_1", "-k"), ("t_1", -1), ("t_3", 1), ("u_3", "-k"), ("t_3", -1))),
-    (-1, (("u_1", "k"), ("t_1", -1), ("t_3", 1), ("u_3", "k"), ("t_3", -1))),
+T6_EXPANSION_ROWS = _expansion(
+    (+1, "t_1 u_1^-k t_1^-1 u_3^-k t_3^-1"),
+    (+1, "t_1 u_1^k t_1^-1 u_3^k t_3^-1"),
+    (-1, "t_1 t_3 u_3^k"),
+    (-1, "t_1 t_3 u_3^-k"),
+    (+1, "t_1^-1 t_3 u_3^k t_3^-2"),
+    (+1, "t_1^-1 t_3 u_3^-k t_3^-2"),
+    (+1, "t_1^-1 t_3 u_3^-k t_3^-1"),
+    (+1, "t_1^-1 t_3 u_3^k t_3^-1"),
+    (-1, "t_1 u_1^-k t_1^-1 t_3^-1"),
+    (-1, "t_1 u_1^k t_1^-1 t_3^-1"),
+    (-1, "t_1 u_1^-k t_1^-2 t_3^-1"),
+    (-1, "t_1 u_1^k t_1^-2 t_3^-1"),
+    (+1, "t_1 u_1^-k t_3"),
+    (+1, "t_1 u_1^k t_3"),
+    (-1, "u_1^-k t_1^-1 t_3 u_3^-k t_3^-1"),
+    (-1, "u_1^k t_1^-1 t_3 u_3^k t_3^-1"),
 )
 
 
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
+def _check_k(k: Exponent) -> None:
+    # k is a positive int, or an affine exponent positive at every k >= 1
+    # (K itself, for the structural analysis run once for every k).
+    if not (
+        type(k) is int and k >= 1
+        or isinstance(k, Affine) and k.b > 0 and k.a + k.b >= 1
+    ):
         raise BarbellError(f"the family parameter k must be a positive integer, got {k!r}")
 
 
-def word_at_k(template: SyllableTemplate, k: int, alphabet=QUAD) -> Word:
-    """Instantiate a syllable template at k; the word must be reduced."""
-    syllables = []
-    for letter, exp in template:
-        if exp == "k":
-            exp = k
-        elif exp == "-k":
-            exp = -k
-        syllables.append((letter, exp))
-    return Word(alphabet, syllables)
+def _expansion_element(rows: Iterable[tuple[int, Word]], k: Exponent) -> RingElement:
+    return RingElement(QUAD, [(at_k(word, k), sign) for sign, word in rows])
 
 
-def _expansion_element(rows: Iterable[ExpansionRow], k: int) -> RingElement:
-    return RingElement(QUAD, [(word_at_k(template, k), sign) for sign, template in rows])
-
-
-def t4_expansion(k: int) -> RingElement:
+def t4_expansion(k: Exponent) -> RingElement:
     """Hard-coded 8-term expansion of the disk-1 target."""
     _check_k(k)
     return _expansion_element(T4_EXPANSION_ROWS, k)
 
 
-def t6_expansion(k: int) -> RingElement:
+def t6_expansion(k: Exponent) -> RingElement:
     """Hard-coded 16-term expansion of the kind-6 value at (t, t u^k t^-1)."""
     _check_k(k)
     return _expansion_element(T6_EXPANSION_ROWS, k)
@@ -234,7 +231,7 @@ class W3Value:
     value: RingElement
 
 
-def target_argument_pair(k: int) -> tuple[Word, Word]:
+def target_argument_pair(k: Exponent) -> tuple[Word, Word]:
     """The argument pair (a, c) = (t, t u^k t^-1) of the target family."""
     _check_k(k)
     return (Word(BASE, [("t", 1)]), Word(BASE, [("t", 1), ("u", k), ("t", -1)]))
@@ -260,7 +257,7 @@ def w3_target(disk: Disk, k: int) -> W3Value:
     return W3Value(disk=disk, k=k, value=value)
 
 
-def monomials_m(k: int) -> tuple[Word, Word]:
+def monomials_m(k: Exponent) -> tuple[Word, Word]:
     """The two witness monomials the functional psi(k) weighs."""
     _check_k(k)
     m1 = Word(QUAD, [("t_1", -1), ("t_3", 1), ("u_3", -k), ("t_3", -2)])
@@ -294,9 +291,7 @@ def is_admissible(a: Word, c: Word) -> bool:
         raise BarbellError("admissibility is defined for two-letter-alphabet words")
     if a.is_identity or c.is_identity:
         return False
-    tail = boundary_letter(a, "tail")[0]
-    head = boundary_letter(c, "head")[0]
-    return tail != head
+    return a.syllables[-1][0] != c.syllables[0][0]
 
 
 _OTHER_LETTER = {"t": "u", "u": "t"}

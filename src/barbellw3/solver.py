@@ -22,36 +22,46 @@ branches whose tags are those of the target's blocks.
 
 The module also regenerates the solution table for the 21 monomial
 shapes of the four T-polynomials and carries an independently
-transcribed copy of that table to compare against.  Its entries are
-syllable templates in k, each read once and instantiated with
-``barbell.word_at_k``.
+transcribed copy of that table to compare against, as words with
+exponents affine in k.
+
+Everything here also runs with k symbolic: ``for_every_k`` passes the
+family parameter ``K`` to the table or the hexagon case analysis, so
+the words carry exponents a + b*k.  The same code then answers for
+every k >= 1 except a finite exceptional set E: the k at which one of
+its k-dependent decisions would flip, a seam sum that vanishes in
+``_merge_runs`` or two words that coincide in ``equal_syllables``.
+Every k in E must be solved again concretely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .barbell import (
     HEXAGON_FORMULAS,
     HEXAGON_TERMS,
     T_POLY_FORMULAS,
-    SyllableTemplate,
-    hexagon,
     is_admissible,
     monomials_m,
-    word_at_k,
 )
 from .patterns import Pattern, eval_pattern, word_pieces
 from .words import (
     BASE,
     QUAD,
+    K,
+    Exponent,
     Word,
+    at_k,
     bounded_words,
     concat_words,
+    equal_syllables,
     identity,
     invert,
+    parse_word,
+    recorded_roots,
     split_blocks,
     word_sort_key,
 )
@@ -201,7 +211,7 @@ def _solve_system(
                 index for index, (var, _) in enumerate(factors) if var not in known
             ]
             if not unknown_positions:
-                if _product(factors, known) != rhs:
+                if not equal_syllables(_product(factors, known).syllables, rhs.syllables):
                     return [], False
                 progress = True
                 continue
@@ -256,14 +266,16 @@ def solve(
 ) -> Solutions:
     """All assignments of nontrivial words satisfying pattern = target.
 
-    Returned in a deterministic order.  Complete whenever every branch
-    is division-solvable; otherwise complete up to the fallback bounds,
-    and the result's ``used_fallback`` is True.
+    Returned in a deterministic order for a target without k.  Complete
+    whenever every branch is division-solvable; otherwise complete up to
+    the fallback bounds, and the result's ``used_fallback`` is True.
     """
     if target.alphabet is not QUAD:
         raise SolveError("the target must be a word over the four-letter alphabet")
     if fallback_max_exponent is None:
-        fallback_max_exponent = target.max_exponent() + 1
+        # A k-word has no largest exponent.  At bound 0 the fallback
+        # finds nothing, and used_fallback tells the caller so.
+        fallback_max_exponent = 0 if target.has_k else target.max_exponent() + 1
     blocks = split_blocks(target)
     block_words = [block_word for _, block_word in blocks]
     variables, branches = _plan(pattern)
@@ -281,10 +293,10 @@ def solve(
                 continue
             if any(assignment[var].is_identity for var in variables):
                 continue
-            if eval_pattern(pattern, assignment) == target:
+            if equal_syllables(eval_pattern(pattern, assignment).syllables, target.syllables):
                 found.add(tuple(sorted((v, assignment[v]) for v in variables)))
     solutions = [Solution(items) for items in found]
-    if len(solutions) > 1:
+    if len(solutions) > 1 and not target.has_k:  # k-words have no order
         solutions.sort(key=Solution.sort_key)
     return Solutions(solutions, used_fallback)
 
@@ -334,8 +346,9 @@ def _unique_pair_solution(pattern: Pattern, target: Word, label: str) -> tuple[W
     return (assignment["a"], assignment["c"])
 
 
-def regenerate_table(k: int) -> list[TableRow]:
-    """Solve every table shape against both witness monomials at this k.
+def regenerate_table(k: Exponent) -> list[TableRow]:
+    """Solve every table shape against both witness monomials at this k
+    (or, at k = K, for every k outside the recorded roots).
 
     Raises TableError unless every shape has exactly one solution per
     monomial, found without the bounded fallback, and none of the
@@ -356,43 +369,36 @@ def regenerate_table(k: int) -> list[TableRow]:
     return rows
 
 
-# Independent transcription of the published solution table.  Exponents
-# written "k" are instantiated by reference_table().  The appears-in
-# sets follow the polynomial formulas.
-REFERENCE_TABLE_ROWS: tuple[tuple[str, tuple[int, ...], tuple[str, str], tuple[str, str]], ...] = (
-    ("a_1 c_3^-1 a_3", (1, 3, 4, 6), ("t^-1", "t u^k t^-1"), ("t^2 u^k t^-1", "t^2 u^k t^-2")),
-    ("c_1^-1 a_1 a_3", (1, 3, 4, 6), ("t u^-k t^-2", "t u^-k t^-1"), ("t", "t^2 u^-k t^-2")),
-    ("c_1^-1 a_3^-1", (1, 4, 6), ("t^2 u^k t^-1", "t"), ("t^-1", "t u^-k t^-2")),
-    ("a_1^-1 c_3^-1", (1, 4, 6), ("t", "t^2 u^k t^-1"), ("t u^-k t^-2", "t^-1")),
-    ("c_1 a_3^-1 c_3", (3, 6), ("t u^k t^-1", "t^-1"), ("t^2 u^k t^-2", "t^2 u^k t^-1")),
-    ("a_1^-1 c_3 a_3^-1", (3, 6), ("t", "t u^-k t^-1"), ("t u^-k t^-2", "t^2 u^-k t^-2")),
-    ("c_1 a_3", (3,), ("t u^-k t^-2", "t^-1"), ("t", "t^2 u^k t^-1")),
-    ("a_1 c_3", (3,), ("t^-1", "t u^-k t^-2"), ("t^2 u^k t^-1", "t")),
-    ("c_1 a_1^-1 a_3^-1", (3, 6), ("t^2 u^k t^-1", "t u^k t^-1"), ("t^-1", "t^2 u^k t^-2")),
-    ("a_1 c_1^-1 c_3^-1", (3,), ("t u^k t^-1", "t^2 u^k t^-1"), ("t^2 u^k t^-2", "t^-1")),
-    ("a_1^-1 c_3^-1 a_3^-1", (4, 6), ("t", "t u^k t^-1"), ("t u^-k t^-2", "t^2 u^k t^-2")),
-    ("c_1^-1 a_3", (4,), ("t u^-k t^-2", "t"), ("t", "t u^-k t^-2")),
-    ("a_1 c_3^-1", (4,), ("t^-1", "t^2 u^k t^-1"), ("t^2 u^k t^-1", "t^-1")),
-    ("c_1^-1 a_1^-1 a_3^-1", (4, 6), ("t^2 u^k t^-1", "t u^-k t^-1"), ("t^-1", "t^2 u^-k t^-2")),
-    ("c_1 a_3^-1", (6,), ("t^2 u^k t^-1", "t^-1"), ("t^-1", "t^2 u^k t^-1")),
-    ("c_1 a_1 a_3", (6,), ("t u^-k t^-2", "t u^k t^-1"), ("t", "t^2 u^k t^-2")),
-    ("c_1^-1 a_3^-1 c_3^-1", (6,), ("t u^k t^-1", "t"), ("t^2 u^k t^-2", "t u^-k t^-2")),
-    ("a_1 c_3 a_3", (6,), ("t^-1", "t u^-k t^-1"), ("t^2 u^k t^-1", "t^2 u^-k t^-2")),
-    ("a_1^-1 c_1^-1 c_3^-1", (6,), ("t u^-k t^-1", "t^2 u^k t^-1"), ("t^2 u^-k t^-2", "t^-1")),
-    ("a_1^-1 c_3", (6,), ("t", "t u^-k t^-2"), ("t u^-k t^-2", "t")),
-    ("a_1^-1 c_1 c_3", (6,), ("t u^-k t^-1", "t u^-k t^-2"), ("t^2 u^-k t^-2", "t")),
+# Independent transcription of the published solution table, as words
+# with exponents affine in k.  The appears-in sets follow the polynomial
+# formulas.
+def _pair(a: str, c: str) -> tuple[Word, Word]:
+    return (parse_word(a, BASE, k=True), parse_word(c, BASE, k=True))
+
+
+REFERENCE_TABLE_ROWS: tuple[tuple[str, tuple[int, ...], tuple[Word, Word], tuple[Word, Word]], ...] = (
+    ("a_1 c_3^-1 a_3", (1, 3, 4, 6), _pair("t^-1", "t u^k t^-1"), _pair("t^2 u^k t^-1", "t^2 u^k t^-2")),
+    ("c_1^-1 a_1 a_3", (1, 3, 4, 6), _pair("t u^-k t^-2", "t u^-k t^-1"), _pair("t", "t^2 u^-k t^-2")),
+    ("c_1^-1 a_3^-1", (1, 4, 6), _pair("t^2 u^k t^-1", "t"), _pair("t^-1", "t u^-k t^-2")),
+    ("a_1^-1 c_3^-1", (1, 4, 6), _pair("t", "t^2 u^k t^-1"), _pair("t u^-k t^-2", "t^-1")),
+    ("c_1 a_3^-1 c_3", (3, 6), _pair("t u^k t^-1", "t^-1"), _pair("t^2 u^k t^-2", "t^2 u^k t^-1")),
+    ("a_1^-1 c_3 a_3^-1", (3, 6), _pair("t", "t u^-k t^-1"), _pair("t u^-k t^-2", "t^2 u^-k t^-2")),
+    ("c_1 a_3", (3,), _pair("t u^-k t^-2", "t^-1"), _pair("t", "t^2 u^k t^-1")),
+    ("a_1 c_3", (3,), _pair("t^-1", "t u^-k t^-2"), _pair("t^2 u^k t^-1", "t")),
+    ("c_1 a_1^-1 a_3^-1", (3, 6), _pair("t^2 u^k t^-1", "t u^k t^-1"), _pair("t^-1", "t^2 u^k t^-2")),
+    ("a_1 c_1^-1 c_3^-1", (3,), _pair("t u^k t^-1", "t^2 u^k t^-1"), _pair("t^2 u^k t^-2", "t^-1")),
+    ("a_1^-1 c_3^-1 a_3^-1", (4, 6), _pair("t", "t u^k t^-1"), _pair("t u^-k t^-2", "t^2 u^k t^-2")),
+    ("c_1^-1 a_3", (4,), _pair("t u^-k t^-2", "t"), _pair("t", "t u^-k t^-2")),
+    ("a_1 c_3^-1", (4,), _pair("t^-1", "t^2 u^k t^-1"), _pair("t^2 u^k t^-1", "t^-1")),
+    ("c_1^-1 a_1^-1 a_3^-1", (4, 6), _pair("t^2 u^k t^-1", "t u^-k t^-1"), _pair("t^-1", "t^2 u^-k t^-2")),
+    ("c_1 a_3^-1", (6,), _pair("t^2 u^k t^-1", "t^-1"), _pair("t^-1", "t^2 u^k t^-1")),
+    ("c_1 a_1 a_3", (6,), _pair("t u^-k t^-2", "t u^k t^-1"), _pair("t", "t^2 u^k t^-2")),
+    ("c_1^-1 a_3^-1 c_3^-1", (6,), _pair("t u^k t^-1", "t"), _pair("t^2 u^k t^-2", "t u^-k t^-2")),
+    ("a_1 c_3 a_3", (6,), _pair("t^-1", "t u^-k t^-1"), _pair("t^2 u^k t^-1", "t^2 u^-k t^-2")),
+    ("a_1^-1 c_1^-1 c_3^-1", (6,), _pair("t u^-k t^-1", "t^2 u^k t^-1"), _pair("t^2 u^-k t^-2", "t^-1")),
+    ("a_1^-1 c_3", (6,), _pair("t", "t u^-k t^-2"), _pair("t u^-k t^-2", "t")),
+    ("a_1^-1 c_1 c_3", (6,), _pair("t u^-k t^-1", "t u^-k t^-2"), _pair("t^2 u^-k t^-2", "t")),
 )
-
-
-@lru_cache(maxsize=128)
-def _syllable_template(text: str) -> SyllableTemplate:
-    """Read table text such as "t^2 u^-k t^-1" as syllables whose exponents
-    are integers or "k" / "-k"."""
-    syllables = []
-    for token in text.split(" "):
-        letter, _, exp = token.partition("^")
-        syllables.append((letter, exp if exp in ("k", "-k") else int(exp or "1")))
-    return tuple(syllables)
 
 
 @dataclass(frozen=True)
@@ -403,22 +409,24 @@ class ReferenceRow:
     m2_solution: tuple[Word, Word]
 
 
-def reference_table(k: int) -> list[ReferenceRow]:
+def reference_table(k: Exponent) -> list[ReferenceRow]:
     """The transcribed table instantiated at one k, in its published order."""
-    rows = []
-    for pattern_text, appears_in, pair1, pair2 in REFERENCE_TABLE_ROWS:
-        rows.append(
-            ReferenceRow(
-                pattern_text,
-                appears_in,
-                tuple(word_at_k(_syllable_template(text), k, BASE) for text in pair1),
-                tuple(word_at_k(_syllable_template(text), k, BASE) for text in pair2),
-            )
+    return [
+        ReferenceRow(
+            pattern_text,
+            appears_in,
+            (at_k(pair1[0], k), at_k(pair1[1], k)),
+            (at_k(pair2[0], k), at_k(pair2[1], k)),
         )
-    return rows
+        for pattern_text, appears_in, pair1, pair2 in REFERENCE_TABLE_ROWS
+    ]
 
 
-def compare_with_reference(k: int) -> list[TableRow]:
+def _same_pair(x: tuple[Word, Word], y: tuple[Word, Word]) -> bool:
+    return all(equal_syllables(v.syllables, w.syllables) for v, w in zip(x, y))
+
+
+def compare_with_reference(k: Exponent) -> list[TableRow]:
     """Regenerate the table and insist it matches the transcription row for row."""
     rows = regenerate_table(k)
     reference = {row.pattern_text: row for row in reference_table(k)}
@@ -435,7 +443,10 @@ def compare_with_reference(k: int) -> list[TableRow]:
                 f"shape {row.pattern}: appears-in {row.appears_in} differs from "
                 f"transcribed {ref.appears_in}"
             )
-        if row.m1_solution != ref.m1_solution or row.m2_solution != ref.m2_solution:
+        if not (
+            _same_pair(row.m1_solution, ref.m1_solution)
+            and _same_pair(row.m2_solution, ref.m2_solution)
+        ):
             raise TableError(
                 f"shape {row.pattern}: solutions at k={k} differ from the transcription"
             )
@@ -460,11 +471,11 @@ class HexagonCase:
 
 @dataclass(frozen=True)
 class HexagonCaseAnalysis:
-    k: int
+    k: Exponent
     cases: tuple[HexagonCase, ...]
 
 
-def hexagon_case_analysis(k: int) -> HexagonCaseAnalysis:
+def hexagon_case_analysis(k: Exponent) -> HexagonCaseAnalysis:
     """Check the pairing that makes psi(k) kill every hexagon.
 
     For each of the four hexagon terms and each witness monomial, the
@@ -501,7 +512,7 @@ def hexagon_case_analysis(k: int) -> HexagonCaseAnalysis:
             partners = [
                 index
                 for index, value in values.items()
-                if index != term_index and value == other
+                if index != term_index and equal_syllables(value, other)
             ]
             if len(partners) != 1:
                 raise CaseAnalysisError(
@@ -518,13 +529,22 @@ def hexagon_case_analysis(k: int) -> HexagonCaseAnalysis:
             for index, value in values.items():
                 if index in (term_index, partner_index):
                     continue
-                if value == m1.syllables or value == m2.syllables:
+                if equal_syllables(value, m1.syllables) or equal_syllables(
+                    value, m2.syllables
+                ):
                     raise CaseAnalysisError(
                         f"term {term_index} = {target_name}({k}): term {index} "
                         "also hits a witness monomial"
                     )
-            h = hexagon(nu, mu)
-            if h.coeff(m1) != h.coeff(m2):
+            coefficients = [
+                sum(
+                    term_sign
+                    for term_sign, shape in HEXAGON_FORMULAS.terms["H"]
+                    if equal_syllables(words[shape], monomial.syllables)
+                )
+                for monomial in (m1, m2)
+            ]
+            if coefficients[0] != coefficients[1]:
                 raise CaseAnalysisError(
                     f"term {term_index} = {target_name}({k}): hexagon coefficients "
                     "at the witness monomials differ"
@@ -541,3 +561,31 @@ def hexagon_case_analysis(k: int) -> HexagonCaseAnalysis:
                 )
             )
     return HexagonCaseAnalysis(k, tuple(cases))
+
+
+# ---------------------------------------------------------------------------
+# One structural analysis for every k.
+
+Result = TypeVar("Result")
+
+
+def for_every_k(
+    analysis: Callable[[Exponent], Result],
+) -> tuple[Result | None, frozenset[int]]:
+    """Run a structural analysis, ``compare_with_reference`` or
+    ``hexagon_case_analysis``, once at k = K, and return its result with
+    the exceptional set E.
+
+    The result holds at every positive k outside E: there each decision
+    the analysis made comes out the same on the concrete words.  It is
+    None when the symbolic argument did not go through (the analysis
+    raised its TableError or CaseAnalysisError: not exactly one
+    solution, the fallback, a mismatch, or an admissible solution), and
+    then every k must be analysed concretely.
+    """
+    with recorded_roots() as roots:
+        try:
+            result = analysis(K)
+        except (TableError, CaseAnalysisError):
+            result = None
+    return result, frozenset(roots)

@@ -13,8 +13,18 @@ The main-theorem suite cites the hexagon and span checks its
 certificates rest on.  ``verify_all`` passes it the hexagon and span
 reports it has already built, so every check runs once per call;
 ``verify_main_theorem`` on its own runs those two suites itself.  The
-target values are built once per call as well, and a target whose
-construction fails fails only the checks that use it.
+target values, and each one's psi(1..kmax) values, are built once per
+call as well, and a target whose construction fails fails only the
+checks that use it.
+
+The per-k structural checks, ``solution_table_k*`` and
+``hexagon_cases_k*``, rest on one analysis per suite call, run with k
+symbolic (``solver.for_every_k``).  It is valid for every k outside its
+exceptional set E; the k in E, or every k when the symbolic argument
+did not go through, are analysed concretely, so a report reads the same
+either way.  The symbolic result is not cached across calls: the
+planted-defect tests replace the tables between calls, and the per-call
+work counts must repeat from run to run.
 
 Reports serialize byte-identically from run to run: wall-clock timings
 stay in memory only, enumerations are chunked the same way regardless
@@ -26,6 +36,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import islice
 from time import perf_counter
 from typing import Callable, Iterable
@@ -43,7 +54,7 @@ from .barbell import (
 )
 from .patterns import Run, word_pieces
 from .ring import RingElement, matrix_rank_exact, rank
-from .solver import compare_with_reference, hexagon_case_analysis
+from .solver import compare_with_reference, for_every_k, hexagon_case_analysis
 from .words import BASE, Word, bounded_words
 
 _VIOLATION_CAP = 10
@@ -283,7 +294,19 @@ def _build_targets(
     return targets
 
 
-def _target(targets: Targets, disk: Disk, k: int) -> RingElement:
+# psi(1..kmax) on each target, or the reason its construction failed.
+Columns = dict[tuple[Disk, int], list[Fraction] | str]
+
+
+def _psi_columns(kmax: int, targets: Targets) -> Columns:
+    functionals = [psi(k) for k in range(1, kmax + 1)]
+    return {
+        key: value if isinstance(value, str) else [f(value) for f in functionals]
+        for key, value in targets.items()
+    }
+
+
+def _target(targets: Targets | Columns, disk: Disk, k: int):
     value = targets[disk, k]
     if isinstance(value, str):
         raise CheckFailure(f"target construction failed for {disk.value} at k={k}: {value}")
@@ -295,20 +318,19 @@ def _target(targets: Targets, disk: Disk, k: int) -> RingElement:
 
 def verify_psi_targets(kmax: int = 10) -> Report:
     """psi(k) takes value 1 on disk-1 targets, 3 on disk-2 targets, 0 across."""
-    return _psi_targets(kmax, _build_targets(kmax))
+    return _psi_targets(kmax, _psi_columns(kmax, _build_targets(kmax)))
 
 
-def _psi_targets(kmax: int, targets: Targets) -> Report:
+def _psi_targets(kmax: int, columns: Columns) -> Report:
     report = Report("psi-targets", {"kmax": kmax})
     expected = {Disk.D1: 1, Disk.D2: 3}
     for k in range(1, kmax + 1):
-        functional = psi(k)
         for disk in Disk:
             value = expected[disk]
 
-            def body(functional=functional, disk=disk, k=k, value=value) -> str:
+            def body(disk=disk, k=k, value=value) -> str:
                 row = {
-                    j: functional(_target(targets, disk, j)) for j in range(1, kmax + 1)
+                    j: _target(columns, disk, j)[k - 1] for j in range(1, kmax + 1)
                 }
                 if row[k] != value:
                     raise CheckFailure(
@@ -408,10 +430,13 @@ def verify_hexagon_vanishing(
         )
     )
 
+    for_all, exceptional = for_every_k(hexagon_case_analysis)
     for k in range(1, kmax + 1):
 
         def cases(k=k) -> str:
-            analysis = hexagon_case_analysis(k)
+            analysis = for_all
+            if for_all is None or k in exceptional:
+                analysis = hexagon_case_analysis(k)
             pairings = sorted(
                 {
                     (case.term_index, case.partner_index)
@@ -474,10 +499,13 @@ def verify_span_vanishing(
         )
     )
 
+    for_all, exceptional = for_every_k(compare_with_reference)
     for k in range(1, kmax + 1):
 
         def table(k=k) -> str:
-            rows = compare_with_reference(k)
+            rows = for_all
+            if for_all is None or k in exceptional:
+                rows = compare_with_reference(k)
             return (
                 f"{len(rows)} shapes, unique solutions per monomial, none "
                 "admissible, all matching the transcription"
@@ -520,7 +548,10 @@ def verify_main_theorem(
     )
     built = _build_targets(kmax)
     values = built if target_factory is None else _build_targets(kmax, target_factory)
-    return _main_theorem(kmax, max_syllables, max_exponent, hexagon, span, built, values)
+    return _main_theorem(
+        kmax, max_syllables, max_exponent, hexagon, span, built, values,
+        _psi_columns(kmax, values),
+    )
 
 
 def _main_theorem(
@@ -531,12 +562,14 @@ def _main_theorem(
     span: Report,
     built: Targets,
     values: Targets,
+    columns: Columns,
 ) -> Report:
     """The main-theorem report, citing the checks of hexagon and span reports
     built at the same kmax and word bounds; their random trials are not cited.
 
     ``built`` holds the w3_target values for k = 1..kmax, ``values`` the
-    targets the certificates test (the same unless a factory replaced them).
+    targets the certificates test (the same unless a factory replaced them)
+    and ``columns`` psi(1..kmax) on each of ``values``.
     """
     report = Report(
         "main-theorem",
@@ -568,13 +601,12 @@ def _main_theorem(
 
     expected = {Disk.D1: 1, Disk.D2: 3}
 
-    functionals = [psi(k) for k in range(1, kmax + 1)]
     target_checks: dict[tuple[Disk, int], Check] = {}
-    for k, functional in enumerate(functionals, start=1):
+    for k in range(1, kmax + 1):
         for disk in Disk:
 
-            def nonvanishing(functional=functional, disk=disk, k=k) -> str:
-                value = functional(_target(values, disk, k))
+            def nonvanishing(disk=disk, k=k) -> str:
+                value = _target(columns, disk, k)[k - 1]
                 if value != expected[disk]:
                     raise CheckFailure(
                         f"psi_{k} on the {disk.value} value is {value}, "
@@ -598,7 +630,7 @@ def _main_theorem(
             family = [_target(values, disk, k) for k in range(1, kmax + 1)]
             elimination_rank = rank(family)
             functional_matrix = [
-                [functional(value) for value in family] for functional in functionals
+                [columns[disk, j][k] for j in range(1, kmax + 1)] for k in range(kmax)
             ]
             matrix_rank = matrix_rank_exact(functional_matrix)
             if elimination_rank != kmax or matrix_rank != kmax:
@@ -674,13 +706,15 @@ def verify_all(
 ) -> list[Report]:
     """Run the four suites in a fixed order, each check once.
 
-    The 2 * kmax targets are built once, by w3_target, and shared by the
+    The 2 * kmax targets are built once, by w3_target, and so is the
+    kmax x kmax psi matrix of each disk; both are shared by the
     psi-targets checks and main-theorem's expansion, target and rank
-    checks; main-theorem cites the hexagon and span checks run just
+    checks.  Main-theorem cites the hexagon and span checks run just
     before it.
     """
     targets = _build_targets(kmax)
-    psi_targets = _psi_targets(kmax, targets)
+    columns = _psi_columns(kmax, targets)
+    psi_targets = _psi_targets(kmax, columns)
     hexagon = verify_hexagon_vanishing(
         kmax=kmax,
         max_syllables=max_syllables,
@@ -700,6 +734,6 @@ def verify_all(
         hexagon,
         span,
         _main_theorem(
-            kmax, max_syllables, max_exponent, hexagon, span, targets, targets
+            kmax, max_syllables, max_exponent, hexagon, span, targets, targets, columns
         ),
     ]

@@ -8,6 +8,15 @@ nonzero exponents and no two adjacent syllables sharing a letter, so
 each group element has exactly one representation and equality is
 syntactic.
 
+An exponent is an int, or an affine exponent ``a + b*k`` in the family
+parameter k (``Affine``).  A word with affine exponents stands for the
+whole family of words it gives at k = 1, 2, ...  Reduction, products,
+inverses, renaming and block splitting run on it unchanged and answer
+for every k but finitely many; the measures and the word order, which
+need the sign of an exponent, refuse it.  The exceptional k are where a
+truth test on an affine value would flip (a seam sum that vanishes, two
+exponents that coincide), and a ``recorded_roots`` block collects them.
+
 The module also provides the text grammar used by the command line
 tools: syllables like ``t^-2`` separated by single spaces, ``1`` for
 the identity (``e`` accepted on input), ``^1`` omitted when printing.
@@ -16,8 +25,9 @@ the identity (``e`` accepted on input), ``^1`` omitted when printing.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from enum import Enum
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, Union
 
 
 class WordError(ValueError):
@@ -72,8 +82,106 @@ QUAD = Alphabet.QUAD
 _ALL_LETTERS = ("t_1", "u_1", "t_3", "u_3", "t", "u")
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+_AFFINE_RE = re.compile(r"([+-]?)([0-9]*)k([+-][0-9]+)?")
 
-Syllable = tuple[str, int]
+# The roots sets of the recorded_roots blocks now open.  The truth tests
+# happen deep inside _merge_runs, which every word operation shares, so
+# the open sets are found here rather than passed down every call.
+_OPEN_ROOTS: list[set[int]] = []
+
+
+@contextmanager
+def recorded_roots() -> Iterator[set[int]]:
+    """Collect into the yielded set every positive integer k at which a
+    truth test on an affine exponent, made inside the block, would flip.
+
+    A computation on words with affine exponents that raises nothing
+    inside the block gives, at every positive k outside the set, what
+    the same computation gives on the words instantiated at k.
+    """
+    roots: set[int] = set()
+    _OPEN_ROOTS.append(roots)
+    try:
+        yield roots
+    finally:
+        _OPEN_ROOTS.pop()
+
+
+class Affine:
+    """An exponent a + b*k in the family parameter k, with b != 0.
+
+    Arithmetic with ints and other affine exponents is exact and gives a
+    plain int when the k terms cancel.  Equality compares (a, b).  The
+    truth value is that of a polynomial in k, True, but it is a
+    k-dependent decision: it records the root -a/b when that is a
+    positive integer.  There is no order: whether a + b*k exceeds
+    another value depends on k.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        if type(a) is not int or type(b) is not int or not b:
+            raise WordError(f"an affine exponent needs ints a and b != 0, got {a!r}, {b!r}")
+        self.a = a
+        self.b = b
+
+    def __add__(self, other):
+        if type(other) is int:
+            return Affine(self.a + other, self.b)
+        if isinstance(other, Affine):
+            b = self.b + other.b
+            return Affine(self.a + other.a, b) if b else self.a + other.a
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Affine":
+        return Affine(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if type(other) is not int:
+            return NotImplemented
+        return Affine(self.a * other, self.b * other) if other else 0
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        root, remainder = divmod(-self.a, self.b)
+        if not remainder and root >= 1:
+            for roots in _OPEN_ROOTS:
+                roots.add(root)
+        return True
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Affine) and self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def at(self, k: "Exponent") -> "Exponent":
+        """The value at k, a positive int or another affine exponent."""
+        return self.a + self.b * k
+
+    def __str__(self) -> str:
+        text = {1: "k", -1: "-k"}.get(self.b, f"{self.b}k")
+        return f"{text}{self.a:+d}" if self.a else text
+
+    def __repr__(self) -> str:
+        return f"Affine({self.a}, {self.b})"
+
+
+Exponent = Union[int, Affine]
+Syllable = tuple[str, Exponent]
+
+# The family parameter itself.
+K = Affine(0, 1)
 
 
 class Word:
@@ -82,13 +190,17 @@ class Word:
     __slots__ = ("alphabet", "syllables", "_hash")
 
     def __init__(self, alphabet: Alphabet, syllables: Iterable[Syllable] = ()):
-        syls = tuple((letter, int(exp)) for letter, exp in syllables)
+        syls = tuple((letter, exp) for letter, exp in syllables)
         letters = alphabet.letters
         previous = None
         for letter, exp in syls:
             if letter not in letters:
                 raise WordError(f"letter {letter!r} is not in alphabet {alphabet.name}")
-            if exp == 0:
+            if type(exp) is not int and not isinstance(exp, Affine):
+                raise WordError(
+                    f"exponent must be an int or an affine exponent, got {exp!r}"
+                )
+            if not exp:
                 raise WordError("zero exponent in word")
             if letter == previous:
                 raise WordError("word is not reduced: adjacent syllables share a letter")
@@ -111,6 +223,11 @@ class Word:
     @property
     def is_identity(self) -> bool:
         return not self.syllables
+
+    @property
+    def has_k(self) -> bool:
+        """Whether some exponent is affine in k."""
+        return any(type(exp) is not int for _, exp in self.syllables)
 
     @property
     def syllable_count(self) -> int:
@@ -201,6 +318,33 @@ def _merge_runs(parts: Iterable[tuple[Syllable, ...]]) -> tuple[Syllable, ...]:
             else:
                 append(syl)
     return tuple(stack)
+
+
+def equal_syllables(x: tuple[Syllable, ...], y: tuple[Syllable, ...]) -> bool:
+    """Whether two reduced syllable runs are equal, recording where not.
+
+    Runs equal syllable for syllable are equal at every k.  Otherwise
+    they can be equal only at a k where their letters agree and every
+    exponent difference vanishes, so the first difference is truth
+    tested, which records its root.  ``Word.__eq__`` compares hashes
+    first and would record nothing.
+    """
+    if x == y:
+        return True
+    if len(x) != len(y) or any(a != b for (a, _), (b, _) in zip(x, y)):
+        return False
+    return not any(e - f for (_, e), (_, f) in zip(x, y))
+
+
+def at_k(w: Word, k: Exponent) -> Word:
+    """A word with affine exponents at one k (a positive int, or an
+    affine exponent for a sub-family), reduced."""
+    if not (type(k) is int and k >= 1 or isinstance(k, Affine)):
+        raise WordError(f"k must be a positive int or an affine exponent, got {k!r}")
+    syllables = tuple(
+        (letter, exp if type(exp) is int else exp.at(k)) for letter, exp in w.syllables
+    )
+    return Word._raw(w.alphabet, _merge_runs([tuple(s for s in syllables if s[1])]))
 
 
 def concat(v: Word, w: Word) -> Word:
@@ -305,7 +449,9 @@ def _tokenize(text: str) -> list[tuple[int, str]]:
     return tokens
 
 
-def _parse_syllable(pos: int, token: str, alphabet: Alphabet | None) -> Syllable:
+def _parse_syllable(
+    pos: int, token: str, alphabet: Alphabet | None, k: bool
+) -> Syllable:
     letter = next((l for l in _ALL_LETTERS if token.startswith(l)), None)
     if letter is None:
         raise WordSyntaxError(f"cannot read a letter in {token!r}", pos)
@@ -321,28 +467,38 @@ def _parse_syllable(pos: int, token: str, alphabet: Alphabet | None) -> Syllable
             f"unexpected character {rest[0]!r} after letter {letter!r}", pos + len(letter)
         )
     exp_text = rest[1:]
-    if not _INT_RE.fullmatch(exp_text):
+    affine = _AFFINE_RE.fullmatch(exp_text) if k else None
+    if affine:
+        sign, coefficient, constant = affine.groups()
+        exp = int(constant or 0) + int(sign + (coefficient or "1")) * K
+    elif _INT_RE.fullmatch(exp_text):
+        exp = int(exp_text)
+    else:
         raise WordSyntaxError(
-            f"exponent {exp_text!r} is not a signed decimal integer", pos + len(letter) + 1
+            f"exponent {exp_text!r} is not a signed decimal integer"
+            + (" or affine in k" if k else ""),
+            pos + len(letter) + 1,
         )
-    exp = int(exp_text)
-    if exp == 0:
+    if not exp:
         raise ZeroExponentError("exponent 0 is not allowed", pos + len(letter) + 1)
     return (letter, exp)
 
 
-def parse_word(text: str, alphabet: Alphabet | None = None) -> Word:
+def parse_word(text: str, alphabet: Alphabet | None = None, k: bool = False) -> Word:
     """Parse word text, reducing it fully.
 
     With ``alphabet=None`` the alphabet is inferred from the letters that
-    occur; a bare identity parses over the two-letter alphabet.
+    occur; a bare identity parses over the two-letter alphabet.  With
+    ``k=True`` exponents may also be affine in k, written like ``k``,
+    ``-k`` or ``2k-1``; the transcribed tables are read this way, while
+    the command line takes concrete words only.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise WordSyntaxError("empty word text", 0)
     if len(tokens) == 1 and tokens[0][1] in ("1", "e"):
         return identity(alphabet if alphabet is not None else BASE)
-    syllables = [_parse_syllable(pos, token, alphabet) for pos, token in tokens]
+    syllables = [_parse_syllable(pos, token, alphabet, k) for pos, token in tokens]
     if alphabet is None:
         subscripted = {letter in _PULLBACK for letter, _ in syllables}
         if len(subscripted) > 1:

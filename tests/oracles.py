@@ -10,11 +10,12 @@ stays affordable) instead of branching over collapse patterns.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from barbellw3.patterns import Pattern, eval_pattern
 from barbellw3.ring import RingElement
-from barbellw3.words import BASE, QUAD, Word, invert, rename, split_blocks
+from barbellw3.words import BASE, QUAD, Word
 
 
 def expand_letters(w: Word) -> list[tuple[str, int]]:
@@ -26,14 +27,22 @@ def expand_letters(w: Word) -> list[tuple[str, int]]:
     return letters
 
 
-def reduce_letters(alphabet, letters) -> Word:
-    """Stack reduction of a letter sequence, then run-length encoding."""
+def _stack_reduce(letters) -> list[tuple[str, int]]:
     stack: list[tuple[str, int]] = []
     for letter, sign in letters:
         if stack and stack[-1][0] == letter and stack[-1][1] == -sign:
             stack.pop()
         else:
             stack.append((letter, sign))
+    return stack
+
+
+def reduce_letters(alphabet, letters) -> Word:
+    """Stack reduction of a letter sequence, then run-length encoding."""
+    return _run_length(alphabet, _stack_reduce(letters))
+
+
+def _run_length(alphabet, stack) -> Word:
     syllables: list[tuple[str, int]] = []
     for letter, sign in stack:
         if syllables and syllables[-1][0] == letter:
@@ -59,6 +68,7 @@ def naive_invert(w: Word) -> Word:
 
 
 _TAGGED = {("t", 1): "t_1", ("u", 1): "u_1", ("t", 3): "t_3", ("u", 3): "u_3"}
+_UNTAGGED = {tagged: pair for pair, tagged in _TAGGED.items()}
 
 
 def naive_rename(w: Word, tag: int) -> Word:
@@ -106,29 +116,48 @@ def all_base_words(max_syllables: int, max_exponent: int, include_identity=False
             yield Word(BASE, syllables)
 
 
-def _divide_for_variable(pattern: Pattern, position: int, known: dict, target: Word):
-    """Solve for the factor at `position` given values of the other variables."""
-    quad_prefix = []
-    quad_suffix = []
-    for index, factor in enumerate(pattern.factors):
-        if index == position:
-            continue
-        value = known[factor.var]
-        if factor.inverted:
-            value = invert(value)
-        piece = rename(value, factor.tag)
-        (quad_prefix if index < position else quad_suffix).append(piece)
-    required = naive_concat(
-        naive_invert(naive_concat(*quad_prefix)) if quad_prefix else Word(QUAD),
-        target,
-        naive_invert(naive_concat(*quad_suffix)) if quad_suffix else Word(QUAD),
+@lru_cache(maxsize=None)
+def _candidates(max_syllables: int, max_exponent: int):
+    """Every nontrivial word within bounds, with the letters of the four
+    pieces a pattern factor can make of it, keyed by (tag, inverted).
+    Expanded once per bounds."""
+    return [
+        (
+            w,
+            {
+                (tag, inverted): expand_letters(
+                    naive_rename(naive_invert(w) if inverted else w, tag)
+                )
+                for tag in (1, 3)
+                for inverted in (False, True)
+            },
+        )
+        for w in all_base_words(max_syllables, max_exponent)
+    ]
+
+
+def _divide_for_variable(pattern: Pattern, position: int, pieces: dict, target_letters):
+    """Solve for the factor at `position` given the pieces of the other
+    variables: reduce prefix^-1 target suffix^-1 letter by letter, and
+    accept it only as one block with the factor's tag."""
+    factors = pattern.factors
+
+    def inverse(indices) -> list:
+        # (p_1 ... p_m)^-1 = p_m^-1 ... p_1^-1, each piece inverted by its key
+        letters = []
+        for index in reversed(indices):
+            factor = factors[index]
+            letters += pieces[factor.var][(factor.tag, not factor.inverted)]
+        return letters
+
+    stack = _stack_reduce(
+        inverse(range(position)) + target_letters + inverse(range(position + 1, len(factors)))
     )
-    factor = pattern.factors[position]
-    blocks = split_blocks(required)
-    if len(blocks) != 1 or blocks[0][0] != factor.tag:
+    factor = factors[position]
+    if not stack or any(_UNTAGGED[letter][1] != factor.tag for letter, _ in stack):
         return None
-    value = blocks[0][1]
-    return invert(value) if factor.inverted else value
+    value = _run_length(BASE, [(_UNTAGGED[letter][0], sign) for letter, sign in stack])
+    return naive_invert(value) if factor.inverted else value
 
 
 def oracle_solutions(
@@ -147,7 +176,7 @@ def oracle_solutions(
         var: sum(1 for factor in pattern.factors if factor.var == var)
         for var in variables
     }
-    candidates = list(all_base_words(max_syllables, max_exponent))
+    candidates = _candidates(max_syllables, max_exponent)
     solutions = set()
 
     divided = next((var for var in variables if occurrences[var] == 1), None)
@@ -158,18 +187,21 @@ def oracle_solutions(
             if factor.var == divided
         )
         others = [var for var in variables if var != divided]
+        target_letters = expand_letters(target)
         for combo in product(candidates, repeat=len(others)):
-            known = dict(zip(others, combo))
-            value = _divide_for_variable(pattern, position, known, target)
+            known = {var: word for var, (word, _) in zip(others, combo)}
+            pieces = {var: letters for var, (_, letters) in zip(others, combo)}
+            value = _divide_for_variable(pattern, position, pieces, target_letters)
             if value is None or value.is_identity:
                 continue
             if value.syllable_count > max_syllables or value.max_exponent() > max_exponent:
                 continue
             known[divided] = value
-            if eval_pattern(pattern, known) == target:
+            if naive_eval_pattern(pattern, known) == target:
                 solutions.add(tuple(sorted(known.items())))
     else:
-        for combo in product(candidates, repeat=len(variables)):
+        words = [word for word, _ in candidates]
+        for combo in product(words, repeat=len(variables)):
             known = dict(zip(variables, combo))
             if eval_pattern(pattern, known) == target:
                 solutions.add(tuple(sorted(known.items())))

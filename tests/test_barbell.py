@@ -30,7 +30,7 @@ from barbellw3.barbell import (
     w3_target,
 )
 from barbellw3.ring import RingElement
-from barbellw3.words import BASE, identity, parse_word, word_sort_key
+from barbellw3.words import BASE, K, identity, parse_word, word_sort_key
 
 from oracles import all_base_words, naive_concat, naive_invert, naive_rename
 from test_words import rand_word
@@ -180,6 +180,19 @@ def test_w3_target_validation():
         w3_target(Disk.D1, 0)
     with pytest.raises(BarbellError):
         w3_target(Disk.D1, -3)
+
+
+def test_family_parameter_is_a_positive_int_or_affine_in_k():
+    # True used to pass as k = 1.
+    for bad in (True, False, 2.0, "2", None, -K, K - 1):
+        for build in (monomials_m, psi, t4_expansion, target_argument_pair):
+            with pytest.raises(BarbellError, match="positive integer"):
+                build(bad)
+        with pytest.raises(BarbellError):
+            w3_target(Disk.D1, bad)
+    m1, m2 = monomials_m(K)
+    assert (str(m1), str(m2)) == ("t_1^-1 t_3 u_3^-k t_3^-2", "t_1^2 u_1^k t_1^-1 t_3")
+    assert monomials_m(2 * K + 1)[0] == parse_word("t_1^-1 t_3 u_3^-2k-1 t_3^-2", k=True)
 
 
 def test_monomials_and_psi_values():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -22,13 +23,23 @@ from barbellw3.solver import (
     Solutions,
     TableError,
     compare_with_reference,
+    for_every_k,
     hexagon_case_analysis,
     reference_table,
     regenerate_table,
     solve,
     table_patterns,
 )
-from barbellw3.words import BASE, QUAD, identity, parse_word, split_blocks
+from barbellw3.words import (
+    BASE,
+    QUAD,
+    K,
+    at_k,
+    identity,
+    parse_word,
+    recorded_roots,
+    split_blocks,
+)
 
 from oracles import oracle_solutions
 from test_words import rand_word
@@ -206,12 +217,15 @@ def test_reference_rows_substitute_k():
 
 
 def test_reference_templates_match_text_substitution():
-    # The transcription read by substituting k into the text and parsing it.
+    # The transcription's words at k, against their printed text with k
+    # substituted and parsed.
     for k in range(1, 31):
         for row, (text, appears_in, pair1, pair2) in zip(
             reference_table(k), REFERENCE_TABLE_ROWS
         ):
-            parsed = [parse_word(t.replace("k", str(k)), BASE) for t in pair1 + pair2]
+            parsed = [
+                parse_word(str(w).replace("k", str(k)), BASE) for w in pair1 + pair2
+            ]
             assert (row.pattern_text, row.appears_in) == (text, appears_in)
             assert [*row.m1_solution, *row.m2_solution] == parsed
 
@@ -227,6 +241,57 @@ def test_fallback_use_fails_the_structural_checks(monkeypatch):
         regenerate_table(1)
     with pytest.raises(CaseAnalysisError, match="bounded fallback"):
         hexagon_case_analysis(1)
+
+
+def test_symbolic_analyses_match_every_concrete_k():
+    rows, table_roots = for_every_k(compare_with_reference)
+    analysis, case_roots = for_every_k(hexagon_case_analysis)
+    assert table_roots == case_roots == frozenset()
+    assert analysis.k is K
+
+    def pair_at(pair, k):
+        return tuple(at_k(word, k) for word in pair)
+
+    for k in range(1, 31):
+        assert [
+            replace(row, m1_solution=pair_at(row.m1_solution, k),
+                    m2_solution=pair_at(row.m2_solution, k))
+            for row in rows
+        ] == regenerate_table(k)
+        assert [
+            replace(case, nu=at_k(case.nu, k), mu=at_k(case.mu, k))
+            for case in analysis.cases
+        ] == list(hexagon_case_analysis(k).cases)
+
+
+def test_solve_records_where_an_equation_holds_at_one_k():
+    pattern = parse_pattern("a_1 a_3")
+    target = parse_word("t_1^k t_3^3", QUAD, k=True)
+    with recorded_roots() as roots:
+        found = solve(pattern, target)
+    assert found == () and not found.used_fallback
+    assert roots == {3}
+    # Outside the recorded root the symbolic answer holds; at it, not.
+    for k in (1, 2, 4, 5):
+        assert solve(pattern, at_k(target, k)) == ()
+    assert assignments(solve(pattern, at_k(target, 3))) == {(("a", "t^3"),)}
+
+
+def test_symbolic_analysis_that_does_not_go_through_returns_none(monkeypatch):
+    # A planted transcription row: the symbolic comparison fails, so
+    # every k must be checked concretely.
+    text, _, m1_row, m2_row = REFERENCE_TABLE_ROWS[0]
+    monkeypatch.setattr(
+        solver,
+        "REFERENCE_TABLE_ROWS",
+        ((text, (1,), m1_row, m2_row),) + tuple(REFERENCE_TABLE_ROWS[1:]),
+    )
+    assert for_every_k(compare_with_reference) == (None, frozenset())
+    original = solver.solve
+    monkeypatch.setattr(
+        solver, "solve", lambda pattern, target: Solutions(original(pattern, target), True)
+    )
+    assert for_every_k(hexagon_case_analysis) == (None, frozenset())
 
 
 def test_case_analysis_structure():

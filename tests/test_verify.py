@@ -12,6 +12,8 @@ import barbellw3.solver as solver
 import barbellw3.verify as verify
 from barbellw3.barbell import t_poly
 from barbellw3.cli import emit
+from barbellw3.patterns import parse_pattern
+from barbellw3.solver import solve
 from barbellw3.verify import (
     Check,
     Report,
@@ -21,7 +23,7 @@ from barbellw3.verify import (
     verify_psi_targets,
     verify_span_vanishing,
 )
-from barbellw3.words import parse_word
+from barbellw3.words import K, concat, parse_word
 
 
 def report_json(report):
@@ -136,13 +138,37 @@ def test_verify_all_runs_each_check_once(monkeypatch):
     kwargs = dict(kmax=2, max_syllables=1, max_exponent=1)
     reports = verify_all(**kwargs, random_trials=10, seed=0, workers=1)
     counts = Counter(name for name, _ in calls)
-    assert counts["compare_with_reference"] == counts["hexagon_case_analysis"] == 2
+    # One symbolic analysis each, valid for every k: no k is exceptional,
+    # so no concrete one.
+    assert [arg for name, arg in calls if name == "compare_with_reference"] == [K]
+    assert [arg for name, arg in calls if name == "hexagon_case_analysis"] == [K]
     assert set(counts) == set(names)
     assert len(calls) == len(set(calls))  # no (function, k or task) runs twice
     # Citing the checks already run leaves the report bytes unchanged.
     monkeypatch.undo()
     alone = verify_main_theorem(**kwargs, workers=1)
     assert emit(reports[3], "json") == emit(alone, "json")
+
+
+def test_exceptional_k_is_checked_concretely(monkeypatch):
+    calls = []
+    original = verify.compare_with_reference
+
+    def planted(k):
+        calls.append(k)
+        if k is K:
+            # A seam u^k u^-2 that vanishes at k = 2, and an equation
+            # a_1 a_3 = t_1^k t_3^3 whose two sides agree only at k = 3.
+            concat(parse_word("u^k", k=True), parse_word("u^-2"))
+            assert not solve(parse_pattern("a_1 a_3"), parse_word("t_1^k t_3^3", k=True))
+        return original(k)
+
+    monkeypatch.setattr(verify, "compare_with_reference", planted)
+    kwargs = dict(kmax=4, max_syllables=1, max_exponent=1, workers=1)
+    report = verify_span_vanishing(**kwargs)
+    assert calls == [K, 2, 3]
+    monkeypatch.undo()
+    assert report_json(report) == report_json(verify_span_vanishing(**kwargs))
 
 
 def test_verify_all_builds_each_target_once(monkeypatch):

@@ -9,6 +9,8 @@ import pytest
 from barbellw3.words import (
     BASE,
     QUAD,
+    K,
+    Affine,
     AlphabetMismatchError,
     MixedAlphabetError,
     UnknownLetterError,
@@ -16,12 +18,15 @@ from barbellw3.words import (
     WordError,
     WordSyntaxError,
     ZeroExponentError,
+    at_k,
     boundary_letter,
     bounded_words,
     concat,
+    equal_syllables,
     identity,
     invert,
     parse_word,
+    recorded_roots,
     rename,
     split_blocks,
 )
@@ -113,6 +118,57 @@ def test_word_constructor_validates():
         Word(BASE, [("t", 0)])
     with pytest.raises(WordError):
         Word(BASE, [("t_1", 1)])
+
+
+def test_word_constructor_refuses_non_int_exponents():
+    # Each of these used to be coerced by int(): 1.5 and "2" became
+    # exponents 1 and 2, and 0.5 was reported as a zero exponent.
+    for exp in (1.5, 0.5, "2", True, None, 2.0):
+        with pytest.raises(WordError, match="must be an int or an affine exponent"):
+            Word(BASE, [("t", exp)])
+    assert str(Word(BASE, [("t", 2), ("u", K)])) == "t^2 u^k"
+
+
+def test_affine_exponents():
+    assert K + 1 - K == 1 and type(K - K) is int and K * 0 == 0
+    assert 2 * K - 3 == Affine(-3, 2) and -(K + 1) == Affine(-1, -1)
+    assert [str(e) for e in (K, -K, 2 * K - 1, 1 - K)] == ["k", "-k", "2k-1", "-k+1"]
+    assert Affine(2, 1).at(3) == 5 and Affine(2, 1).at(2 * K) == 2 * K + 2
+    with pytest.raises(TypeError):
+        K < 2
+    with pytest.raises(TypeError):
+        abs(K)
+    with pytest.raises(WordError):
+        Affine(1, 0)
+    w = parse_word("t^k u^2k-1 t^-k+3", k=True)
+    assert w.syllables == (("t", K), ("u", 2 * K - 1), ("t", 3 - K)) and w.has_k
+    assert parse_word(str(w), k=True) == w
+    assert not parse_word("t^2").has_k
+    with pytest.raises(WordSyntaxError, match="signed decimal integer"):
+        parse_word("t^k")
+    with pytest.raises(ZeroExponentError):
+        parse_word("t^0k", k=True)
+
+
+def test_truth_tests_on_affine_exponents_record_their_roots():
+    u_k, u_minus_2 = parse_word("u^k", k=True), parse_word("u^-2")
+    with recorded_roots() as roots:
+        product = concat(u_k, u_minus_2)  # u^(k-2): the seam vanishes at k = 2
+        assert not equal_syllables(u_k.syllables, parse_word("u^3").syllables)
+        assert equal_syllables(u_k.syllables, parse_word("u^k", k=True).syllables)
+        assert not equal_syllables(u_k.syllables, parse_word("t^3").syllables)
+        with recorded_roots() as inner:
+            Word(BASE, [("t", 2 * K - 8)])
+    assert str(product) == "u^k-2"
+    assert roots == {2, 3, 4} and inner == {4}
+    concat(parse_word("u^k", k=True), parse_word("u^-5"))  # outside any block
+    assert roots == {2, 3, 4}
+    assert at_k(product, 2) == identity(BASE) and at_k(product, 5) == parse_word("u^3")
+    assert at_k(parse_word("t u^k-1 t", k=True), 1) == parse_word("t^2")
+    assert at_k(product, K + 2) == parse_word("u^k", k=True)
+    for bad in (0, True, 1.0):
+        with pytest.raises(WordError):
+            at_k(product, bad)
 
 
 def test_equality_and_hash():
