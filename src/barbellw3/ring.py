@@ -26,10 +26,11 @@ class CoefficientError(ValueError):
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce int, Fraction, or a rational string to Fraction; floats are refused."""
+    """Coerce int, Fraction, or a rational string to Fraction; floats and
+    bools are refused."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -184,12 +185,16 @@ class RingElement:
             raise ValueError("element JSON must have 'alphabet' and 'terms' fields")
         try:
             alphabet = Alphabet[data["alphabet"]]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValueError(f"unknown alphabet {data['alphabet']!r}") from None
+        if not isinstance(data["terms"], list):
+            raise ValueError("'terms' must be a list")
         terms = []
         for entry in data["terms"]:
             if not isinstance(entry, dict) or "word" not in entry or "coeff" not in entry:
                 raise ValueError("each term must have 'word' and 'coeff' fields")
+            if not isinstance(entry["word"], str):
+                raise ValueError("each term's 'word' must be word text")
             terms.append((parse_word(entry["word"], alphabet), as_fraction(entry["coeff"])))
         return cls(alphabet, terms)
 

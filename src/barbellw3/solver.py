@@ -119,17 +119,6 @@ Run = tuple[int, Factors]
 Branch = tuple[tuple[Factors, ...], tuple[Factors, ...]]
 
 
-def _pattern_runs(pattern: Pattern) -> tuple[Run, ...]:
-    runs: list[Run] = []
-    for factor in pattern.factors:
-        entry = (factor.var, factor.inverted)
-        if runs and runs[-1][0] == factor.tag:
-            runs[-1] = (factor.tag, runs[-1][1] + (entry,))
-        else:
-            runs.append((factor.tag, (entry,)))
-    return tuple(runs)
-
-
 def _merge_adjacent(runs: tuple[Run, ...]) -> tuple[Run, ...]:
     merged: list[Run] = []
     for tag, factors in runs:
@@ -138,6 +127,12 @@ def _merge_adjacent(runs: tuple[Run, ...]) -> tuple[Run, ...]:
         else:
             merged.append((tag, factors))
     return tuple(merged)
+
+
+def _pattern_runs(pattern: Pattern) -> tuple[Run, ...]:
+    return _merge_adjacent(
+        tuple((factor.tag, ((factor.var, factor.inverted),)) for factor in pattern.factors)
+    )
 
 
 def _collapse_branches(

@@ -26,6 +26,12 @@ either way.  The symbolic result is not cached across calls: the
 planted-defect tests replace the tables between calls, and the per-call
 work counts must repeat from run to run.
 
+The three sweeps, ``hexagon_exhaustive``, ``hexagon_random`` and
+``span_generators``, are one computation: ``_scan`` takes psi of a
+signed formula at each of a stream of word pairs.  Each sweep's chunk
+worker only produces its pairs, and each sweep builds its witness words
+once, from ``psi`` itself, and hands them to its chunks.
+
 Reports serialize byte-identically from run to run: wall-clock timings
 stay in memory only, enumerations are chunked the same way regardless
 of the worker count, and chunk results are merged in enumeration order.
@@ -37,7 +43,8 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from functools import cache
+from itertools import islice, repeat
 from time import perf_counter
 from typing import Callable, Iterable
 
@@ -48,11 +55,10 @@ from .barbell import (
     Disk,
     count_admissible,
     enumerate_admissible,
-    monomials_m,
     psi,
     w3_target,
 )
-from .patterns import Run, word_pieces
+from .patterns import CompiledFormulas, Run, word_pieces
 from .ring import RingElement, matrix_rank_exact, rank
 from .solver import compare_with_reference, for_every_k, hexagon_case_analysis
 from .words import BASE, Word, bounded_words
@@ -157,60 +163,68 @@ def _merge_chunks(results: Iterable[tuple[int, list[str]]]) -> tuple[int, list[s
     return checked, violations[:_VIOLATION_CAP]
 
 
-def _witness_index(kmax: int) -> dict[Run, tuple[int, int]]:
-    """Syllables of m1(k) and m2(k), k <= kmax, mapped to (k, weight in psi(k))."""
-    index = {}
-    for k in range(1, kmax + 1):
-        m1, m2 = monomials_m(k)
-        index[m1.syllables] = (k, 1)
-        index[m2.syllables] = (k, -1)
-    return index
+def _witnesses(kmax: int) -> tuple[tuple[Run, int, Fraction], ...]:
+    """psi(1..kmax)'s weighted words as (syllables, k, weight), built once
+    per sweep and passed to every chunk in its task."""
+    return tuple(
+        (word.syllables, k, weight)
+        for k in range(1, kmax + 1)
+        for word, weight in psi(k).weights.items()
+    )
 
 
-def _psi_violations(
-    terms: tuple[tuple[int, int], ...],
-    values: list[Run],
-    witness: dict[Run, tuple[int, int]],
+def _scan(
+    formulas: CompiledFormulas,
+    keys: tuple,
     label: str,
-    violations: list[str],
-) -> None:
-    # psi_k(label) for each k, ascending, where the signed terms that hit
-    # a witness monomial do not cancel.
-    differences: dict[int, int] = {}
-    for sign, shape in terms:
-        hit = witness.get(values[shape])
-        if hit:
-            k, weight = hit
-            differences[k] = differences.get(k, 0) + sign * weight
-    for k in sorted(differences):
-        if differences[k] and len(violations) < _VIOLATION_CAP:
-            violations.append(f"psi_{k}({label}) = {differences[k]}")
+    items: Iterable[tuple[Word, Word, tuple[Run, ...]]],
+    witnesses: tuple[tuple[Run, int, Fraction], ...],
+) -> tuple[int, list[str]]:
+    """How many formula values were checked, and the psi violations found.
+
+    An item is (x, y, the word_pieces of x then of y).  Every shape is
+    evaluated once per item, and only where some shape is a witness word
+    are the signed weights of each formula in ``keys`` summed, per k.  A
+    nonzero sum is reported as psi_k(label) = sum, ``label`` formatted
+    with (key, x, y), in item, key and k order.
+    """
+    weights = {run: (k, weight) for run, k, weight in witnesses}
+    misses = weights.keys().isdisjoint
+    evaluate = formulas.evaluate
+    terms = [(key, formulas.terms[key]) for key in keys]
+    violations: list[str] = []
+    count = 0
+    for count, (x, y, pieces) in enumerate(items, 1):
+        values = evaluate(pieces)
+        if misses(values):
+            continue
+        for key, signed in terms:
+            sums: dict[int, Fraction] = {}
+            for sign, shape in signed:
+                hit = weights.get(values[shape])
+                if hit:
+                    k, weight = hit
+                    sums[k] = sums.get(k, 0) + sign * weight
+            for k in sorted(sums):
+                if sums[k] and len(violations) < _VIOLATION_CAP:
+                    violations.append(f"psi_{k}({label.format(key, x, y)}) = {sums[k]}")
+    return count * len(keys), violations
 
 
 # ---------------------------------------------------------------------------
 # Chunk workers (top level so process pools can import them).  Each one
-# evaluates every shape once per item and looks the words up in the
-# witness index; only an item that hits a witness monomial is summed.
+# produces the items of its share of a sweep and scans them.
 
 
 def _hexagon_chunk(task: tuple) -> tuple[int, list[str]]:
-    max_syllables, max_exponent, kmax, start, stop = task
+    max_syllables, max_exponent, witnesses, start, stop = task
     words = bounded_words(max_syllables, max_exponent, BASE, include_identity=True)
     pieces = [word_pieces(w) for w in words]
-    n = len(words)
-    witness = _witness_index(kmax)
-    misses = witness.keys().isdisjoint
-    evaluate = HEXAGON_FORMULAS.evaluate
-    violations: list[str] = []
-    for flat in range(start, stop):
-        i, j = divmod(flat, n)
-        values = evaluate(pieces[i] + pieces[j])
-        if not misses(values):
-            label = f"H({words[i]}, {words[j]})"
-            _psi_violations(
-                HEXAGON_FORMULAS.terms["H"], values, witness, label, violations
-            )
-    return (stop - start, violations)
+    items = (
+        (words[i], words[j], pieces[i] + pieces[j])
+        for i, j in map(divmod, range(start, stop), repeat(len(words)))
+    )
+    return _scan(HEXAGON_FORMULAS, ("H",), "H({1}, {2})", items, witnesses)
 
 
 def _random_word(rng: random.Random, max_syllables: int, max_exponent: int) -> Word:
@@ -226,48 +240,20 @@ def _random_word(rng: random.Random, max_syllables: int, max_exponent: int) -> W
 
 
 def _hexagon_random_chunk(task: tuple) -> tuple[int, list[str]]:
-    max_syllables, max_exponent, kmax, seed, chunk_index, trials = task
+    max_syllables, max_exponent, witnesses, seed, chunk_index, trials = task
     rng = random.Random(f"{seed}:{chunk_index}")
-    witness = _witness_index(kmax)
-    misses = witness.keys().isdisjoint
-    evaluate = HEXAGON_FORMULAS.evaluate
-    violations: list[str] = []
-    for _ in range(trials):
-        nu = _random_word(rng, max_syllables, max_exponent)
-        mu = _random_word(rng, max_syllables, max_exponent)
-        values = evaluate(word_pieces(nu) + word_pieces(mu))
-        if not misses(values):
-            label = f"H({nu}, {mu})"
-            _psi_violations(
-                HEXAGON_FORMULAS.terms["H"], values, witness, label, violations
-            )
-    return (trials, violations)
+    # nu, then mu, from one stream of draws.
+    draws = (_random_word(rng, max_syllables, max_exponent) for _ in range(2 * trials))
+    items = ((nu, mu, word_pieces(nu) + word_pieces(mu)) for nu, mu in zip(draws, draws))
+    return _scan(HEXAGON_FORMULAS, ("H",), "H({1}, {2})", items, witnesses)
 
 
 def _span_chunk(task: tuple) -> tuple[int, list[str]]:
-    max_syllables, max_exponent, kinds, kmax, start, stop = task
-    witness = _witness_index(kmax)
-    misses = witness.keys().isdisjoint
-    evaluate = T_POLY_FORMULAS.evaluate
-    pieces: dict[Word, tuple[Run, ...]] = {}
-    violations: list[str] = []
-    generators = 0
+    max_syllables, max_exponent, kinds, witnesses, start, stop = task
+    pieces = cache(word_pieces)
     pairs = islice(enumerate_admissible(max_syllables, max_exponent), start, stop)
-    for pair in pairs:
-        a, c = pair.a, pair.c
-        if a not in pieces:
-            pieces[a] = word_pieces(a)
-        if c not in pieces:
-            pieces[c] = word_pieces(c)
-        values = evaluate(pieces[a] + pieces[c])
-        generators += len(kinds)
-        if not misses(values):
-            for i in kinds:
-                label = f"t_poly({i}, {a}, {c})"
-                _psi_violations(
-                    T_POLY_FORMULAS.terms[i], values, witness, label, violations
-                )
-    return (generators, violations)
+    items = ((p.a, p.c, pieces(p.a) + pieces(p.c)) for p in pairs)
+    return _scan(T_POLY_FORMULAS, kinds, "t_poly({0}, {1}, {2})", items, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +292,10 @@ def _psi_columns(kmax: int, targets: Targets) -> Columns:
     }
 
 
+# The value of psi(k) on each disk's target at k.
+_PSI_ON_TARGET = {Disk.D1: 1, Disk.D2: 3}
+
+
 def _target(targets: Targets | Columns, disk: Disk, k: int):
     value = targets[disk, k]
     if isinstance(value, str):
@@ -316,6 +306,20 @@ def _target(targets: Targets | Columns, disk: Disk, k: int):
 # ---------------------------------------------------------------------------
 # Suites.
 
+def _at_each_k(analysis: Callable[[int], object]) -> Callable[[int], object]:
+    """A structural analysis for each k: the one symbolic result, run now,
+    except at the k in its exceptional set, or at every k when it did not
+    go through, where the analysis runs at that k."""
+    for_all, exceptional = for_every_k(analysis)
+
+    def at(k: int):
+        if for_all is None or k in exceptional:
+            return analysis(k)
+        return for_all
+
+    return at
+
+
 def verify_psi_targets(kmax: int = 10) -> Report:
     """psi(k) takes value 1 on disk-1 targets, 3 on disk-2 targets, 0 across."""
     return _psi_targets(kmax, _psi_columns(kmax, _build_targets(kmax)))
@@ -323,10 +327,9 @@ def verify_psi_targets(kmax: int = 10) -> Report:
 
 def _psi_targets(kmax: int, columns: Columns) -> Report:
     report = Report("psi-targets", {"kmax": kmax})
-    expected = {Disk.D1: 1, Disk.D2: 3}
     for k in range(1, kmax + 1):
         for disk in Disk:
-            value = expected[disk]
+            value = _PSI_ON_TARGET[disk]
 
             def body(disk=disk, k=k, value=value) -> str:
                 row = {
@@ -379,8 +382,9 @@ def verify_hexagon_vanishing(
     def exhaustive() -> str:
         words = bounded_words(max_syllables, max_exponent, BASE, include_identity=True)
         total = len(words) ** 2
+        witnesses = _witnesses(kmax)
         tasks = [
-            (max_syllables, max_exponent, kmax, start, stop)
+            (max_syllables, max_exponent, witnesses, start, stop)
             for start, stop in _chunk_ranges(total)
         ]
         checked, violations = _merge_chunks(_run_tasks(_hexagon_chunk, tasks, workers))
@@ -402,11 +406,10 @@ def verify_hexagon_vanishing(
     def randomized() -> str:
         random_syllables = max_syllables + 3
         random_exponent = max_exponent + 3
-        quotas = [
-            stop - start for start, stop in _chunk_ranges(random_trials)
-        ]
+        quotas = [stop - start for start, stop in _chunk_ranges(random_trials)]
+        witnesses = _witnesses(kmax)
         tasks = [
-            (random_syllables, random_exponent, kmax, seed, index, quota)
+            (random_syllables, random_exponent, witnesses, seed, index, quota)
             for index, quota in enumerate(quotas)
         ]
         checked, violations = _merge_chunks(
@@ -430,19 +433,12 @@ def verify_hexagon_vanishing(
         )
     )
 
-    for_all, exceptional = for_every_k(hexagon_case_analysis)
+    analysis_at = _at_each_k(hexagon_case_analysis)
     for k in range(1, kmax + 1):
 
         def cases(k=k) -> str:
-            analysis = for_all
-            if for_all is None or k in exceptional:
-                analysis = hexagon_case_analysis(k)
-            pairings = sorted(
-                {
-                    (case.term_index, case.partner_index)
-                    for case in analysis.cases
-                }
-            )
+            analysis = analysis_at(k)
+            pairings = sorted({(c.term_index, c.partner_index) for c in analysis.cases})
             return f"8 term-monomial cases, pairings {pairings}"
 
         report.checks.append(
@@ -476,8 +472,9 @@ def verify_span_vanishing(
 
     def generators() -> str:
         total_pairs = count_admissible(max_syllables, max_exponent)
+        witnesses = _witnesses(kmax)
         tasks = [
-            (max_syllables, max_exponent, T_KINDS, kmax, start, stop)
+            (max_syllables, max_exponent, T_KINDS, witnesses, start, stop)
             for start, stop in _chunk_ranges(total_pairs)
         ]
         checked, violations = _merge_chunks(_run_tasks(_span_chunk, tasks, workers))
@@ -499,15 +496,12 @@ def verify_span_vanishing(
         )
     )
 
-    for_all, exceptional = for_every_k(compare_with_reference)
+    table_at = _at_each_k(compare_with_reference)
     for k in range(1, kmax + 1):
 
         def table(k=k) -> str:
-            rows = for_all
-            if for_all is None or k in exceptional:
-                rows = compare_with_reference(k)
             return (
-                f"{len(rows)} shapes, unique solutions per monomial, none "
+                f"{len(table_at(k))} shapes, unique solutions per monomial, none "
                 "admissible, all matching the transcription"
             )
 
@@ -532,20 +526,9 @@ def verify_main_theorem(
     target_factory: Callable[[Disk, int], RingElement] | None = None,
 ) -> Report:
     """Assemble the non-membership certificate for both disks, k = 1..kmax."""
-    hexagon = verify_hexagon_vanishing(
-        kmax=kmax,
-        max_syllables=max_syllables,
-        max_exponent=max_exponent,
-        random_trials=0,
-        seed=0,
-        workers=workers,
-    )
-    span = verify_span_vanishing(
-        kmax=kmax,
-        max_syllables=max_syllables,
-        max_exponent=max_exponent,
-        workers=workers,
-    )
+    bounds = dict(kmax=kmax, max_syllables=max_syllables, max_exponent=max_exponent)
+    hexagon = verify_hexagon_vanishing(**bounds, random_trials=0, seed=0, workers=workers)
+    span = verify_span_vanishing(**bounds, workers=workers)
     built = _build_targets(kmax)
     values = built if target_factory is None else _build_targets(kmax, target_factory)
     return _main_theorem(
@@ -599,24 +582,22 @@ def _main_theorem(
     span_generators, *solution_tables = span.checks
     report.checks += [agree, exhaustive, *hexagon_cases, span_generators, *solution_tables]
 
-    expected = {Disk.D1: 1, Disk.D2: 3}
-
     target_checks: dict[tuple[Disk, int], Check] = {}
     for k in range(1, kmax + 1):
         for disk in Disk:
 
             def nonvanishing(disk=disk, k=k) -> str:
                 value = _target(columns, disk, k)[k - 1]
-                if value != expected[disk]:
+                if value != _PSI_ON_TARGET[disk]:
                     raise CheckFailure(
                         f"psi_{k} on the {disk.value} value is {value}, "
-                        f"expected {expected[disk]}"
+                        f"expected {_PSI_ON_TARGET[disk]}"
                     )
-                return f"psi_{k} = {expected[disk]} != 0"
+                return f"psi_{k} = {_PSI_ON_TARGET[disk]} != 0"
 
             target_checks[disk, k] = _run_check(
                 f"target_psi_{disk.value}_k{k}",
-                f"psi({k}) is nonzero (value {expected[disk]}) on the "
+                f"psi({k}) is nonzero (value {_PSI_ON_TARGET[disk]}) on the "
                 f"{disk.value} value at k={k}",
                 "exact",
                 nonvanishing,
@@ -665,35 +646,26 @@ def _main_theorem(
                 rank_checks[disk],
             ]
             failed = [check.name for check in prerequisites if not check.passed]
-            if failed:
-                check = Check(
+            report.checks.append(
+                Check(
                     name=f"certificate_{disk.value}_k{k}",
-                    claim=_certificate_claim(disk, k),
+                    claim=(
+                        f"the {disk.value} value at k={k} is nonzero on psi({k}) "
+                        f"while psi({k}) vanishes on all hexagon relators and span "
+                        "generators verified within the bounds, certifying "
+                        "non-membership up to those bounds"
+                    ),
                     method="exhaustive-bounded",
-                    status="fail",
-                    details="prerequisite checks failed: " + ", ".join(failed),
-                )
-            else:
-                check = Check(
-                    name=f"certificate_{disk.value}_k{k}",
-                    claim=_certificate_claim(disk, k),
-                    method="exhaustive-bounded",
-                    status="pass",
+                    status="fail" if failed else "pass",
                     details=(
-                        "psi separates the value from every hexagon and admissible "
-                        "generator checked within bounds"
+                        "prerequisite checks failed: " + ", ".join(failed)
+                        if failed
+                        else "psi separates the value from every hexagon and "
+                        "admissible generator checked within bounds"
                     ),
                 )
-            report.checks.append(check)
+            )
     return report
-
-
-def _certificate_claim(disk: Disk, k: int) -> str:
-    return (
-        f"the {disk.value} value at k={k} is nonzero on psi({k}) while psi({k}) "
-        "vanishes on all hexagon relators and span generators verified within "
-        "the bounds, certifying non-membership up to those bounds"
-    )
 
 
 def verify_all(
@@ -715,20 +687,11 @@ def verify_all(
     targets = _build_targets(kmax)
     columns = _psi_columns(kmax, targets)
     psi_targets = _psi_targets(kmax, columns)
+    bounds = dict(kmax=kmax, max_syllables=max_syllables, max_exponent=max_exponent)
     hexagon = verify_hexagon_vanishing(
-        kmax=kmax,
-        max_syllables=max_syllables,
-        max_exponent=max_exponent,
-        random_trials=random_trials,
-        seed=seed,
-        workers=workers,
+        **bounds, random_trials=random_trials, seed=seed, workers=workers
     )
-    span = verify_span_vanishing(
-        kmax=kmax,
-        max_syllables=max_syllables,
-        max_exponent=max_exponent,
-        workers=workers,
-    )
+    span = verify_span_vanishing(**bounds, workers=workers)
     return [
         psi_targets,
         hexagon,

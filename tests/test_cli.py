@@ -119,6 +119,19 @@ def test_psi_on_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "0"
 
 
+def test_psi_on_malformed_file_exits_2(capsys, tmp_path):
+    from test_ring import MALFORMED_ELEMENT_JSON
+
+    path = tmp_path / "element.json"
+    for document in MALFORMED_ELEMENT_JSON + [
+        {"alphabet": "QUAD", "terms": [{"word": "t_1", "coeff": True}]}
+    ]:
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "psi", "--k", "1", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert "bad element JSON" in err
+
+
 def test_psi_requires_exactly_one_input(capsys, tmp_path):
     code, _, err = run_cli(capsys, "psi", "--k", "1")
     assert code == 2

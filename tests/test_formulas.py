@@ -2,17 +2,20 @@
 
 Term words and coefficients are compared with the letter-level oracles
 (stack reduction of single letters), never with the engine itself.  The
-planted defects check that the witness-indexed sweeps still see a
-broken formula or a broken witness.
+planted defects check that the sweeps and the hexagon case analysis
+still see a broken formula or a broken witness.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import barbellw3.barbell as barbell
+import barbellw3.solver as solver
 import barbellw3.verify as verify
 from barbellw3.barbell import (
     HEXAGON_FORMULAS,
@@ -169,11 +172,58 @@ def test_planted_witness_fails_the_span_sweep(monkeypatch):
         m1, m2 = real(k)
         return (parse_word("t_1 u_3^-1 t_3"), m2) if k == 1 else (m1, m2)
 
-    monkeypatch.setattr(verify, "monomials_m", planted)
+    monkeypatch.setattr(barbell, "monomials_m", planted)
     report = verify_span_vanishing(kmax=3, max_syllables=2, max_exponent=2, workers=1)
     check = next(check for check in report.checks if check.name == "span_generators")
     assert check.status == "fail"
-    assert "psi_1(t_poly(1, t, u)) = 1" in check.details.split("; ")
+    violations = check.details.split("; ")
+    assert "psi_1(t_poly(1, t, u)) = 1" in violations
+    # T_6 carries the planted shape a_1 c_3^-1 a_3 with sign -1.
+    assert "psi_1(t_poly(6, t, u)) = -1" in violations
+
+
+def test_planted_witness_fails_the_random_sweep(monkeypatch):
+    # The first pair chunk 0 draws at seed 0 and bounds (1 + 3, 1 + 3).
+    nu, mu = parse_word("u^-2"), parse_word("t^4")
+    rng = random.Random("0:0")
+    assert (verify._random_word(rng, 4, 4), verify._random_word(rng, 4, 4)) == (nu, mu)
+    real = barbell.monomials_m
+    term_1 = naive_eval_pattern(HEXAGON_TERMS[0][1], {"nu": nu, "mu": mu})
+
+    def planted(k):
+        m1, m2 = real(k)
+        return (term_1, m2) if k == 1 else (m1, m2)
+
+    monkeypatch.setattr(barbell, "monomials_m", planted)
+    report = verify_hexagon_vanishing(
+        kmax=3, max_syllables=1, max_exponent=1, random_trials=100, seed=0, workers=1
+    )
+    check = next(check for check in report.checks if check.name == "hexagon_random")
+    assert check.status == "fail"
+    assert check.details.split("; ")[0] == "psi_1(H(u^-2, t^4)) = 1"
+
+
+def test_flipped_hexagon_sign_fails_the_case_analysis_not_the_small_sweeps(monkeypatch):
+    # Below three syllables the exhaustive sweep reaches no witness
+    # monomial (see the next test) and the random one seldom does, so the
+    # case analysis is what sees the flip.
+    sign, pattern = HEXAGON_TERMS[0]
+    terms = ((-sign, pattern),) + HEXAGON_TERMS[1:]
+    flipped = CompiledFormulas(("nu", "mu"), {"H": terms})
+    for module in (barbell, verify, solver):
+        monkeypatch.setattr(module, "HEXAGON_FORMULAS", flipped)
+    for module in (barbell, solver):
+        monkeypatch.setattr(module, "HEXAGON_TERMS", terms)
+    report = verify_hexagon_vanishing(
+        kmax=3, max_syllables=1, max_exponent=1, random_trials=1000, seed=0, workers=1
+    )
+    status = {check.name: check.status for check in report.checks}
+    assert status["hexagon_exhaustive"] == status["hexagon_random"] == "pass"
+    cases = [check for check in report.checks if check.name.startswith("hexagon_cases_k")]
+    assert len(cases) == 3
+    for check in cases:
+        assert check.status == "fail"
+        assert "partner term 2 carries the opposite sign" in check.details
 
 
 def _witness_hits(max_syllables: int, max_exponent: int, kmax: int) -> set:

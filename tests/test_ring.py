@@ -40,8 +40,9 @@ def test_as_fraction_accepts_exact_values():
     assert as_fraction(3) == Fraction(3)
     assert as_fraction(Fraction(2, 6)) == Fraction(1, 3)
     assert as_fraction("2/3") == Fraction(2, 3)
-    with pytest.raises(CoefficientError):
-        as_fraction(0.5)
+    for inexact in (0.5, True, False):
+        with pytest.raises(CoefficientError):
+            as_fraction(inexact)
 
 
 def test_constructor_sums_duplicates_and_drops_zeros():
@@ -143,6 +144,19 @@ def test_from_json_dict_validation():
     assert permissive.coeff(parse_word("t")) == Fraction(1, 2)
     with pytest.raises(CoefficientError):
         RingElement.from_json_dict({"alphabet": "BASE", "terms": [{"word": "t", "coeff": 0.5}]})
+    with pytest.raises(CoefficientError):
+        RingElement.from_json_dict({"alphabet": "QUAD", "terms": [{"word": "t_1", "coeff": True}]})
+    for malformed in MALFORMED_ELEMENT_JSON:
+        with pytest.raises(ValueError):
+            RingElement.from_json_dict(malformed)
+
+
+# Element documents of the wrong shape, each refused with a ValueError.
+MALFORMED_ELEMENT_JSON = [
+    {"alphabet": "QUAD", "terms": 5},
+    {"alphabet": ["QUAD"], "terms": []},
+    {"alphabet": "QUAD", "terms": [{"word": 5, "coeff": 1}]},
+]
 
 
 def test_functional_is_linear():
