@@ -15,7 +15,9 @@ from typing import Iterable, Mapping, Sequence
 from .words import (
     Alphabet,
     AlphabetMismatchError,
+    Exponent,
     Word,
+    at_k,
     parse_word,
     word_sort_key,
 )
@@ -98,6 +100,15 @@ class RingElement:
 
     def support(self) -> list[Word]:
         return sorted(self._terms, key=word_sort_key)
+
+    def terms(self) -> Iterable[tuple[Word, Fraction]]:
+        """The terms in no fixed order, for lookups that need no sorting."""
+        return self._terms.items()
+
+    def at_k(self, k: Exponent) -> "RingElement":
+        """An element with affine exponents at one k: each word through
+        ``words.at_k``, and words that coincide there merged."""
+        return RingElement(self.alphabet, [(at_k(w, k), c) for w, c in self._terms.items()])
 
     @property
     def term_count(self) -> int:

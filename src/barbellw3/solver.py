@@ -567,20 +567,20 @@ Result = TypeVar("Result")
 def for_every_k(
     analysis: Callable[[Exponent], Result],
 ) -> tuple[Result | None, frozenset[int]]:
-    """Run a structural analysis, ``compare_with_reference`` or
-    ``hexagon_case_analysis``, once at k = K, and return its result with
-    the exceptional set E.
+    """Run a k-parametrised computation, such as ``compare_with_reference``,
+    ``hexagon_case_analysis`` or a target build, once at k = K, and return
+    its result with the exceptional set E.
 
     The result holds at every positive k outside E: there each decision
-    the analysis made comes out the same on the concrete words.  It is
-    None when the symbolic argument did not go through (the analysis
-    raised its TableError or CaseAnalysisError: not exactly one
-    solution, the fallback, a mismatch, or an admissible solution), and
-    then every k must be analysed concretely.
+    the computation made comes out the same on the concrete words.  It
+    is None when the symbolic argument did not go through (the
+    computation raised: for the analyses, not exactly one solution, the
+    fallback, a mismatch, or an admissible solution), and then every k
+    must be computed concretely, where the failure is met again.
     """
     with recorded_roots() as roots:
         try:
             result = analysis(K)
-        except (TableError, CaseAnalysisError):
+        except Exception:
             result = None
     return result, frozenset(roots)

@@ -22,9 +22,13 @@ The per-k structural checks, ``solution_table_k*`` and
 symbolic (``solver.for_every_k``).  It is valid for every k outside its
 exceptional set E; the k in E, or every k when the symbolic argument
 did not go through, are analysed concretely, so a report reads the same
-either way.  The symbolic result is not cached across calls: the
-planted-defect tests replace the tables between calls, and the per-call
-work counts must repeat from run to run.
+either way.  The targets are built the same way: once per disk at
+k = K, comparing the two constructions as formal sums with affine
+exponents, then instantiated at each k outside E.  psi(1..kmax) is read
+on them through one index of its weighted words.  The symbolic results
+are not cached across calls: the planted-defect tests replace the
+tables between calls, and the per-call work counts must repeat from run
+to run.
 
 The three sweeps, ``hexagon_exhaustive``, ``hexagon_random`` and
 ``span_generators``, are one computation: ``_scan`` takes psi of a
@@ -61,7 +65,7 @@ from .barbell import (
 from .patterns import CompiledFormulas, Run, word_pieces
 from .ring import RingElement, matrix_rank_exact, rank
 from .solver import compare_with_reference, for_every_k, hexagon_case_analysis
-from .words import BASE, Word, bounded_words
+from .words import BASE, AlphabetMismatchError, Word, bounded_words
 
 _VIOLATION_CAP = 10
 _CHUNK_COUNT = 32
@@ -150,7 +154,8 @@ def _chunk_ranges(total: int) -> list[tuple[int, int]]:
 def _run_tasks(fn: Callable, tasks: list, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # A forked pool starts all its workers at once: no more than tasks.
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -265,16 +270,26 @@ Targets = dict[tuple[Disk, int], RingElement | str]
 def _build_targets(
     kmax: int, factory: Callable[[Disk, int], RingElement] | None = None
 ) -> Targets:
-    """Both disks' targets for k = 1..kmax, by w3_target (which compares its
-    two constructions) unless a factory is given."""
+    """Both disks' targets for k = 1..kmax, from the factory if one is given.
+
+    Otherwise each disk's target is built once by w3_target at k = K,
+    which compares its two constructions as affine formal sums, and
+    instantiated at each k.  Instantiation is linear, so two sums equal
+    at K are equal at every k.  The k in the build's exceptional set, and
+    every k of a disk whose build at K raised, are built by w3_target at
+    that k, so a failure reads as it would concretely.
+    """
+    if factory is None:
+        at = {
+            disk: _at_each_k(lambda k, disk=disk: w3_target(disk, k).value) for disk in Disk
+        }
+        # at_k leaves a value built at a concrete k as it is.
+        factory = lambda disk, k: at[disk](k).at_k(k)
     targets: Targets = {}
     for k in range(1, kmax + 1):
         for disk in Disk:
             try:
-                if factory is None:
-                    targets[disk, k] = w3_target(disk, k).value
-                else:
-                    targets[disk, k] = factory(disk, k)
+                targets[disk, k] = factory(disk, k)
             except Exception as error:
                 targets[disk, k] = f"{type(error).__name__}: {error}"
     return targets
@@ -285,11 +300,44 @@ Columns = dict[tuple[Disk, int], list[Fraction] | str]
 
 
 def _psi_columns(kmax: int, targets: Targets) -> Columns:
+    """psi(1..kmax) on each target, read through one index of psi's
+    weighted words, so each target costs its own terms only."""
     functionals = [psi(k) for k in range(1, kmax + 1)]
-    return {
-        key: value if isinstance(value, str) else [f(value) for f in functionals]
-        for key, value in targets.items()
-    }
+    hits: dict[Word, list[tuple[int, Fraction]]] = {}
+    for index, functional in enumerate(functionals):
+        for word, weight in functional.weights.items():
+            hits.setdefault(word, []).append((index, weight))
+    alphabet = functionals[0].alphabet
+    columns: Columns = {}
+    for key, value in targets.items():
+        if isinstance(value, str):
+            columns[key] = value
+            continue
+        if value.alphabet is not alphabet:
+            raise AlphabetMismatchError(
+                "cannot evaluate a functional on an element over another alphabet"
+            )
+        column = [Fraction(0)] * kmax
+        for word, coefficient in value.terms():
+            for index, weight in hits.get(word, ()):
+                column[index] += weight * coefficient
+        columns[key] = column
+    return columns
+
+
+# Each disk's psi matrix by rows, row k - 1 holding psi_k on the targets
+# at j = 1..kmax, or why the first of its targets to fail failed.
+Rows = dict[Disk, list[tuple[Fraction, ...]] | str]
+
+
+def _psi_rows(kmax: int, columns: Columns) -> Rows:
+    rows: Rows = {}
+    for disk in Disk:
+        try:
+            rows[disk] = list(zip(*(_target(columns, disk, j) for j in range(1, kmax + 1))))
+        except CheckFailure as failure:
+            rows[disk] = str(failure)
+    return rows
 
 
 # The value of psi(k) on each disk's target at k.
@@ -303,13 +351,20 @@ def _target(targets: Targets | Columns, disk: Disk, k: int):
     return value
 
 
+def _matrix(rows: Rows, disk: Disk) -> list[tuple[Fraction, ...]]:
+    matrix = rows[disk]
+    if isinstance(matrix, str):
+        raise CheckFailure(matrix)
+    return matrix
+
+
 # ---------------------------------------------------------------------------
 # Suites.
 
 def _at_each_k(analysis: Callable[[int], object]) -> Callable[[int], object]:
-    """A structural analysis for each k: the one symbolic result, run now,
-    except at the k in its exceptional set, or at every k when it did not
-    go through, where the analysis runs at that k."""
+    """A k-parametrised computation for each k: the one symbolic result,
+    run now, except at the k in its exceptional set, or at every k when it
+    did not go through, where the computation runs at that k."""
     for_all, exceptional = for_every_k(analysis)
 
     def at(k: int):
@@ -322,25 +377,23 @@ def _at_each_k(analysis: Callable[[int], object]) -> Callable[[int], object]:
 
 def verify_psi_targets(kmax: int = 10) -> Report:
     """psi(k) takes value 1 on disk-1 targets, 3 on disk-2 targets, 0 across."""
-    return _psi_targets(kmax, _psi_columns(kmax, _build_targets(kmax)))
+    return _psi_targets(kmax, _psi_rows(kmax, _psi_columns(kmax, _build_targets(kmax))))
 
 
-def _psi_targets(kmax: int, columns: Columns) -> Report:
+def _psi_targets(kmax: int, rows: Rows) -> Report:
     report = Report("psi-targets", {"kmax": kmax})
     for k in range(1, kmax + 1):
         for disk in Disk:
             value = _PSI_ON_TARGET[disk]
 
             def body(disk=disk, k=k, value=value) -> str:
-                row = {
-                    j: _target(columns, disk, j)[k - 1] for j in range(1, kmax + 1)
-                }
-                if row[k] != value:
+                row = _matrix(rows, disk)[k - 1]
+                if row[k - 1] != value:
                     raise CheckFailure(
-                        f"psi_{k} on the {disk.value} target at k={k} is {row[k]}, "
+                        f"psi_{k} on the {disk.value} target at k={k} is {row[k - 1]}, "
                         f"expected {value}"
                     )
-                off_diagonal = {j: q for j, q in row.items() if j != k and q != 0}
+                off_diagonal = {j: q for j, q in enumerate(row, 1) if j != k and q}
                 if off_diagonal:
                     raise CheckFailure(
                         f"psi_{k} is nonzero off the diagonal: {off_diagonal}"
@@ -407,7 +460,7 @@ def verify_hexagon_vanishing(
         random_syllables = max_syllables + 3
         random_exponent = max_exponent + 3
         quotas = [stop - start for start, stop in _chunk_ranges(random_trials)]
-        witnesses = _witnesses(kmax)
+        witnesses = _witnesses(kmax) if quotas else ()
         tasks = [
             (random_syllables, random_exponent, witnesses, seed, index, quota)
             for index, quota in enumerate(quotas)
@@ -531,9 +584,10 @@ def verify_main_theorem(
     span = verify_span_vanishing(**bounds, workers=workers)
     built = _build_targets(kmax)
     values = built if target_factory is None else _build_targets(kmax, target_factory)
+    columns = _psi_columns(kmax, values)
     return _main_theorem(
-        kmax, max_syllables, max_exponent, hexagon, span, built, values,
-        _psi_columns(kmax, values),
+        kmax, max_syllables, max_exponent, hexagon, span, built, values, columns,
+        _psi_rows(kmax, columns),
     )
 
 
@@ -546,13 +600,15 @@ def _main_theorem(
     built: Targets,
     values: Targets,
     columns: Columns,
+    rows: Rows,
 ) -> Report:
     """The main-theorem report, citing the checks of hexagon and span reports
     built at the same kmax and word bounds; their random trials are not cited.
 
     ``built`` holds the w3_target values for k = 1..kmax, ``values`` the
-    targets the certificates test (the same unless a factory replaced them)
-    and ``columns`` psi(1..kmax) on each of ``values``.
+    targets the certificates test (the same unless a factory replaced them),
+    ``columns`` psi(1..kmax) on each of ``values`` and ``rows`` each
+    disk's psi matrix read from them.
     """
     report = Report(
         "main-theorem",
@@ -610,10 +666,7 @@ def _main_theorem(
         def ranks(disk=disk) -> str:
             family = [_target(values, disk, k) for k in range(1, kmax + 1)]
             elimination_rank = rank(family)
-            functional_matrix = [
-                [columns[disk, j][k] for j in range(1, kmax + 1)] for k in range(kmax)
-            ]
-            matrix_rank = matrix_rank_exact(functional_matrix)
+            matrix_rank = matrix_rank_exact(_matrix(rows, disk))
             if elimination_rank != kmax or matrix_rank != kmax:
                 raise CheckFailure(
                     f"rank of the {disk.value} family is {elimination_rank} by "
@@ -678,15 +731,15 @@ def verify_all(
 ) -> list[Report]:
     """Run the four suites in a fixed order, each check once.
 
-    The 2 * kmax targets are built once, by w3_target, and so is the
-    kmax x kmax psi matrix of each disk; both are shared by the
-    psi-targets checks and main-theorem's expansion, target and rank
-    checks.  Main-theorem cites the hexagon and span checks run just
-    before it.
+    The 2 * kmax targets are built once, and so is the kmax x kmax psi
+    matrix of each disk; both are shared by the psi-targets checks and
+    main-theorem's expansion, target and rank checks.  Main-theorem
+    cites the hexagon and span checks run just before it.
     """
     targets = _build_targets(kmax)
     columns = _psi_columns(kmax, targets)
-    psi_targets = _psi_targets(kmax, columns)
+    rows = _psi_rows(kmax, columns)
+    psi_targets = _psi_targets(kmax, rows)
     bounds = dict(kmax=kmax, max_syllables=max_syllables, max_exponent=max_exponent)
     hexagon = verify_hexagon_vanishing(
         **bounds, random_trials=random_trials, seed=seed, workers=workers
@@ -697,6 +750,7 @@ def verify_all(
         hexagon,
         span,
         _main_theorem(
-            kmax, max_syllables, max_exponent, hexagon, span, targets, targets, columns
+            kmax, max_syllables, max_exponent, hexagon, span, targets, targets, columns,
+            rows,
         ),
     ]

@@ -341,8 +341,9 @@ def at_k(w: Word, k: Exponent) -> Word:
     affine exponent for a sub-family), reduced."""
     if not (type(k) is int and k >= 1 or isinstance(k, Affine)):
         raise WordError(f"k must be a positive int or an affine exponent, got {k!r}")
+    # Syllables with int exponents are shared with w, not copied.
     syllables = tuple(
-        (letter, exp if type(exp) is int else exp.at(k)) for letter, exp in w.syllables
+        s if type(s[1]) is int else (s[0], s[1].at(k)) for s in w.syllables
     )
     return Word._raw(w.alphabet, _merge_runs([tuple(s for s in syllables if s[1])]))
 

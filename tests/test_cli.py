@@ -219,6 +219,20 @@ def test_verify_all_report_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORT_SHA256
 
 
+# The same at kmax 100, where the targets and psi matrices reach large k.
+PINNED_DEEP_K_REPORT_SHA256 = "ed5517d763c3d789af538bf580d72842cfb97671b8e3161599bc64650fe7680b"
+
+
+def test_deep_k_report_bytes_are_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "all", "--kmax", "100", "--max-syllables", "1", "--max-exponent", "1",
+        "--trials", "0", "--seed", "0", "--workers", "1", "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEEP_K_REPORT_SHA256
+
+
 def test_verify_markdown(capsys):
     code, out, _ = run_cli(
         capsys,

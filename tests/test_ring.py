@@ -159,6 +159,19 @@ MALFORMED_ELEMENT_JSON = [
 ]
 
 
+def test_at_k_merges_terms_that_meet():
+    u_k = parse_word("t u^k", k=True)
+    element = RingElement(BASE, [(u_k, 2), (parse_word("t u^2"), -2), (parse_word("u"), 1)])
+    assert element.term_count == 3
+    # At k = 2 the two words coincide and their terms cancel.
+    assert element.at_k(2) == RingElement(BASE, [(parse_word("u"), 1)])
+    assert element.at_k(3) == RingElement(
+        BASE, [(parse_word("t u^3"), 2), (parse_word("t u^2"), -2), (parse_word("u"), 1)]
+    )
+    # A concrete element is its own instance.
+    assert element.at_k(3).at_k(5) == element.at_k(3)
+
+
 def test_functional_is_linear():
     rng = random.Random(57)
     t, u = parse_word("t"), parse_word("u")

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import barbellw3.barbell as barbell
 import barbellw3.solver as solver
 import barbellw3.verify as verify
-from barbellw3.barbell import t_poly
+from barbellw3.barbell import Disk, psi, t_poly, w3_target
 from barbellw3.cli import emit
 from barbellw3.patterns import parse_pattern
 from barbellw3.solver import solve
@@ -23,7 +24,8 @@ from barbellw3.verify import (
     verify_psi_targets,
     verify_span_vanishing,
 )
-from barbellw3.words import K, concat, parse_word
+from barbellw3.ring import RingElement
+from barbellw3.words import QUAD, K, concat, parse_word
 
 
 def report_json(report):
@@ -185,15 +187,126 @@ def test_verify_all_builds_each_target_once(monkeypatch):
         kmax=kmax, max_syllables=1, max_exponent=1, random_trials=10, seed=0, workers=1
     )
     assert all(report.overall == "pass" for report in reports)
-    assert len(built) == 2 * kmax
-    assert set(built) == {(disk, k) for disk in barbell.Disk for k in range(1, kmax + 1)}
+    # One build per disk at k = K, instantiated at every k: no k is
+    # exceptional, so no concrete build.
+    assert built == [(barbell.Disk.D1, K), (barbell.Disk.D2, K)]
+
+
+def test_targets_built_at_K_match_the_concrete_build():
+    kmax = 30
+    targets = verify._build_targets(kmax)
+    columns = verify._psi_columns(kmax, targets)
+    for disk in Disk:
+        for k in range(1, kmax + 1):
+            value = w3_target(disk, k).value
+            assert targets[disk, k] == value
+            assert columns[disk, k] == [psi(j)(value) for j in range(1, kmax + 1)]
+            assert all(type(q) is Fraction for q in columns[disk, k])
+
+
+def test_exceptional_k_builds_the_target_concretely(monkeypatch):
+    built = []
+    original = verify.w3_target
+
+    def planted(disk, k):
+        built.append((disk, k))
+        if k is K:
+            # A seam u^k u^-3 that vanishes at k = 3.
+            concat(parse_word("u^k", k=True), parse_word("u^-3"))
+        return original(disk, k)
+
+    monkeypatch.setattr(verify, "w3_target", planted)
+    kwargs = dict(kmax=4, max_syllables=1, max_exponent=1, random_trials=10, seed=0, workers=1)
+    reports = verify_all(**kwargs)
+    assert built == [(Disk.D1, K), (Disk.D2, K), (Disk.D1, 3), (Disk.D2, 3)]
+    monkeypatch.undo()
+    assert [report_json(r) for r in reports] == [report_json(r) for r in verify_all(**kwargs)]
+
+
+def test_k_specific_expansion_defect_fails_only_where_it_shows(monkeypatch):
+    # Row 0 with u_3^-2 for u_3^-k: right at k = 2 only.
+    sign, _ = barbell.T4_EXPANSION_ROWS[0]
+    row = (sign, parse_word("t_1^-1 t_3 u_3^-2 t_3^-2", QUAD))
+    monkeypatch.setattr(barbell, "T4_EXPANSION_ROWS", (row,) + barbell.T4_EXPANSION_ROWS[1:])
+    targets = verify._build_targets(3)
+    assert targets == verify._build_targets(3, lambda disk, k: w3_target(disk, k).value)
+    for disk in Disk:
+        assert isinstance(targets[disk, 2], RingElement)
+        for k in (1, 3):
+            assert targets[disk, k] == (
+                f"SelfCheckError: polynomial and hard-coded constructions of the "
+                f"{disk.value} target disagree at k={k}"
+            )
+    psi_report, _, _, main = verify_all(
+        kmax=3, max_syllables=1, max_exponent=1, random_trials=10, seed=0, workers=1
+    )
+    status = {check.name: check.status for check in main.checks}
+    for disk in Disk:
+        assert [status[f"target_psi_{disk.value}_k{k}"] for k in (1, 2, 3)] == [
+            "fail", "pass", "fail"
+        ]
+    assert psi_report.checks[2].details == (
+        "target construction failed for d1 at k=1: SelfCheckError: polynomial and "
+        "hard-coded constructions of the d1 target disagree at k=1"
+    )
+    agree = main.checks[0]
+    assert agree.details == (
+        "4 of 6 targets failed, first: SelfCheckError: polynomial and hard-coded "
+        "constructions of the d1 target disagree at k=1"
+    )
+
+
+def test_process_pool_is_no_larger_than_its_task_list(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    kwargs = dict(kmax=1, max_syllables=1, max_exponent=1, random_trials=10, seed=0)
+    pooled = verify_all(**kwargs, workers=500)
+    # 25 hexagon pairs, 10 random trials and 8 admissible pairs, one per chunk.
+    assert sizes == [25, 10, 8]
+    assert verify._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert sizes[-1] == 2
+    assert [report_json(r) for r in pooled] == [
+        report_json(r) for r in verify_all(**kwargs, workers=1)
+    ]
+
+
+def test_no_witnesses_are_built_without_random_trials(monkeypatch):
+    calls = []
+    original = verify._witnesses
+
+    def counted(kmax):
+        calls.append(kmax)
+        return original(kmax)
+
+    monkeypatch.setattr(verify, "_witnesses", counted)
+    kwargs = dict(kmax=2, max_syllables=1, max_exponent=1, seed=0, workers=1)
+    report = verify_hexagon_vanishing(**kwargs, random_trials=0)
+    assert calls == [2]  # the exhaustive sweep's
+    assert report.checks[1].details == "0 seeded random pairs at bounds (4, 4): all zero"
+    verify_hexagon_vanishing(**kwargs, random_trials=10)
+    assert calls == [2, 2, 2]
 
 
 def test_one_failed_target_fails_only_the_checks_that_use_it(monkeypatch):
     original = verify.w3_target
 
     def broken(disk, k):
-        if (disk, k) == (barbell.Disk.D2, 2):
+        # The failed build at K sends every k of D2 to a concrete build.
+        if disk is barbell.Disk.D2 and (k is K or k == 2):
             raise barbell.SelfCheckError("planted")
         return original(disk, k)
 
