@@ -297,7 +297,10 @@ def rank(vectors: Iterable[RingElement]) -> int:
     for element in elements:
         if element.alphabet is not elements[0].alphabet:
             raise AlphabetMismatchError("rank needs elements over one alphabet")
+    # Columns are numbered as their words are first seen: rank does not
+    # depend on the column order.
+    columns: dict[Word, int] = {}
     return _eliminate(
-        {word_sort_key(word): q for word, q in element._terms.items()}
+        {columns.setdefault(word, len(columns)): q for word, q in element._terms.items()}
         for element in elements
     )

@@ -25,7 +25,8 @@ did not go through, are analysed concretely, so a report reads the same
 either way.  The targets are built the same way: once per disk at
 k = K, comparing the two constructions as formal sums with affine
 exponents, then instantiated at each k outside E.  psi(1..kmax) is read
-on them through one index of its weighted words.  The symbolic results
+on them through one index of its weighted words, and each disk's psi
+matrix is held sparse, as its nonzero entries only.  The symbolic results
 are not cached across calls: the planted-defect tests replace the
 tables between calls, and the per-call work counts must repeat from run
 to run.
@@ -39,12 +40,13 @@ once, from ``psi`` itself, and hands them to its chunks.
 Reports serialize byte-identically from run to run: wall-clock timings
 stay in memory only, enumerations are chunked the same way regardless
 of the worker count, and chunk results are merged in enumeration order.
+The process pool, and the modules it needs, load only when a sweep runs
+with more than one worker and more than one chunk.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -63,7 +65,7 @@ from .barbell import (
     w3_target,
 )
 from .patterns import CompiledFormulas, Run, word_pieces
-from .ring import RingElement, matrix_rank_exact, rank
+from .ring import RingElement, _eliminate, rank
 from .solver import compare_with_reference, for_every_k, hexagon_case_analysis
 from .words import BASE, AlphabetMismatchError, Word, bounded_words
 
@@ -154,6 +156,9 @@ def _chunk_ranges(total: int) -> list[tuple[int, int]]:
 def _run_tasks(fn: Callable, tasks: list, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
+    # Imported here, so that a serial run never loads the pool's modules.
+    from concurrent.futures import ProcessPoolExecutor
+
     # A forked pool starts all its workers at once: no more than tasks.
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
@@ -295,13 +300,15 @@ def _build_targets(
     return targets
 
 
-# psi(1..kmax) on each target, or the reason its construction failed.
-Columns = dict[tuple[Disk, int], list[Fraction] | str]
+# psi(1..kmax) on each target, as index k - 1 -> psi_k where that is
+# nonzero, or the reason its construction failed.
+Columns = dict[tuple[Disk, int], dict[int, Fraction] | str]
 
 
 def _psi_columns(kmax: int, targets: Targets) -> Columns:
     """psi(1..kmax) on each target, read through one index of psi's
-    weighted words, so each target costs its own terms only."""
+    weighted words, so each target costs its own terms only.  A column
+    holds only its nonzero values."""
     functionals = [psi(k) for k in range(1, kmax + 1)]
     hits: dict[Word, list[tuple[int, Fraction]]] = {}
     for index, functional in enumerate(functionals):
@@ -317,24 +324,29 @@ def _psi_columns(kmax: int, targets: Targets) -> Columns:
             raise AlphabetMismatchError(
                 "cannot evaluate a functional on an element over another alphabet"
             )
-        column = [Fraction(0)] * kmax
+        column: dict[int, Fraction] = {}
         for word, coefficient in value.terms():
             for index, weight in hits.get(word, ()):
-                column[index] += weight * coefficient
-        columns[key] = column
+                column[index] = column.get(index, 0) + weight * coefficient
+        columns[key] = {index: q for index, q in column.items() if q}
     return columns
 
 
 # Each disk's psi matrix by rows, row k - 1 holding psi_k on the targets
-# at j = 1..kmax, or why the first of its targets to fail failed.
-Rows = dict[Disk, list[tuple[Fraction, ...]] | str]
+# as index j - 1 -> value for the nonzero values at j = 1..kmax, or why
+# the first of its targets to fail failed.
+Rows = dict[Disk, list[dict[int, Fraction]] | str]
 
 
 def _psi_rows(kmax: int, columns: Columns) -> Rows:
     rows: Rows = {}
     for disk in Disk:
         try:
-            rows[disk] = list(zip(*(_target(columns, disk, j) for j in range(1, kmax + 1))))
+            matrix: list[dict[int, Fraction]] = [{} for _ in range(kmax)]
+            for j in range(1, kmax + 1):
+                for index, q in _target(columns, disk, j).items():
+                    matrix[index][j - 1] = q
+            rows[disk] = matrix
         except CheckFailure as failure:
             rows[disk] = str(failure)
     return rows
@@ -351,7 +363,7 @@ def _target(targets: Targets | Columns, disk: Disk, k: int):
     return value
 
 
-def _matrix(rows: Rows, disk: Disk) -> list[tuple[Fraction, ...]]:
+def _matrix(rows: Rows, disk: Disk) -> list[dict[int, Fraction]]:
     matrix = rows[disk]
     if isinstance(matrix, str):
         raise CheckFailure(matrix)
@@ -388,12 +400,15 @@ def _psi_targets(kmax: int, rows: Rows) -> Report:
 
             def body(disk=disk, k=k, value=value) -> str:
                 row = _matrix(rows, disk)[k - 1]
-                if row[k - 1] != value:
+                diagonal = row.get(k - 1, 0)
+                if diagonal != value:
                     raise CheckFailure(
-                        f"psi_{k} on the {disk.value} target at k={k} is {row[k - 1]}, "
+                        f"psi_{k} on the {disk.value} target at k={k} is {diagonal}, "
                         f"expected {value}"
                     )
-                off_diagonal = {j: q for j, q in enumerate(row, 1) if j != k and q}
+                off_diagonal = {
+                    index + 1: q for index, q in sorted(row.items()) if index != k - 1
+                }
                 if off_diagonal:
                     raise CheckFailure(
                         f"psi_{k} is nonzero off the diagonal: {off_diagonal}"
@@ -643,7 +658,7 @@ def _main_theorem(
         for disk in Disk:
 
             def nonvanishing(disk=disk, k=k) -> str:
-                value = _target(columns, disk, k)[k - 1]
+                value = _target(columns, disk, k).get(k - 1, 0)
                 if value != _PSI_ON_TARGET[disk]:
                     raise CheckFailure(
                         f"psi_{k} on the {disk.value} value is {value}, "
@@ -666,7 +681,7 @@ def _main_theorem(
         def ranks(disk=disk) -> str:
             family = [_target(values, disk, k) for k in range(1, kmax + 1)]
             elimination_rank = rank(family)
-            matrix_rank = matrix_rank_exact(_matrix(rows, disk))
+            matrix_rank = _eliminate(dict(row) for row in _matrix(rows, disk))
             if elimination_rank != kmax or matrix_rank != kmax:
                 raise CheckFailure(
                     f"rank of the {disk.value} family is {elimination_rank} by "
@@ -731,8 +746,8 @@ def verify_all(
 ) -> list[Report]:
     """Run the four suites in a fixed order, each check once.
 
-    The 2 * kmax targets are built once, and so is the kmax x kmax psi
-    matrix of each disk; both are shared by the psi-targets checks and
+    The 2 * kmax targets are built once, and so is the sparse kmax x kmax
+    psi matrix of each disk; both are shared by the psi-targets checks and
     main-theorem's expansion, target and rank checks.  Main-theorem
     cites the hexagon and span checks run just before it.
     """

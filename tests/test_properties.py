@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from barbellw3.barbell import monomials_m, psi
 from barbellw3.patterns import eval_pattern
-from barbellw3.ring import RingElement
+from barbellw3.ring import RingElement, rank
 from barbellw3.solver import solve, table_patterns
 from barbellw3.words import (
     BASE,
@@ -34,6 +34,7 @@ from barbellw3.words import (
 )
 
 from oracles import naive_concat, naive_invert
+from test_ring import sympy_rank
 
 INTS = st.integers(-4, 4).filter(bool)
 AFFINE = st.one_of(
@@ -103,6 +104,22 @@ def test_psi_is_linear(case):
     m1, m2 = monomials_m(k)
     assert functional(x) == x.coeff(m1) - x.coeff(m2)
     assert isinstance(functional(x), Fraction)
+
+
+@st.composite
+def families(draw):
+    """Up to 6 elements over at most 4 words, so that many are dependent."""
+    pool = draw(st.lists(words(QUAD, min_size=1), min_size=1, max_size=4, unique=True))
+    coefficients = st.fractions(-3, 3, max_denominator=3)
+    terms = st.lists(st.tuples(st.sampled_from(pool), coefficients), max_size=4)
+    return draw(st.lists(terms.map(lambda t: RingElement(QUAD, t)), max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(families().flatmap(lambda family: st.tuples(st.just(family), st.permutations(family))))
+def test_rank_matches_sympy_in_any_order(case):
+    family, shuffled = case
+    assert rank(family) == sympy_rank(family) == rank(shuffled)
 
 
 @settings(max_examples=200, deadline=None)

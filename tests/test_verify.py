@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -200,8 +205,10 @@ def test_targets_built_at_K_match_the_concrete_build():
         for k in range(1, kmax + 1):
             value = w3_target(disk, k).value
             assert targets[disk, k] == value
-            assert columns[disk, k] == [psi(j)(value) for j in range(1, kmax + 1)]
-            assert all(type(q) is Fraction for q in columns[disk, k])
+            assert columns[disk, k] == {
+                j - 1: psi(j)(value) for j in range(1, kmax + 1) if psi(j)(value)
+            }
+            assert all(type(q) is Fraction for q in columns[disk, k].values())
 
 
 def test_exceptional_k_builds_the_target_concretely(monkeypatch):
@@ -272,7 +279,8 @@ def test_process_pool_is_no_larger_than_its_task_list(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    # _run_tasks imports the pool where it opens one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     kwargs = dict(kmax=1, max_syllables=1, max_exponent=1, random_trials=10, seed=0)
     pooled = verify_all(**kwargs, workers=500)
     # 25 hexagon pairs, 10 random trials and 8 admissible pairs, one per chunk.
@@ -282,6 +290,27 @@ def test_process_pool_is_no_larger_than_its_task_list(monkeypatch):
     assert [report_json(r) for r in pooled] == [
         report_json(r) for r in verify_all(**kwargs, workers=1)
     ]
+
+
+def test_serial_run_does_not_load_the_process_pool():
+    code = (
+        "import sys\n"
+        "from barbellw3.cli import main\n"
+        "main(['verify', 'all', '--kmax', '2', '--max-syllables', '1',"
+        " '--max-exponent', '1', '--trials', '4', '--workers', '1', '--format', 'json'])\n"
+        "print(sorted(name for name in sys.modules if name == 'concurrent.futures'"
+        " or name.startswith(('concurrent.futures.', 'multiprocessing'))),"
+        " file=sys.stderr)\n"
+    )
+    src = str(Path(verify.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["overall"] == "pass"
+    assert result.stderr == "[]\n"
 
 
 def test_no_witnesses_are_built_without_random_trials(monkeypatch):
@@ -391,10 +420,84 @@ def test_planted_dependence_fails_the_rank_check():
     )
     checks = {check.name: check for check in report.checks}
     assert checks["rank_d1"].status == "fail"
-    assert "is 2 by elimination" in checks["rank_d1"].details
+    assert checks["rank_d1"].details == (
+        "rank of the d1 family is 2 by elimination and 2 by the functional matrix, "
+        "expected 3"
+    )
     assert checks["certificate_d1_k3"].status == "fail"
     assert checks["rank_d2"].status == "pass"
     assert checks["certificate_d2_k3"].status == "pass"
+
+
+# psi(k)'s witness word with weight 1.
+def _witness(k):
+    word = parse_word(f"t_1^-1 t_3 u_3^-{k} t_3^-2", QUAD)
+    assert psi(k).weights[word] == 1
+    return word
+
+
+def _psi_targets_report(kmax, targets):
+    return verify._psi_targets(
+        kmax, verify._psi_rows(kmax, verify._psi_columns(kmax, targets))
+    )
+
+
+def test_psi_matrix_off_diagonal_details_list_j_in_ascending_order():
+    kmax = 3
+    targets = verify._build_targets(kmax)
+    targets[Disk.D1, 3] += RingElement.monomial(_witness(1), Fraction(-1, 2))
+    targets[Disk.D1, 2] += RingElement.monomial(_witness(1), Fraction(2, 3))
+    report = _psi_targets_report(kmax, targets)
+    failed = {check.name: check.details for check in report.checks if not check.passed}
+    assert failed == {
+        "psi_target_d1_k1": (
+            "psi_1 is nonzero off the diagonal: {2: Fraction(2, 3), 3: Fraction(-1, 2)}"
+        )
+    }
+
+
+def test_psi_matrix_zero_diagonal_details():
+    kmax = 3
+    # Each plant cancels psi(k) on its target at k: the diagonal entry is 0.
+    plants = {(Disk.D1, 2): RingElement.monomial(_witness(2), -1),
+              (Disk.D2, 1): RingElement.monomial(_witness(1), -3)}
+    targets = verify._build_targets(kmax)
+    for key, plant in plants.items():
+        targets[key] += plant
+    failed = {
+        check.name: check.details
+        for check in _psi_targets_report(kmax, targets).checks
+        if not check.passed
+    }
+    assert failed == {
+        "psi_target_d2_k1": "psi_1 on the d2 target at k=1 is 0, expected 3",
+        "psi_target_d1_k2": "psi_2 on the d1 target at k=2 is 0, expected 1",
+    }
+
+    def planted(disk, k):
+        value = w3_target(disk, k).value
+        return value + plants[disk, k] if (disk, k) in plants else value
+
+    report = verify_main_theorem(
+        kmax=kmax, max_syllables=1, max_exponent=1, workers=1, target_factory=planted
+    )
+    failed = {
+        check.name: check.details
+        for check in report.checks
+        if not check.passed and not check.name.startswith("certificate_")
+    }
+    assert failed == {
+        "target_psi_d2_k1": "psi_1 on the d2 value is 0, expected 3",
+        "target_psi_d1_k2": "psi_2 on the d1 value is 0, expected 1",
+        "rank_d1": (
+            "rank of the d1 family is 3 by elimination and 2 by the functional "
+            "matrix, expected 3"
+        ),
+        "rank_d2": (
+            "rank of the d2 family is 3 by elimination and 2 by the functional "
+            "matrix, expected 3"
+        ),
+    }
 
 
 def test_corrupted_expansion_table_is_caught(monkeypatch):
