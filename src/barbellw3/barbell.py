@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .patterns import CompiledFormulas, Pattern, Run, parse_pattern, word_pieces
 from .ring import Functional, RingElement
@@ -274,9 +274,12 @@ def psi(k: int) -> Functional:
 # ---------------------------------------------------------------------------
 # Admissible pairs and the span they generate.
 
-@dataclass(frozen=True)
-class AdmissiblePair:
-    """A pair of nontrivial words whose junction switches letters."""
+class AdmissiblePair(NamedTuple):
+    """A pair of nontrivial words whose junction switches letters.
+
+    A tuple, so that the enumeration, which span chunks walk up to their
+    start, builds each pair at the cost of a tuple.
+    """
 
     a: Word
     c: Word
@@ -315,12 +318,14 @@ def enumerate_admissible(
     }
     for w in words:
         heads[(w.syllable_count, w.syllables[0][0])].append(w)
+    # tuple.__new__ skips the generated constructor's argument handling.
+    new = tuple.__new__
     for total in range(2, 2 * max_syllables + 1):
         for a in words:
             c_count = total - a.syllable_count
             if 1 <= c_count <= max_syllables:
                 for c in heads[(c_count, _OTHER_LETTER[a.syllables[-1][0]])]:
-                    yield AdmissiblePair(a, c)
+                    yield new(AdmissiblePair, (a, c))
 
 
 def count_admissible(max_syllables: int, max_exponent: int) -> int:

@@ -21,7 +21,7 @@ from .words import (
     BASE,
     Syllable,
     Word,
-    _merge_runs,
+    _seam,
     concat_words,
     invert,
     rename,
@@ -115,11 +115,14 @@ def word_pieces(w: Word) -> tuple[Run, Run, Run, Run]:
     """
     if w.alphabet is not BASE:
         raise PatternError("pattern values must be over the two-letter alphabet")
-    inverse = tuple((letter, -exp) for letter, exp in reversed(w.syllables))
-    return tuple(
-        tuple((table[letter], exp) for letter, exp in run)
-        for table in (_RENAME[1], _RENAME[3])
-        for run in (w.syllables, inverse)
+    syllables = w.syllables
+    inverse = [(letter, -exp) for letter, exp in reversed(syllables)]
+    one, three = _RENAME[1], _RENAME[3]
+    return (
+        tuple([(one[letter], exp) for letter, exp in syllables]),
+        tuple([(one[letter], exp) for letter, exp in inverse]),
+        tuple([(three[letter], exp) for letter, exp in syllables]),
+        tuple([(three[letter], exp) for letter, exp in inverse]),
     )
 
 
@@ -132,11 +135,14 @@ class CompiledFormulas:
 
     ``evaluate`` takes the concatenated ``word_pieces`` of one value per
     variable, in the order of ``variables``, and multiplies out every
-    shape once.  Pieces are reduced, so a product can only cancel where
-    the same letter meets itself at a seam, and only there is it
-    reduced.  Letters with different subscripts never meet that way, so
-    a change of subscript is a plain concatenation, unless the stretch
-    before it reduced to the identity and let its neighbours meet.
+    shape once, each held as its first piece index and the rest.  Pieces
+    are reduced, so a product can only cancel where the same letter
+    meets itself at a seam, and only there does ``words._seam``, the
+    one cancellation rule, walk back as far as syllables cancel; the
+    rest is sliced.
+    Letters with different subscripts never meet that way, so a change
+    of subscript is a plain concatenation, unless the stretch before it
+    reduced to the identity and let its neighbours meet.
     ``coefficients`` then sums one formula's signed terms over those
     shape words.
     """
@@ -158,10 +164,10 @@ class CompiledFormulas:
             terms[key] = tuple(entries)
         self.shapes = tuple(shapes)
         self.terms = terms
-        self._indices = tuple(
-            tuple(self._piece_index(factor) for factor in pattern.factors)
-            for pattern in shapes
-        )
+        indices = [
+            [self._piece_index(factor) for factor in pattern.factors] for pattern in shapes
+        ]
+        self._indices = tuple((first, tuple(rest)) for first, *rest in indices)
 
     def _piece_index(self, factor: PatternFactor) -> int:
         if factor.var not in self.variables:
@@ -175,12 +181,13 @@ class CompiledFormulas:
     def evaluate(self, pieces: Sequence[Run]) -> list[Run]:
         """Reduced syllables of every shape, indexed like ``shapes``."""
         words = []
-        for first, *rest in self._indices:
+        for first, rest in self._indices:
             word = pieces[first]
             for index in rest:
                 piece = pieces[index]
                 if word and piece and word[-1][0] == piece[0][0]:
-                    word = _merge_runs((word, piece))
+                    i, j, middle = _seam(word, piece)
+                    word = word[:i] + middle + piece[j:]
                 else:
                     word += piece
             words.append(word)

@@ -30,7 +30,7 @@ family parameter ``K`` to the table or the hexagon case analysis, so
 the words carry exponents a + b*k.  The same code then answers for
 every k >= 1 except a finite exceptional set E: the k at which one of
 its k-dependent decisions would flip, a seam sum that vanishes in
-``_merge_runs`` or two words that coincide in ``equal_syllables``.
+``_seam`` or two words that coincide in ``equal_syllables``.
 Every k in E must be solved again concretely.
 """
 

@@ -34,8 +34,15 @@ to run.
 The three sweeps, ``hexagon_exhaustive``, ``hexagon_random`` and
 ``span_generators``, are one computation: ``_scan`` takes psi of a
 signed formula at each of a stream of word pairs.  Each sweep's chunk
-worker only produces its pairs, and each sweep builds its witness words
-once, from ``psi`` itself, and hands them to its chunks.
+worker only produces its pairs.  Each sweep builds its witness words
+once, from ``psi`` itself, and the two exhaustive sweeps build their
+bounded words' ``word_pieces`` once as well; all of it goes to the
+chunks in their tasks.  The hexagon chunks take the bounded words from
+their task too, but each span chunk still calls ``enumerate_admissible``,
+which builds and sorts the bounded words again, and walks it from its
+first pair up to its start, so the 32 chunks together walk
+(32 + 1) / 2 = 16.5 times as many pairs as they check.  The random sweep
+takes the pieces of each word it draws.
 
 Reports serialize byte-identically from run to run: wall-clock timings
 stay in memory only, enumerations are chunked the same way regardless
@@ -49,7 +56,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import islice, repeat
 from time import perf_counter
 from typing import Callable, Iterable
@@ -183,6 +189,16 @@ def _witnesses(kmax: int) -> tuple[tuple[Run, int, Fraction], ...]:
     )
 
 
+def _words_and_pieces(
+    max_syllables: int, max_exponent: int, include_identity: bool
+) -> tuple[tuple[Word, ...], tuple[tuple[Run, ...], ...]]:
+    """The bounded words of a sweep and their word_pieces, built once per
+    sweep and passed to every chunk in its task.  A span chunk uses the
+    words only to look up the pieces of the pairs it is handed."""
+    words = tuple(bounded_words(max_syllables, max_exponent, BASE, include_identity))
+    return words, tuple([word_pieces(w) for w in words])
+
+
 def _scan(
     formulas: CompiledFormulas,
     keys: tuple,
@@ -227,9 +243,7 @@ def _scan(
 
 
 def _hexagon_chunk(task: tuple) -> tuple[int, list[str]]:
-    max_syllables, max_exponent, witnesses, start, stop = task
-    words = bounded_words(max_syllables, max_exponent, BASE, include_identity=True)
-    pieces = [word_pieces(w) for w in words]
+    words, pieces, witnesses, start, stop = task
     items = (
         (words[i], words[j], pieces[i] + pieces[j])
         for i, j in map(divmod, range(start, stop), repeat(len(words)))
@@ -259,10 +273,10 @@ def _hexagon_random_chunk(task: tuple) -> tuple[int, list[str]]:
 
 
 def _span_chunk(task: tuple) -> tuple[int, list[str]]:
-    max_syllables, max_exponent, kinds, witnesses, start, stop = task
-    pieces = cache(word_pieces)
+    max_syllables, max_exponent, kinds, witnesses, words, pieces, start, stop = task
+    lookup = dict(zip(words, pieces))
     pairs = islice(enumerate_admissible(max_syllables, max_exponent), start, stop)
-    items = ((p.a, p.c, pieces(p.a) + pieces(p.c)) for p in pairs)
+    items = ((a, c, lookup[a] + lookup[c]) for a, c in pairs)
     return _scan(T_POLY_FORMULAS, kinds, "t_poly({0}, {1}, {2})", items, witnesses)
 
 
@@ -448,12 +462,11 @@ def verify_hexagon_vanishing(
     )
 
     def exhaustive() -> str:
-        words = bounded_words(max_syllables, max_exponent, BASE, include_identity=True)
-        total = len(words) ** 2
+        words, pieces = _words_and_pieces(max_syllables, max_exponent, True)
         witnesses = _witnesses(kmax)
         tasks = [
-            (max_syllables, max_exponent, witnesses, start, stop)
-            for start, stop in _chunk_ranges(total)
+            (words, pieces, witnesses, start, stop)
+            for start, stop in _chunk_ranges(len(words) ** 2)
         ]
         checked, violations = _merge_chunks(_run_tasks(_hexagon_chunk, tasks, workers))
         if violations:
@@ -540,9 +553,10 @@ def verify_span_vanishing(
 
     def generators() -> str:
         total_pairs = count_admissible(max_syllables, max_exponent)
+        words, pieces = _words_and_pieces(max_syllables, max_exponent, False)
         witnesses = _witnesses(kmax)
         tasks = [
-            (max_syllables, max_exponent, T_KINDS, witnesses, start, stop)
+            (max_syllables, max_exponent, T_KINDS, witnesses, words, pieces, start, stop)
             for start, stop in _chunk_ranges(total_pairs)
         ]
         checked, violations = _merge_chunks(_run_tasks(_span_chunk, tasks, workers))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from enum import Enum
-from typing import Iterable, Iterator, Literal, Union
+from typing import Iterable, Iterator, Literal, Sequence, Union
 
 
 class WordError(ValueError):
@@ -85,7 +85,7 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 _AFFINE_RE = re.compile(r"([+-]?)([0-9]*)k([+-][0-9]+)?")
 
 # The roots sets of the recorded_roots blocks now open.  The truth tests
-# happen deep inside _merge_runs, which every word operation shares, so
+# happen deep inside _seam, which every word operation shares, so
 # the open sets are found here rather than passed down every call.
 _OPEN_ROOTS: list[set[int]] = []
 
@@ -220,6 +220,11 @@ class Word:
         w._hash = hash(syllables)
         return w
 
+    def __reduce__(self):
+        # Pickled without its hash, which a process with another string
+        # hash seed, such as a spawned worker, computes afresh.
+        return (Word._raw, (self.alphabet, self.syllables))
+
     @property
     def is_identity(self) -> bool:
         return not self.syllables
@@ -302,22 +307,47 @@ def word_sort_key(w: Word) -> tuple:
     return w.sort_key()
 
 
+def _seam(
+    left: Sequence[Syllable], right: tuple[Syllable, ...]
+) -> tuple[int, int, tuple[Syllable, ...]]:
+    """Where two reduced runs cancel when multiplied.
+
+    Only the seam can cancel: the step walks back from it while the
+    meeting syllables share a letter and their exponents sum to zero,
+    and stops at the first pair whose sum does not vanish.  It returns
+    (i, j, merged) such that ``left[:i] + merged + right[j:]`` is the
+    reduced product, ``merged`` being that pair's syllable, or empty.
+    """
+    i, j, n = len(left), 0, len(right)
+    while i and j < n:
+        letter, exp = left[i - 1]
+        if letter != right[j][0]:
+            break
+        exp += right[j][1]
+        if exp:
+            return i - 1, j + 1, ((letter, exp),)
+        i -= 1
+        j += 1
+    return i, j, ()
+
+
 def _merge_runs(parts: Iterable[tuple[Syllable, ...]]) -> tuple[Syllable, ...]:
-    """Concatenate syllable runs, cancelling across the seams."""
-    stack: list[Syllable] = []
-    append = stack.append
-    pop = stack.pop
+    """Concatenate reduced runs, cancelling across the seams.
+
+    A left fold of ``_seam``, the one cancellation rule, into a list, so
+    the cost stays linear in the syllables.  Unreduced input is passed
+    one nonzero syllable per part.
+    """
+    merged: list[Syllable] = []
     for part in parts:
-        for syl in part:
-            if stack and stack[-1][0] == syl[0]:
-                exp = stack[-1][1] + syl[1]
-                if exp:
-                    stack[-1] = (syl[0], exp)
-                else:
-                    pop()
-            else:
-                append(syl)
-    return tuple(stack)
+        if merged and part and merged[-1][0] == part[0][0]:
+            i, j, middle = _seam(merged, part)
+            del merged[i:]
+            merged += middle
+            merged += part[j:]
+        else:
+            merged += part
+    return tuple(merged)
 
 
 def equal_syllables(x: tuple[Syllable, ...], y: tuple[Syllable, ...]) -> bool:
@@ -345,7 +375,7 @@ def at_k(w: Word, k: Exponent) -> Word:
     syllables = tuple(
         s if type(s[1]) is int else (s[0], s[1].at(k)) for s in w.syllables
     )
-    return Word._raw(w.alphabet, _merge_runs([tuple(s for s in syllables if s[1])]))
+    return Word._raw(w.alphabet, _merge_runs([(s,) for s in syllables if s[1]]))
 
 
 def concat(v: Word, w: Word) -> Word:
@@ -507,7 +537,7 @@ def parse_word(text: str, alphabet: Alphabet | None = None, k: bool = False) -> 
                 "word mixes subscripted and unsubscripted letters: " + text.strip()
             )
         alphabet = QUAD if subscripted.pop() else BASE
-    return Word._raw(alphabet, _merge_runs([tuple(syllables)]))
+    return Word._raw(alphabet, _merge_runs((s,) for s in syllables))
 
 
 def bounded_words(

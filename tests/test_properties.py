@@ -14,8 +14,8 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from barbellw3.barbell import monomials_m, psi
-from barbellw3.patterns import eval_pattern
+from barbellw3.barbell import HEXAGON_FORMULAS, T_POLY_FORMULAS, monomials_m, psi
+from barbellw3.patterns import eval_pattern, word_pieces
 from barbellw3.ring import RingElement, rank
 from barbellw3.solver import solve, table_patterns
 from barbellw3.words import (
@@ -28,12 +28,13 @@ from barbellw3.words import (
     equal_syllables,
     identity,
     invert,
+    parse_word,
     recorded_roots,
     rename,
     split_blocks,
 )
 
-from oracles import naive_concat, naive_invert
+from oracles import naive_concat, naive_invert, reduce_letters
 from test_ring import sympy_rank
 
 INTS = st.integers(-4, 4).filter(bool)
@@ -59,10 +60,33 @@ def words(alphabet=BASE, min_size=0):
     return syllables(alphabet, min_size=min_size).map(lambda s: Word(alphabet, s))
 
 
+def unreduced(alphabet):
+    """Syllables with adjacent repeats and zero exponents."""
+    syllable = st.tuples(st.sampled_from(alphabet.letters), st.integers(-3, 3))
+    return st.lists(syllable, max_size=8)
+
+
+def vanishing_at_2(alphabet, syllables) -> Word:
+    """A word with affine exponents whose syllables at k = 2 are the
+    given ones, each zero exponent written k - 2, and each pair of
+    neighbours with one letter held apart by another letter to the
+    power k - 2."""
+    out = []
+    for letter, exp in syllables:
+        if out and out[-1][0] == letter:
+            out.append((next(l for l in alphabet.letters if l != letter), K - 2))
+        out.append((letter, exp or K - 2))
+    return Word(alphabet, out)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([BASE, QUAD]).flatmap(lambda a: st.tuples(words(a), words(a), words(a))))
-def test_group_laws(triple):
-    a, b, c = triple
+@given(
+    st.sampled_from([BASE, QUAD]).flatmap(
+        lambda a: st.tuples(words(a), words(a), words(a), unreduced(a))
+    )
+)
+def test_group_laws(case):
+    a, b, c, syllables = case
     e = identity(a.alphabet)
     assert concat_words([concat_words([a, b]), c]) == concat_words([a, concat_words([b, c])])
     assert concat_words([a, invert(a)]) == e == concat_words([invert(a), a])
@@ -71,6 +95,12 @@ def test_group_laws(triple):
     assert invert(invert(a)) == a
     assert concat_words([a, b, c]) == naive_concat(a, b, c)
     assert invert(a) == naive_invert(a)
+    # The normaliser's one-syllable-at-a-time path, as at_k and parse_word take it.
+    letters = [(l, 1 if n > 0 else -1) for l, n in syllables for _ in range(abs(n))]
+    expected = reduce_letters(a.alphabet, letters)
+    assert at_k(vanishing_at_2(a.alphabet, syllables), 2) == expected
+    text = " ".join(f"{l}^{n}" for l, n in syllables if n)
+    assert parse_word(text or "1", a.alphabet) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,10 +157,15 @@ def test_rank_matches_sympy_in_any_order(case):
     syllables(exponents=AFFINE),
     syllables(exponents=AFFINE),
     st.sampled_from([pattern for pattern, _ in table_patterns()]),
+    st.sampled_from([HEXAGON_FORMULAS, T_POLY_FORMULAS]),
 )
-@example([("u", K)], [("u", 3)], table_patterns()[0][0])
-@example([("t", 1), ("u", K)], [("u", 2 - K), ("t", 1)], table_patterns()[0][0])
-def test_operations_commute_with_instantiation(a_syllables, c_syllables, pattern):
+@example([("u", K)], [("u", 3)], table_patterns()[0][0], HEXAGON_FORMULAS)
+@example([("t", 1), ("u", K)], [("u", 2 - K), ("t", 1)], table_patterns()[0][0], HEXAGON_FORMULAS)
+# Seams t_1^k t_1^(k-2) in H's fourth term and t_1^(2-k) t_1^-k in the
+# T shape c_1 a_1^-1 a_3^-1, both vanishing at k = 1.
+@example([("t", K)], [("u", 1), ("t", 2 - K)], table_patterns()[0][0], HEXAGON_FORMULAS)
+@example([("t", K)], [("u", 1), ("t", 2 - K)], table_patterns()[0][0], T_POLY_FORMULAS)
+def test_operations_commute_with_instantiation(a_syllables, c_syllables, pattern, formulas):
     # Each decision is checked against only the roots it recorded itself.
     with recorded_roots() as input_roots:
         a, c = Word(BASE, a_syllables), Word(BASE, c_syllables)
@@ -140,6 +175,8 @@ def test_operations_commute_with_instantiation(a_syllables, c_syllables, pattern
         product = concat_words([a, c, invert(a)])
         inverse = invert(a)
         value = eval_pattern(pattern, {"a": a, "c": c})
+    with recorded_roots() as shape_roots:
+        shapes = formulas.evaluate(word_pieces(a) + word_pieces(c))
     for k in KS:
         if k in input_roots:
             continue
@@ -150,6 +187,10 @@ def test_operations_commute_with_instantiation(a_syllables, c_syllables, pattern
             assert at_k(product, k) == concat_words([a_k, c_k, invert(a_k)])
             assert at_k(inverse, k) == invert(a_k)
             assert at_k(value, k) == eval_pattern(pattern, {"a": a_k, "c": c_k})
+        if k not in shape_roots:
+            assert [at_k(Word(QUAD, shape), k).syllables for shape in shapes] == (
+                formulas.evaluate(word_pieces(a_k) + word_pieces(c_k))
+            )
 
 
 @settings(max_examples=100, deadline=None)

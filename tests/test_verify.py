@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -289,6 +290,53 @@ def test_process_pool_is_no_larger_than_its_task_list(monkeypatch):
     assert sizes[-1] == 2
     assert [report_json(r) for r in pooled] == [
         report_json(r) for r in verify_all(**kwargs, workers=1)
+    ]
+
+
+def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
+    check = [None]  # the check running when a call is made
+    calls, tasks = [], []
+    run_check = verify._run_check
+
+    def tracked_check(name, *args):
+        check[0] = name
+        return run_check(name, *args)
+
+    monkeypatch.setattr(verify, "_run_check", tracked_check)
+    for name in ("bounded_words", "word_pieces"):
+
+        def counted(*args, name=name, original=getattr(verify, name), **kwargs):
+            calls.append((check[0], name, args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    for name in ("_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk"):
+
+        def chunk(task, name=name, original=getattr(verify, name)):
+            tasks.append((name, task))
+            return original(task)
+
+        monkeypatch.setattr(verify, name, chunk)
+    reports = verify_all(
+        kmax=2, max_syllables=2, max_exponent=2, random_trials=10, workers=1
+    )
+    assert all(report.overall == "pass" for report in reports)
+    bounded = Counter(sweep for sweep, name, _ in calls if name == "bounded_words")
+    assert bounded["hexagon_exhaustive"] == 1
+    for sweep in ("hexagon_exhaustive", "span_generators"):
+        pieced = [w for where, name, w in calls if where == sweep and name == "word_pieces"]
+        assert pieced and len(pieced) == len(set(pieced))
+    for _, task in tasks:
+        hash(task)
+        assert pickle.loads(pickle.dumps(task)) == task
+    ends = {
+        name: [task[-2:] for chunk, task in tasks if chunk == name]
+        for name in ("_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk")
+    }
+    assert ends["_hexagon_chunk"] == verify._chunk_ranges(41 ** 2)
+    assert ends["_span_chunk"] == verify._chunk_ranges(barbell.count_admissible(2, 2))
+    assert ends["_hexagon_random_chunk"] == [
+        (index, stop - start) for index, (start, stop) in enumerate(verify._chunk_ranges(10))
     ]
 
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import barbellw3
 from barbellw3.words import (
     BASE,
     QUAD,
@@ -310,3 +315,32 @@ def test_bounded_words_identity_flag_and_counts():
     # one syllable: 2 letters x 2 exponents; two syllables: 4 x 2
     assert len(without) == 4 + 8
     assert len(list(bounded_words(1, 2, QUAD))) == 4 * 4
+
+
+def test_a_pickled_word_hashes_afresh_where_it_is_loaded():
+    # Sweep tasks carry words to worker processes, whose string hash seed
+    # can differ (a spawned worker): a word loaded there must still equal,
+    # and find, the same word built there.
+    src = str(Path(barbellw3.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    dump = (
+        "import pickle, sys\n"
+        "from barbellw3.words import parse_word\n"
+        "sys.stdout.buffer.write(pickle.dumps(parse_word('t u^-2 t^3')))\n"
+    )
+    load = (
+        "import pickle, sys\n"
+        "from barbellw3.words import parse_word\n"
+        "loaded, fresh = pickle.loads(sys.stdin.buffer.read()), parse_word('t u^-2 t^3')\n"
+        "assert loaded == fresh and {fresh: 1}[loaded] == 1\n"
+    )
+    dumped = subprocess.run(
+        [sys.executable, "-c", dump], capture_output=True, check=True, timeout=60,
+        env=dict(env, PYTHONHASHSEED="1"),
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", load], input=dumped.stdout, capture_output=True, timeout=60,
+        env=dict(env, PYTHONHASHSEED="2"),
+    )
+    assert loaded.returncode == 0, loaded.stderr.decode()
