@@ -14,6 +14,7 @@ from .words import (
     identity,
     invert,
     parse_word,
+    project,
     rename,
     split_blocks,
     word_sort_key,

@@ -418,6 +418,10 @@ _RENAME = {
 
 # Inverse direction, used when splitting a four-letter word into blocks.
 _PULLBACK = {"t_1": ("t", 1), "u_1": ("u", 1), "t_3": ("t", 3), "u_3": ("u", 3)}
+# Per subscript, the letters project keeps, untagged.
+_PROJECT = {
+    tag: {tagged: letter for letter, tagged in table.items()} for tag, table in _RENAME.items()
+}
 
 
 def rename(w: Word, tag: int) -> Word:
@@ -428,6 +432,24 @@ def rename(w: Word, tag: int) -> Word:
         raise AlphabetMismatchError("rename expects a word over the two-letter alphabet")
     table = _RENAME[tag]
     return Word._raw(QUAD, tuple((table[letter], exp) for letter, exp in w.syllables))
+
+
+def project(w: Word, tag: int) -> Word:
+    """Apply the homomorphism pi_tag onto the two-letter group: keep the
+    letters with subscript ``tag``, drop the others, and reduce.
+
+    It undoes ``rename(., tag)`` and sends the other subscript's copy to
+    the identity.
+    """
+    if tag not in (1, 3):
+        raise WordError(f"subscript tag must be 1 or 3, got {tag!r}")
+    if w.alphabet is not QUAD:
+        raise AlphabetMismatchError("project expects a word over the four-letter alphabet")
+    table = _PROJECT[tag]
+    return Word._raw(
+        BASE,
+        _merge_runs([((table[letter], exp),) for letter, exp in w.syllables if letter in table]),
+    )
 
 
 def boundary_letter(w: Word, side: Literal["head", "tail"]) -> tuple[str, int] | None:

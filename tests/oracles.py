@@ -10,10 +10,12 @@ stays affordable) instead of branching over collapse patterns.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
-from barbellw3.patterns import Pattern, eval_pattern
+import barbellw3.barbell as barbell
+from barbellw3.patterns import CompiledFormulas, Pattern, eval_pattern
 from barbellw3.ring import RingElement
 from barbellw3.words import BASE, QUAD, Word
 
@@ -74,6 +76,18 @@ _UNTAGGED = {tagged: pair for pair, tagged in _TAGGED.items()}
 def naive_rename(w: Word, tag: int) -> Word:
     return reduce_letters(
         QUAD, [(_TAGGED[(letter, tag)], sign) for letter, sign in expand_letters(w)]
+    )
+
+
+def naive_project(w: Word, tag: int) -> Word:
+    """pi_tag letter by letter: keep the letters of subscript tag, untagged."""
+    return reduce_letters(
+        BASE,
+        [
+            (_UNTAGGED[letter][0], sign)
+            for letter, sign in expand_letters(w)
+            if _UNTAGGED[letter][1] == tag
+        ],
     )
 
 
@@ -206,3 +220,41 @@ def oracle_solutions(
             if eval_pattern(pattern, known) == target:
                 solutions.add(tuple(sorted(known.items())))
     return solutions
+
+
+def random_word(rng, max_syllables: int, max_exponent: int) -> Word:
+    """A random reduced two-letter word drawn through randint and choice:
+    syllable count, first letter, then each exponent and its sign."""
+    count = rng.randint(1, max_syllables)
+    letter = rng.choice("tu")
+    syllables = []
+    for _ in range(count):
+        syllables.append((letter, rng.randint(1, max_exponent) * rng.choice((1, -1))))
+        letter = "u" if letter == "t" else "t"
+    return Word(BASE, syllables)
+
+
+def brute_force_violations(
+    formulas: CompiledFormulas, keys, label: str, pairs, kmax: int, cap: int = 10
+) -> list[str]:
+    """The psi violations of a sweep over every pair, none skipped.
+
+    Each shape is evaluated letter by letter, each formula's coefficients
+    summed in a Counter, and psi(1..kmax) read from ``barbell.psi`` at
+    call time, so planted witnesses show.  Violations are formatted and
+    ordered as the sweeps report them: pair, key, then k.
+    """
+    functionals = [barbell.psi(k).weights for k in range(1, kmax + 1)]
+    violations = []
+    for x, y in pairs:
+        assignment = dict(zip(formulas.variables, (x, y)))
+        values = [naive_eval_pattern(shape, assignment) for shape in formulas.shapes]
+        for key in keys:
+            coefficients = Counter()
+            for sign, shape in formulas.terms[key]:
+                coefficients[values[shape]] += sign
+            for k, weights in enumerate(functionals, 1):
+                total = sum(weights.get(word, 0) * n for word, n in coefficients.items())
+                if total:
+                    violations.append(f"psi_{k}({label.format(key, x, y)}) = {total}")
+    return violations[:cap]

@@ -29,12 +29,13 @@ from barbellw3.words import (
     identity,
     invert,
     parse_word,
+    project,
     recorded_roots,
     rename,
     split_blocks,
 )
 
-from oracles import naive_concat, naive_invert, reduce_letters
+from oracles import naive_concat, naive_invert, naive_project, reduce_letters
 from test_ring import sympy_rank
 
 INTS = st.integers(-4, 4).filter(bool)
@@ -110,6 +111,15 @@ def test_rename_split_blocks_round_trip(w, a, b):
     assert all(first[0] != second[0] for first, second in zip(blocks, blocks[1:]))
     assert concat_words([rename(base, tag) for tag, base in blocks], QUAD) == w
     assert split_blocks(concat_words([rename(a, 1), rename(b, 3)])) == [(1, a), (3, b)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(words(QUAD), words(QUAD), words(BASE), st.sampled_from((1, 3)))
+def test_project_is_a_homomorphism_undoing_rename(x, y, w, tag):
+    assert project(x * y, tag) == project(x, tag) * project(y, tag)
+    assert project(x, tag) == naive_project(x, tag)
+    assert project(rename(w, tag), tag) == w
+    assert project(rename(w, 4 - tag), tag) == identity(BASE)
 
 
 def elements(k):

@@ -31,12 +31,13 @@ from barbellw3.words import (
     identity,
     invert,
     parse_word,
+    project,
     recorded_roots,
     rename,
     split_blocks,
 )
 
-from oracles import all_base_words, naive_concat, naive_invert, naive_rename
+from oracles import all_base_words, naive_concat, naive_invert, naive_project, naive_rename
 
 
 def rand_word(rng, alphabet=BASE, max_syllables=5, max_exponent=4):
@@ -257,6 +258,25 @@ def test_rename_is_a_homomorphism():
             assert rename(~a, tag) == ~rename(a, tag)
             assert rename(a, tag) == naive_rename(a, tag)
     assert rename(identity(BASE), 1) == identity(QUAD)
+
+
+def test_project_matches_letter_oracle():
+    rng = random.Random(17)
+    for tag in (1, 3):
+        for _ in range(300):
+            w = rand_word(rng, QUAD, max_syllables=7)
+            assert project(w, tag) == naive_project(w, tag)
+    w = parse_word("t_1^2 u_3 t_1^-2 u_1 t_3")
+    assert str(project(w, 1)) == "u"
+    assert str(project(w, 3)) == "u t"
+    assert project(identity(QUAD), 3) == identity(BASE)
+
+
+def test_project_rejects_bad_input():
+    with pytest.raises(AlphabetMismatchError):
+        project(parse_word("t u"), 1)
+    with pytest.raises(WordError):
+        project(parse_word("t_1"), 2)
 
 
 def test_rename_rejects_quad_input():
