@@ -7,7 +7,6 @@ from .words import (
     Word,
     WordError,
     WordSyntaxError,
-    boundary_letter,
     bounded_words,
     concat,
     concat_words,
@@ -16,7 +15,6 @@ from .words import (
     parse_word,
     project,
     rename,
-    split_blocks,
     word_sort_key,
 )
 from .ring import (

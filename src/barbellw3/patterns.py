@@ -70,6 +70,15 @@ class Pattern:
                 seen.append(factor.var)
         return tuple(seen)
 
+    def projection(self, tag: int) -> tuple[tuple[str, bool], ...]:
+        """The factors of subscript ``tag``, in order, as (variable, inverted).
+
+        pi_tag (``words.project``), which keeps the letters of subscript
+        ``tag``, is a homomorphism that undoes the renaming, so
+        pi_tag(pattern(values)) is the product of these factors' values.
+        """
+        return tuple((factor.var, factor.inverted) for factor in self.factors if factor.tag == tag)
+
     def __str__(self) -> str:
         return " ".join(str(factor) for factor in self.factors)
 

@@ -1,24 +1,20 @@
 """Word equations: which substitutions send a pattern to a given word.
 
-Solving ``pattern = target`` over a free group is done structurally.
-The pattern's factors are grouped into maximal runs of constant
-subscript; the target splits uniquely into blocks of constant
-subscript.  Some runs may multiply out to the identity and vanish, so
-the solver branches over every way of collapsing runs (re-merging the
-survivors, which can enable further collapses), matches surviving runs
-to target blocks in order, and then solves the resulting system of
-free-group equations.  Whenever an equation has exactly one unknown
-occurrence the unknown is forced by one-sided division; systems that
-never reach that state fall back to bounded enumeration of one
-variable at a time, so the solver is exhaustive in general only up to
-the fallback bounds.  ``solve`` says whether any branch needed the
-fallback, and the solution table and the hexagon case analysis refuse
-a result that did.
-
-The collapse branches depend on the pattern alone, so each pattern is
-compiled once into a plan that indexes them by the subscript tags of
-their surviving runs; solving against a target visits only the
-branches whose tags are those of the target's blocks.
+Solving ``pattern = target`` over a free group goes through the two
+subscript projections.  pi_s (``words.project``) keeps the letters of
+subscript s and is a homomorphism onto the two-letter group, so every
+solution also solves pi_s(pattern) = pi_s(target) for s = 1 and s = 3,
+where pi_s(pattern) is the product of the pattern's subscript-s factors
+(``Pattern.projection``).  Whenever one of these equations has exactly
+one unknown occurrence the unknown is forced by one-sided division;
+systems that never reach that state fall back to bounded enumeration of
+one variable at a time, so the solver is exhaustive in general only up
+to the fallback bounds.  Each candidate is then checked on the pattern
+itself.  ``solve`` says whether it needed the fallback, and the
+solution table and the hexagon case analysis refuse a result that did.
+None of their 25 shapes needs it: each has a subscript whose factors
+are one factor, which division fixes, and the other variable then
+occurs once among some subscript's factors.
 
 The module also regenerates the solution table for the 21 monomial
 shapes of the four T-polynomials and carries an independently
@@ -37,8 +33,7 @@ Every k in E must be solved again concretely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .barbell import (
     HEXAGON_FORMULAS,
@@ -58,11 +53,10 @@ from .words import (
     bounded_words,
     concat_words,
     equal_syllables,
-    identity,
     invert,
     parse_word,
+    project,
     recorded_roots,
-    split_blocks,
     word_sort_key,
 )
 
@@ -102,8 +96,8 @@ class Solution:
 
 class Solutions(tuple):
     """What ``solve`` returns: its solutions, plus ``used_fallback``, True
-    when some branch was not division-solvable and reached the bounded
-    enumeration, so the solutions are complete only within its bounds."""
+    when division did not reach every variable and the bounded enumeration
+    was used, so the solutions are complete only within its bounds."""
 
     used_fallback: bool
 
@@ -114,63 +108,6 @@ class Solutions(tuple):
 
 
 Factors = tuple[tuple[str, bool], ...]
-Run = tuple[int, Factors]
-# The factors of the surviving runs, then those of the collapsed runs.
-Branch = tuple[tuple[Factors, ...], tuple[Factors, ...]]
-
-
-def _merge_adjacent(runs: tuple[Run, ...]) -> tuple[Run, ...]:
-    merged: list[Run] = []
-    for tag, factors in runs:
-        if merged and merged[-1][0] == tag:
-            merged[-1] = (tag, merged[-1][1] + factors)
-        else:
-            merged.append((tag, factors))
-    return tuple(merged)
-
-
-def _pattern_runs(pattern: Pattern) -> tuple[Run, ...]:
-    return _merge_adjacent(
-        tuple((factor.tag, ((factor.var, factor.inverted),)) for factor in pattern.factors)
-    )
-
-
-def _collapse_branches(
-    runs: tuple[Run, ...],
-    collapsed: tuple[Factors, ...],
-    seen: set,
-) -> Iterator[tuple[tuple[Run, ...], tuple[Factors, ...]]]:
-    """Every way of striking out runs that multiply to the identity.
-
-    Striking out a run can make its neighbours adjacent with equal
-    subscripts, so survivors are re-merged and the merged run may be
-    struck out in turn.
-    """
-    runs = _merge_adjacent(runs)
-    key = (runs, tuple(sorted(collapsed)))
-    if key in seen:
-        return
-    seen.add(key)
-    yield runs, collapsed
-    for index in range(len(runs)):
-        yield from _collapse_branches(
-            runs[:index] + runs[index + 1:],
-            collapsed + (runs[index][1],),
-            seen,
-        )
-
-
-@lru_cache(maxsize=256)
-def _plan(pattern: Pattern) -> tuple[tuple[str, ...], dict[tuple[int, ...], list[Branch]]]:
-    """A pattern compiled for solving: its variables, and its collapse
-    branches indexed by the subscript tags of their surviving runs."""
-    branches: dict[tuple[int, ...], list[Branch]] = {}
-    for surviving, collapsed in _collapse_branches(_pattern_runs(pattern), (), set()):
-        tags = tuple(tag for tag, _ in surviving)
-        branches.setdefault(tags, []).append(
-            (tuple(factors for _, factors in surviving), collapsed)
-        )
-    return pattern.variables(), branches
 
 
 def _product(
@@ -192,9 +129,10 @@ def _solve_system(
     """All in-bounds assignments satisfying every equation, and whether
     the bounded fallback was used.
 
-    Division steps are exact; only systems with no equation containing a
-    single unknown occurrence resort to enumerating one variable over
-    the fallback bounds and recursing.
+    Division steps are exact, and a divided value may be the identity;
+    only systems with no equation containing a single unknown occurrence
+    resort to enumerating one variable over the fallback bounds and
+    recursing.
     """
     pending = list(equations)
     known = dict(known)
@@ -216,11 +154,7 @@ def _solve_system(
                 prefix = _product(factors[:index], known)
                 suffix = _product(factors[index + 1:], known)
                 value = concat_words([invert(prefix), rhs, invert(suffix)], BASE)
-                if inverted:
-                    value = invert(value)
-                if value.is_identity:
-                    return [], False
-                known[var] = value
+                known[var] = invert(value) if inverted else value
                 progress = True
                 continue
             remaining.append((factors, rhs))
@@ -261,9 +195,12 @@ def solve(
 ) -> Solutions:
     """All assignments of nontrivial words satisfying pattern = target.
 
-    Returned in a deterministic order for a target without k.  Complete
-    whenever every branch is division-solvable; otherwise complete up to
-    the fallback bounds, and the result's ``used_fallback`` is True.
+    The system solved is the pair of projection equations
+    pi_s(pattern) = pi_s(target), s = 1, 3, and every candidate it yields
+    is checked on the pattern.  Returned in a deterministic order for a
+    target without k.  Complete whenever division reaches every variable;
+    otherwise complete up to the fallback bounds, and the result's
+    ``used_fallback`` is True.
     """
     if target.alphabet is not QUAD:
         raise SolveError("the target must be a word over the four-letter alphabet")
@@ -271,25 +208,16 @@ def solve(
         # A k-word has no largest exponent.  At bound 0 the fallback
         # finds nothing, and used_fallback tells the caller so.
         fallback_max_exponent = 0 if target.has_k else target.max_exponent() + 1
-    blocks = split_blocks(target)
-    block_words = [block_word for _, block_word in blocks]
-    variables, branches = _plan(pattern)
+    equations = [(pattern.projection(tag), project(target, tag)) for tag in (1, 3)]
+    assignments, used_fallback = _solve_system(
+        equations, {}, fallback_max_syllables, fallback_max_exponent
+    )
     found: set[tuple[tuple[str, Word], ...]] = set()
-    used_fallback = False
-    for surviving, collapsed in branches.get(tuple(tag for tag, _ in blocks), ()):
-        equations = list(zip(surviving, block_words))
-        equations += [(factors, identity(BASE)) for factors in collapsed]
-        assignments, fell_back = _solve_system(
-            equations, {}, fallback_max_syllables, fallback_max_exponent
-        )
-        used_fallback = used_fallback or fell_back
-        for assignment in assignments:
-            if any(var not in assignment for var in variables):
-                continue
-            if any(assignment[var].is_identity for var in variables):
-                continue
-            if equal_syllables(eval_pattern(pattern, assignment).syllables, target.syllables):
-                found.add(tuple(sorted((v, assignment[v]) for v in variables)))
+    for assignment in assignments:
+        if any(word.is_identity for word in assignment.values()):
+            continue
+        if equal_syllables(eval_pattern(pattern, assignment).syllables, target.syllables):
+            found.add(tuple(sorted(assignment.items())))
     solutions = [Solution(items) for items in found]
     if len(solutions) > 1 and not target.has_k:  # k-words have no order
         solutions.sort(key=Solution.sort_key)

@@ -220,11 +220,13 @@ def _words_and_pieces(
 
 def _single_factor(shape: Pattern) -> tuple[str, int, bool] | None:
     """(variable, subscript, inverted) of the first subscript whose factors
-    in ``shape`` are one factor, or None when neither subscript's are."""
+    in ``shape`` (``Pattern.projection``) are one factor, or None when
+    neither subscript's are."""
     for tag in (1, 3):
-        factors = [factor for factor in shape.factors if factor.tag == tag]
+        factors = shape.projection(tag)
         if len(factors) == 1:
-            return factors[0].var, tag, factors[0].inverted
+            [(var, inverted)] = factors
+            return var, tag, inverted
     return None
 
 
@@ -235,12 +237,14 @@ def _forced(
     shape is a witness word, in the order of ``variables``; None when a
     shape has no subscript whose factors are one factor.
 
-    pi_s, which keeps the letters of subscript s, is a homomorphism.  So a
-    shape whose subscript-s factors are the one factor x (or x^-1) is the
-    witness m at (x, y) only if x = pi_s(m) (or pi_s(m)^-1).  A pair whose
-    values are all outside these sets has no witness word among its shape
-    values, hence no psi violation.  Each witness is projected once per
-    subscript.
+    pi_s, which keeps the letters of subscript s, is a homomorphism, and
+    pi_s(shape) is the product of the shape's subscript-s factors
+    (``Pattern.projection``): the projection equations ``solver.solve``
+    solves.  So a shape whose subscript-s factors are the one factor x
+    (or x^-1) is the witness m at (x, y) only if x = pi_s(m) (or
+    pi_s(m)^-1).  A pair whose values are all outside these sets has no
+    witness word among its shape values, hence no psi violation.  Each
+    witness is projected once per subscript.
     """
     choices = set()
     for shape in formulas.shapes:

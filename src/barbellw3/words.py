@@ -11,7 +11,7 @@ syntactic.
 An exponent is an int, or an affine exponent ``a + b*k`` in the family
 parameter k (``Affine``).  A word with affine exponents stands for the
 whole family of words it gives at k = 1, 2, ...  Reduction, products,
-inverses, renaming and block splitting run on it unchanged and answer
+inverses, renaming and projection run on it unchanged and answer
 for every k but finitely many; the measures and the word order, which
 need the sign of an exponent, refuse it.  The exceptional k are where a
 truth test on an affine value would flip (a seam sum that vanishes, two
@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from enum import Enum
-from typing import Iterable, Iterator, Literal, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 
 class WordError(ValueError):
@@ -416,8 +416,6 @@ _RENAME = {
     3: {"t": "t_3", "u": "u_3"},
 }
 
-# Inverse direction, used when splitting a four-letter word into blocks.
-_PULLBACK = {"t_1": ("t", 1), "u_1": ("u", 1), "t_3": ("t", 3), "u_3": ("u", 3)}
 # Per subscript, the letters project keeps, untagged.
 _PROJECT = {
     tag: {tagged: letter for letter, tagged in table.items()} for tag, table in _RENAME.items()
@@ -450,40 +448,6 @@ def project(w: Word, tag: int) -> Word:
         BASE,
         _merge_runs([((table[letter], exp),) for letter, exp in w.syllables if letter in table]),
     )
-
-
-def boundary_letter(w: Word, side: Literal["head", "tail"]) -> tuple[str, int] | None:
-    """First or last letter of a word with the sign of its exponent."""
-    if side not in ("head", "tail"):
-        raise WordError(f"side must be 'head' or 'tail', got {side!r}")
-    if not w.syllables:
-        return None
-    letter, exp = w.syllables[0] if side == "head" else w.syllables[-1]
-    return (letter, 1 if exp > 0 else -1)
-
-
-def split_blocks(w: Word) -> list[tuple[int, Word]]:
-    """Split a four-letter word into maximal runs of constant subscript.
-
-    Each block is returned as (tag, word over the two-letter alphabet),
-    for example t_1^2 u_1 t_1^-1 t_3 -> [(1, t^2 u t^-1), (3, t)].
-    """
-    if w.alphabet is not QUAD:
-        raise AlphabetMismatchError("split_blocks expects a word over the four-letter alphabet")
-    blocks: list[tuple[int, Word]] = []
-    current_tag: int | None = None
-    current: list[Syllable] = []
-    for letter, exp in w.syllables:
-        base_letter, tag = _PULLBACK[letter]
-        if tag != current_tag:
-            if current:
-                blocks.append((current_tag, Word._raw(BASE, tuple(current))))
-            current_tag = tag
-            current = []
-        current.append((base_letter, exp))
-    if current:
-        blocks.append((current_tag, Word._raw(BASE, tuple(current))))
-    return blocks
 
 
 def _tokenize(text: str) -> list[tuple[int, str]]:
@@ -553,7 +517,7 @@ def parse_word(text: str, alphabet: Alphabet | None = None, k: bool = False) -> 
         return identity(alphabet if alphabet is not None else BASE)
     syllables = [_parse_syllable(pos, token, alphabet, k) for pos, token in tokens]
     if alphabet is None:
-        subscripted = {letter in _PULLBACK for letter, _ in syllables}
+        subscripted = {letter in QUAD.letters for letter, _ in syllables}
         if len(subscripted) > 1:
             raise MixedAlphabetError(
                 "word mixes subscripted and unsubscripted letters: " + text.strip()

@@ -3,9 +3,13 @@
 Everything here recomputes results by a different route than the
 package: words are reduced letter by letter on a stack instead of
 syllable-merged, enumeration is recursive instead of level-by-level,
-and the equation oracle enumerates assignments exhaustively within
-bounds (dividing out single-occurrence variables so the enumeration
-stays affordable) instead of branching over collapse patterns.
+and the equation oracles do not solve the two subscript projection
+equations (``Pattern.projection``) that ``solve`` solves:
+``oracle_solutions`` enumerates assignments exhaustively within bounds
+(dividing out single-occurrence variables so the enumeration stays
+affordable), and ``branch_solutions`` matches the pattern's runs of
+constant subscript to the target's blocks, branching over every way of
+collapsing runs to the identity.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from itertools import product
 import barbellw3.barbell as barbell
 from barbellw3.patterns import CompiledFormulas, Pattern, eval_pattern
 from barbellw3.ring import RingElement
-from barbellw3.words import BASE, QUAD, Word
+from barbellw3.solver import _solve_system
+from barbellw3.words import BASE, QUAD, Word, equal_syllables, identity
 
 
 def expand_letters(w: Word) -> list[tuple[str, int]]:
@@ -220,6 +225,85 @@ def oracle_solutions(
             if eval_pattern(pattern, known) == target:
                 solutions.add(tuple(sorted(known.items())))
     return solutions
+
+
+def split_blocks(w: Word) -> list[tuple[int, Word]]:
+    """Split a four-letter word into maximal runs of constant subscript.
+
+    Each block is returned as (tag, word over the two-letter alphabet),
+    for example t_1^2 u_1 t_1^-1 t_3 -> [(1, t^2 u t^-1), (3, t)].
+    """
+    assert w.alphabet is QUAD
+    blocks: list[tuple[int, list]] = []
+    for letter, exp in w.syllables:
+        base_letter, tag = _UNTAGGED[letter]
+        if not blocks or blocks[-1][0] != tag:
+            blocks.append((tag, []))
+        blocks[-1][1].append((base_letter, exp))
+    return [(tag, Word._raw(BASE, tuple(syllables))) for tag, syllables in blocks]
+
+
+def _merge_adjacent(runs):
+    merged = []
+    for tag, factors in runs:
+        if merged and merged[-1][0] == tag:
+            merged[-1] = (tag, merged[-1][1] + factors)
+        else:
+            merged.append((tag, factors))
+    return tuple(merged)
+
+
+def _collapse_branches(runs, collapsed, seen):
+    """Every way of striking out runs that multiply to the identity, as
+    (surviving runs, factors of the collapsed runs).
+
+    Striking out a run can make its neighbours adjacent with equal
+    subscripts, so survivors are re-merged and the merged run may be
+    struck out in turn.
+    """
+    runs = _merge_adjacent(runs)
+    key = (runs, tuple(sorted(collapsed)))
+    if key in seen:
+        return
+    seen.add(key)
+    yield runs, collapsed
+    for index in range(len(runs)):
+        yield from _collapse_branches(
+            runs[:index] + runs[index + 1:], collapsed + (runs[index][1],), seen
+        )
+
+
+def branch_solutions(
+    pattern: Pattern, target: Word, max_syllables: int = 4, max_exponent: int | None = None
+) -> set[tuple[tuple[str, Word], ...]]:
+    """``solve``'s answer by the route of block matching.
+
+    The pattern's factors are grouped into maximal runs of constant
+    subscript and the target into its blocks.  For every way of
+    collapsing runs to the identity whose surviving runs carry the
+    blocks' subscripts, each surviving run is equated to its block and
+    each collapsed run to the identity, and the system goes to the
+    solver's division engine with the same fallback bounds as ``solve``.
+    Candidates with an identity value, or that miss the target on the
+    pattern, are dropped.
+    """
+    if max_exponent is None:
+        max_exponent = 0 if target.has_k else target.max_exponent() + 1
+    blocks = split_blocks(target)
+    runs = tuple((factor.tag, ((factor.var, factor.inverted),)) for factor in pattern.factors)
+    found = set()
+    for surviving, collapsed in _collapse_branches(runs, (), set()):
+        if [tag for tag, _ in surviving] != [tag for tag, _ in blocks]:
+            continue
+        equations = [(factors, word) for (_, factors), (_, word) in zip(surviving, blocks)]
+        equations += [(factors, identity(BASE)) for factors in collapsed]
+        assignments, _ = _solve_system(equations, {}, max_syllables, max_exponent)
+        for assignment in assignments:
+            if any(word.is_identity for word in assignment.values()):
+                continue
+            if equal_syllables(eval_pattern(pattern, assignment).syllables, target.syllables):
+                found.add(tuple(sorted(assignment.items())))
+    return found
 
 
 def random_word(rng, max_syllables: int, max_exponent: int) -> Word:

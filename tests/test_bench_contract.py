@@ -52,3 +52,14 @@ def test_one_traced_iteration_reports_no_problems(bench):
     assert reports["one"] == reports["many"] == reports["traced"]
     assert bench.gate(0, reports["one"], reports["one"], p) == []
     assert metrics["barbell.enumerate_admissible.pairs"] > 0
+
+
+def test_the_traced_fallback_is_reachable(bench):
+    # A wrapped name that resolves but is never called would read 0
+    # forever; a pattern with no forced order must reach the fallback.
+    tracer = importlib.import_module("tracer").Tracer(PACKAGE).install()
+    try:
+        solver.solve(patterns.parse_pattern("a_1 a_1^-1"), words.identity(words.QUAD), 1, 1)
+    finally:
+        tracer.remove()
+    assert tracer.calls("solver.fallback") > 0

@@ -36,12 +36,12 @@ from barbellw3.words import (
     K,
     at_k,
     identity,
+    invert,
     parse_word,
     recorded_roots,
-    split_blocks,
 )
 
-from oracles import oracle_solutions
+from oracles import branch_solutions, oracle_solutions
 from test_words import rand_word
 
 
@@ -95,39 +95,48 @@ CERTIFICATE_SHAPES = [pattern for pattern, _ in table_patterns()] + [
 ]
 
 
-def branch_solutions(pattern, target):
-    """solve's answer recomputed by matching every collapse branch of the
-    pattern, enumerated afresh, against the target's blocks."""
-    blocks = split_blocks(target)
-    variables = pattern.variables()
-    runs = solver._pattern_runs(pattern)
-    found = set()
-    for surviving, collapsed in solver._collapse_branches(runs, (), set()):
-        if [tag for tag, _ in surviving] != [tag for tag, _ in blocks]:
-            continue
-        equations = [
-            (factors, word) for (_, factors), (_, word) in zip(surviving, blocks)
-        ]
-        equations += [(factors, identity(BASE)) for factors in collapsed]
-        assignments, _ = solver._solve_system(
-            equations, {}, 4, target.max_exponent() + 1
-        )
-        for assignment in assignments:
-            if all(v in assignment and not assignment[v].is_identity for v in variables):
-                if eval_pattern(pattern, assignment) == target:
-                    found.add(tuple(sorted((v, assignment[v]) for v in variables)))
-    return found
-
-
-def test_planned_solve_matches_fresh_branch_enumeration():
+def test_solve_matches_branch_reference_on_certificate_shapes():
     assert len(CERTIFICATE_SHAPES) == 25
-    for k in range(1, 6):
+    for k in range(1, 31):
         for target in monomials_m(k):
             for pattern in CERTIFICATE_SHAPES:
                 found = solve(pattern, target)
                 assert {s.items for s in found} == branch_solutions(pattern, target)
                 assert len(found) == 1 and not found.used_fallback
-    # Targets whose blocks only a collapse can reach.
+
+
+def test_solve_matches_branch_reference_at_K():
+    for target in monomials_m(K):
+        for pattern in CERTIFICATE_SHAPES:
+            with recorded_roots() as solve_roots:
+                found = solve(pattern, target)
+            with recorded_roots() as branch_roots:
+                expected = branch_solutions(pattern, target)
+            assert {s.items for s in found} == expected
+            assert len(found) == 1 and not found.used_fallback
+            assert solve_roots == branch_roots == set()
+
+
+def test_solve_matches_branch_reference_on_planted_targets():
+    rng = random.Random(1618)
+    for _ in range(300):
+        pattern = rng.choice(CERTIFICATE_SHAPES)
+        first, second = pattern.variables()
+        x = rand_word(rng, max_syllables=3, max_exponent=2)
+        # Two draws in three tie the second value to the first, as x or
+        # x^-1, so that runs of the pattern collapse.
+        y = rng.choice([rand_word(rng, max_syllables=3, max_exponent=2), x, invert(x)])
+        if x.is_identity or y.is_identity:
+            continue
+        target = eval_pattern(pattern, {first: x, second: y})
+        found = solve(pattern, target)
+        assert not found.used_fallback
+        assert tuple(sorted({first: x, second: y}.items())) in {s.items for s in found}
+        assert {s.items for s in found} == branch_solutions(pattern, target)
+
+
+def test_solve_matches_branch_reference_on_collapse_only_targets():
+    # Targets whose blocks only a collapse of the pattern's runs can reach.
     for pattern_text, target_text in [
         ("a_1 c_3^-1 a_3", "t_1"),
         ("c_1^-1 a_1 a_3", "t_3^2"),
@@ -136,7 +145,24 @@ def test_planned_solve_matches_fresh_branch_enumeration():
     ]:
         pattern, target = parse_pattern(pattern_text), parse_word(target_text)
         found = solve(pattern, target)
+        assert found and not found.used_fallback
         assert {s.items for s in found} == branch_solutions(pattern, target)
+
+
+def test_unforced_shape_needs_the_fallback_and_fails_the_table(monkeypatch):
+    # No subscript of a_1 c_1 a_3 c_3 has a single factor, so neither
+    # projection equation is division-solvable.
+    planted = parse_pattern("a_1 c_1 a_3 c_3")
+    monkeypatch.setattr(
+        solver, "table_patterns", lambda: [(planted, (1,))] + table_patterns()
+    )
+    for k in (K, 2):
+        m1, _ = monomials_m(k)
+        assert solve(planted, m1).used_fallback
+        with pytest.raises(TableError, match="bounded fallback"):
+            solver._unique_pair_solution(planted, m1, f"m1({k})")
+        with pytest.raises(TableError, match="bounded fallback"):
+            regenerate_table(k)
 
 
 def test_solve_output_is_sorted_and_verified():

@@ -24,7 +24,6 @@ from barbellw3.words import (
     WordSyntaxError,
     ZeroExponentError,
     at_k,
-    boundary_letter,
     bounded_words,
     concat,
     equal_syllables,
@@ -34,10 +33,16 @@ from barbellw3.words import (
     project,
     recorded_roots,
     rename,
-    split_blocks,
 )
 
-from oracles import all_base_words, naive_concat, naive_invert, naive_project, naive_rename
+from oracles import (
+    all_base_words,
+    naive_concat,
+    naive_invert,
+    naive_project,
+    naive_rename,
+    split_blocks,
+)
 
 
 def rand_word(rng, alphabet=BASE, max_syllables=5, max_exponent=4):
@@ -303,15 +308,6 @@ def test_split_blocks_examples():
     blocks = [(tag, str(b)) for tag, b in split_blocks(w)]
     assert blocks == [(1, "t^2 u"), (3, "t^-1 u"), (1, "t")]
     assert split_blocks(identity(QUAD)) == []
-
-
-def test_boundary_letter():
-    w = parse_word("t^-2 u^3")
-    assert boundary_letter(w, "head") == ("t", -1)
-    assert boundary_letter(w, "tail") == ("u", 1)
-    assert boundary_letter(identity(BASE), "head") is None
-    with pytest.raises(ValueError):
-        boundary_letter(w, "middle")
 
 
 def test_bounded_words_matches_recursive_oracle():
