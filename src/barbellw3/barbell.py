@@ -277,8 +277,8 @@ def psi(k: int) -> Functional:
 class AdmissiblePair(NamedTuple):
     """A pair of nontrivial words whose junction switches letters.
 
-    A tuple, so that the enumeration, which span chunks walk up to their
-    start, builds each pair at the cost of a tuple.
+    A tuple, so that the enumeration, which the span sweep walks pair by
+    pair, builds each pair at the cost of a tuple.
     """
 
     a: Word

@@ -49,17 +49,16 @@ kmax 10 that leaves 6 172 of 267 289 hexagon pairs and 4 128 of
 filter off.  Each chunk counts its share from its bounds, so the
 reports read as if every pair were scanned.  The hexagon chunks visit
 only the rows and columns of forced words; the random sweep tests each
-drawn pair before taking its pieces.  Each span chunk still calls
-``enumerate_admissible``, which builds and sorts the bounded words
-again, and walks it from its first pair up to its start, so the 32
-chunks together walk (32 + 1) / 2 = 16.5 times as many pairs as they
-check, and the walk is now most of the span sweep's time.
+drawn pair before taking its pieces.
 
 Reports serialize byte-identically from run to run: wall-clock timings
-stay in memory only, enumerations are chunked the same way regardless
-of the worker count, and chunk results are merged in enumeration order.
-The process pool, and the modules it needs, load only when a sweep runs
-with more than one worker and more than one chunk.
+stay in memory only.  Each exhaustive sweep is split into one contiguous
+range per worker, and each chunk keeps its first violations up to the
+cap, so the chunks merged in order give the whole scan's first ones for
+any split.  The random sweep draws from ``_RANDOM_STREAMS`` seeded
+streams at any worker count.  The process pool, and the modules it
+needs, load only when a sweep runs with more than one worker and more
+than one chunk.
 """
 
 from __future__ import annotations
@@ -95,7 +94,9 @@ from .words import (
 )
 
 _VIOLATION_CAP = 10
-_CHUNK_COUNT = 32
+# The random sweep's seeded streams, one per chunk.  They decide which pairs
+# it draws: part of the report's definition, not a parallelism setting.
+_RANDOM_STREAMS = 32
 
 
 class CheckFailure(Exception):
@@ -162,20 +163,16 @@ def _run_check(name: str, claim: str, method: str, body: Callable[[], str]) -> C
     return Check(name, claim, method, status, details, (perf_counter() - started) * 1000)
 
 
-def _chunk_ranges(total: int) -> list[tuple[int, int]]:
-    # Chunking depends only on the workload, never on the worker count,
-    # so reports cannot vary with parallelism.
+def _chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
+    """[0, total) cut into min(parts, total) contiguous ranges, in order, the
+    first ones one longer when they cannot all be equal.  Fewer than one
+    part counts as one, so a worker count below 1 runs serially."""
     if total <= 0:
         return []
-    chunk_count = min(_CHUNK_COUNT, total)
+    chunk_count = min(max(parts, 1), total)
     base, extra = divmod(total, chunk_count)
-    ranges = []
-    start = 0
-    for index in range(chunk_count):
-        stop = start + base + (1 if index < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
+    starts = [index * base + min(index, extra) for index in range(chunk_count + 1)]
+    return list(zip(starts, starts[1:]))
 
 
 def _run_tasks(fn: Callable, tasks: list, workers: int) -> list:
@@ -213,7 +210,7 @@ def _words_and_pieces(
 ) -> tuple[tuple[Word, ...], tuple[tuple[Run, ...], ...]]:
     """The bounded words of a sweep and their word_pieces, built once per
     sweep and passed to every chunk in its task.  A span chunk uses the
-    words only to look up the pieces of the pairs it is handed."""
+    words only to look up the pieces of the pairs it enumerates."""
     words = tuple(bounded_words(max_syllables, max_exponent, BASE, include_identity))
     return words, tuple([word_pieces(w) for w in words])
 
@@ -364,15 +361,15 @@ def _hexagon_random_chunk(task: tuple) -> tuple[int, list[str]]:
 
 
 def _span_chunk(task: tuple) -> tuple[int, list[str]]:
-    (max_syllables, max_exponent, kinds, witnesses, words, pieces, forced_a, forced_c,
+    (max_syllables, max_exponent, witnesses, words, pieces, forced_a, forced_c,
      start, stop) = task
     lookup = dict(zip(words, pieces))
     pairs = islice(enumerate_admissible(max_syllables, max_exponent), start, stop)
     items = (
         (a, c, lookup[a] + lookup[c]) for a, c in pairs if a in forced_a or c in forced_c
     )
-    violations = _scan(T_POLY_FORMULAS, kinds, "t_poly({0}, {1}, {2})", items, witnesses)
-    return (stop - start) * len(kinds), violations
+    violations = _scan(T_POLY_FORMULAS, T_KINDS, "t_poly({0}, {1}, {2})", items, witnesses)
+    return (stop - start) * len(T_KINDS), violations
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +562,7 @@ def verify_hexagon_vanishing(
         columns = tuple(j for j, w in enumerate(words) if w in mus)
         tasks = [
             (words, pieces, rows, columns, witnesses, start, stop)
-            for start, stop in _chunk_ranges(len(words) ** 2)
+            for start, stop in _chunk_ranges(len(words) ** 2, workers)
         ]
         checked, violations = _merge_chunks(_run_tasks(_hexagon_chunk, tasks, workers))
         if violations:
@@ -586,7 +583,8 @@ def verify_hexagon_vanishing(
     def randomized() -> str:
         random_syllables = max_syllables + 3
         random_exponent = max_exponent + 3
-        quotas = [stop - start for start, stop in _chunk_ranges(random_trials)]
+        streams = _chunk_ranges(random_trials, _RANDOM_STREAMS)
+        quotas = [stop - start for start, stop in streams]
         witnesses = _witnesses(kmax) if quotas else ()
         forced = _forced(HEXAGON_FORMULAS, witnesses)
         tasks = [
@@ -658,9 +656,9 @@ def verify_span_vanishing(
         everything = (frozenset(words), frozenset())  # every pair, with the filter off
         forced_a, forced_c = _forced(T_POLY_FORMULAS, witnesses) or everything
         tasks = [
-            (max_syllables, max_exponent, T_KINDS, witnesses, words, pieces, forced_a,
-             forced_c, start, stop)
-            for start, stop in _chunk_ranges(total_pairs)
+            (max_syllables, max_exponent, witnesses, words, pieces, forced_a, forced_c,
+             start, stop)
+            for start, stop in _chunk_ranges(total_pairs, workers)
         ]
         checked, violations = _merge_chunks(_run_tasks(_span_chunk, tasks, workers))
         if violations:

@@ -52,6 +52,9 @@ def test_one_traced_iteration_reports_no_problems(bench):
     assert reports["one"] == reports["many"] == reports["traced"]
     assert bench.gate(0, reports["one"], reports["one"], p) == []
     assert metrics["barbell.enumerate_admissible.pairs"] > 0
+    # One chunk per exhaustive sweep: each pair is enumerated and scanned once.
+    assert metrics["verify.span_enumeration_ratio"] == 1
+    assert metrics["verify.repeat_ratio"] == 1
 
 
 def test_the_traced_fallback_is_reachable(bench):

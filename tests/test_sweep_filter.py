@@ -85,7 +85,8 @@ def randomized(trials=100, seed=0):
 def drawn_pairs(trials=100, seed=0, bounds=(4, 4)):
     """The random sweep's pairs, redrawn chunk by chunk with the oracle's words."""
     pairs = []
-    for index, (start, stop) in enumerate(verify._chunk_ranges(trials)):
+    streams = verify._chunk_ranges(trials, verify._RANDOM_STREAMS)
+    for index, (start, stop) in enumerate(streams):
         rng = random.Random(f"{seed}:{index}")
         for _ in range(stop - start):
             pairs.append((random_word(rng, *bounds), random_word(rng, *bounds)))

@@ -19,7 +19,7 @@ import barbellw3.solver as solver
 import barbellw3.verify as verify
 from barbellw3.barbell import Disk, psi, t_poly, w3_target
 from barbellw3.cli import emit
-from barbellw3.patterns import parse_pattern
+from barbellw3.patterns import CompiledFormulas, parse_pattern
 from barbellw3.solver import solve
 from barbellw3.verify import (
     Check,
@@ -264,7 +264,9 @@ def test_k_specific_expansion_defect_fails_only_where_it_shows(monkeypatch):
     )
 
 
-def test_process_pool_is_no_larger_than_its_task_list(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of each process pool opened; every pool maps in this process."""
     sizes = []
 
     class SerialPool:
@@ -282,15 +284,81 @@ def test_process_pool_is_no_larger_than_its_task_list(monkeypatch):
 
     # _run_tasks imports the pool where it opens one.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_process_pool_is_no_larger_than_its_task_list(pool_sizes):
     kwargs = dict(kmax=1, max_syllables=1, max_exponent=1, random_trials=10, seed=0)
     pooled = verify_all(**kwargs, workers=500)
     # 25 hexagon pairs, 10 random trials and 8 admissible pairs, one per chunk.
-    assert sizes == [25, 10, 8]
+    assert pool_sizes == [25, 10, 8]
+    serial = [report_json(r) for r in verify_all(**kwargs, workers=1)]
+    assert [report_json(r) for r in pooled] == serial
+    # A worker count below 1 runs serially: the same reports, no pool.
+    assert [report_json(r) for r in verify_all(**kwargs, workers=0)] == serial
+    assert pool_sizes == [25, 10, 8]
     assert verify._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
-    assert sizes[-1] == 2
-    assert [report_json(r) for r in pooled] == [
-        report_json(r) for r in verify_all(**kwargs, workers=1)
-    ]
+    assert pool_sizes[-1] == 2
+
+
+def flipped_hexagon_sign(monkeypatch):
+    """Two violations per k in the hexagon sweep, 12 in all at these bounds."""
+    sign, pattern = barbell.HEXAGON_TERMS[0]
+    terms = ((-sign, pattern),) + barbell.HEXAGON_TERMS[1:]
+    flipped = CompiledFormulas(("nu", "mu"), {"H": terms})
+    monkeypatch.setattr(verify, "HEXAGON_FORMULAS", flipped)
+    kwargs = dict(kmax=6, max_syllables=3, max_exponent=6, random_trials=0)
+    return "_hexagon_chunk", lambda workers: verify_hexagon_vanishing(**kwargs, workers=workers)
+
+
+def planted_span_witness(monkeypatch):
+    """A planted psi_1 witness word: 12 span violations at these bounds."""
+    real = barbell.monomials_m
+
+    def planted(k):
+        m1, m2 = real(k)
+        return (parse_word("t_1 u_3^-1 t_3"), m2) if k == 1 else (m1, m2)
+
+    monkeypatch.setattr(barbell, "monomials_m", planted)
+    kwargs = dict(kmax=1, max_syllables=1, max_exponent=2)
+    return "_span_chunk", lambda workers: verify_span_vanishing(**kwargs, workers=workers)
+
+
+@pytest.mark.parametrize("plant", [flipped_hexagon_sign, planted_span_witness])
+def test_failing_reports_do_not_depend_on_the_split(monkeypatch, pool_sizes, plant):
+    chunk, run = plant(monkeypatch)
+    found = []  # violations per chunk, in task order
+
+    def counted(task, original=getattr(verify, chunk)):
+        checked, violations = original(task)
+        found.append(len(violations))
+        return checked, violations
+
+    monkeypatch.setattr(verify, chunk, counted)
+    reports = [report_json(run(workers)) for workers in (1, 2, 3)]
+    assert reports[0] == reports[1] == reports[2]
+    sweep = json.loads(reports[0])["checks"][0]
+    assert sweep["status"] == "fail"
+    assert len(sweep["details"].split("; ")) == verify._VIOLATION_CAP
+    # At three workers, two chunks find more violations than the cap.
+    assert len(found) == 1 + 2 + 3 and sum(map(bool, found[3:])) == 2
+    assert sum(found[3:]) > verify._VIOLATION_CAP
+    assert pool_sizes == [2, 3]
+
+
+def test_one_worker_enumerates_the_admissible_pairs_once(monkeypatch):
+    yielded = []
+
+    def counted(*bounds):
+        yielded.append(0)
+        for pair in barbell.enumerate_admissible(*bounds):
+            yielded[-1] += 1
+            yield pair
+
+    monkeypatch.setattr(verify, "enumerate_admissible", counted)
+    report = verify_span_vanishing(kmax=2, max_syllables=2, max_exponent=2, workers=1)
+    assert report.overall == "pass"
+    assert yielded == [barbell.count_admissible(2, 2)]
 
 
 def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
@@ -333,10 +401,12 @@ def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
         name: [task[-2:] for chunk, task in tasks if chunk == name]
         for name in ("_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk")
     }
-    assert ends["_hexagon_chunk"] == verify._chunk_ranges(41 ** 2)
-    assert ends["_span_chunk"] == verify._chunk_ranges(barbell.count_admissible(2, 2))
+    # One worker: one chunk per exhaustive sweep, and one per random stream.
+    assert ends["_hexagon_chunk"] == [(0, 41 ** 2)]
+    assert ends["_span_chunk"] == [(0, barbell.count_admissible(2, 2))]
+    streams = verify._chunk_ranges(10, verify._RANDOM_STREAMS)
     assert ends["_hexagon_random_chunk"] == [
-        (index, stop - start) for index, (start, stop) in enumerate(verify._chunk_ranges(10))
+        (index, stop - start) for index, (start, stop) in enumerate(streams)
     ]
 
 
