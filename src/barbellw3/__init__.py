@@ -38,7 +38,6 @@ from .barbell import (
     monomials_m,
     psi,
     span_generator_records,
-    span_generators,
     t_poly,
     w3_target,
 )

@@ -17,7 +17,6 @@ downstream verification fail loudly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -222,8 +221,7 @@ class Disk(Enum):
     D2 = "d2"
 
 
-@dataclass(frozen=True)
-class W3Value:
+class W3Value(NamedTuple):
     """A W3 target: the group-ring value attached to one disk and one k."""
 
     disk: Disk
@@ -338,8 +336,7 @@ def count_admissible(max_syllables: int, max_exponent: int) -> int:
     return sum(heads[_OTHER_LETTER[a.syllables[-1][0]]] for a in words)
 
 
-@dataclass(frozen=True)
-class SpanRecord:
+class SpanRecord(NamedTuple):
     """One span generator: the polynomial kind, the pair, and the value."""
 
     i: int
@@ -366,11 +363,3 @@ def span_generator_records(
             yield SpanRecord(
                 i, pair.a, pair.c, _element_from_coeffs(_t_poly_coeffs(i, words))
             )
-
-
-def span_generators(
-    max_syllables: int, max_exponent: int, kinds: Iterable[int] = T_KINDS
-) -> Iterator[RingElement]:
-    """Stream the span generator values within bounds."""
-    for record in span_generator_records(max_syllables, max_exponent, kinds):
-        yield record.value

@@ -9,12 +9,15 @@ formulas are written in and what the word-equation solver consumes.
 distinct pattern is compiled once, and evaluated on the syllables of
 the renamed and inverted pieces of its arguments (``word_pieces``),
 so no intermediate ``Word`` is built.
+
+Patterns and their factors are plain ``NamedTuple`` records;
+``parse_pattern``, the one place the package builds them, checks their
+structure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .words import (
     _RENAME,
@@ -32,36 +35,22 @@ class PatternError(ValueError):
     """Malformed pattern text or an evaluation with missing/bad values."""
 
 
-@dataclass(frozen=True)
-class PatternFactor:
+class PatternFactor(NamedTuple):
     """One factor: a variable name, a subscript tag, and an inversion flag."""
 
     var: str
     tag: int
     inverted: bool = False
 
-    def __post_init__(self):
-        if not self.var.isalpha() or not self.var.islower():
-            raise PatternError(f"variable name must be lowercase letters, got {self.var!r}")
-        if self.tag not in (1, 3):
-            raise PatternError(f"subscript tag must be 1 or 3, got {self.tag!r}")
-
     def __str__(self) -> str:
         text = f"{self.var}_{self.tag}"
         return f"{text}^-1" if self.inverted else text
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple):
     """A nonempty product of factors in at most two distinct variables."""
 
     factors: tuple[PatternFactor, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise PatternError("a pattern needs at least one factor")
-        if len(self.variables()) > 2:
-            raise PatternError("patterns use at most two distinct variables")
 
     def variables(self) -> tuple[str, ...]:
         seen: list[str] = []
@@ -84,15 +73,28 @@ class Pattern:
 
 
 def parse_pattern(text: str) -> Pattern:
-    """Read a pattern from text like ``c_1^-1 a_1 a_3``."""
+    """Read a pattern from text like ``c_1^-1 a_1 a_3``.
+
+    A NamedTuple cannot check its fields when built, so the structure
+    checks live here: each variable name is lowercase letters, each tag
+    is 1 or 3, and the pattern has at least one factor and at most two
+    distinct variables.
+    """
     factors = []
     for token in text.split():
         body, inverted = (token[:-3], True) if token.endswith("^-1") else (token, False)
         name, _, tag_text = body.rpartition("_")
         if not name or tag_text not in ("1", "3"):
             raise PatternError(f"cannot read pattern factor {token!r}")
+        if not name.isalpha() or not name.islower():
+            raise PatternError(f"variable name must be lowercase letters, got {name!r}")
         factors.append(PatternFactor(name, int(tag_text), inverted))
-    return Pattern(tuple(factors))
+    if not factors:
+        raise PatternError("a pattern needs at least one factor")
+    pattern = Pattern(tuple(factors))
+    if len(pattern.variables()) > 2:
+        raise PatternError("patterns use at most two distinct variables")
+    return pattern
 
 
 def eval_pattern(pattern: Pattern, assignment: Mapping[str, Word]) -> Word:

@@ -32,8 +32,7 @@ Every k in E must be solved again concretely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 from .barbell import (
     HEXAGON_FORMULAS,
@@ -73,8 +72,7 @@ class CaseAnalysisError(RuntimeError):
     """The hexagon term pairing does not hold as claimed."""
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """One satisfying assignment, stored as (variable, word) pairs."""
 
     items: tuple[tuple[str, Word], ...]
@@ -243,8 +241,7 @@ def table_patterns() -> list[tuple[Pattern, tuple[int, ...]]]:
     ]
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """Solutions of pattern = m1(k) and pattern = m2(k) for one shape."""
 
     pattern: Pattern
@@ -324,8 +321,7 @@ REFERENCE_TABLE_ROWS: tuple[tuple[str, tuple[int, ...], tuple[Word, Word], tuple
 )
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
+class ReferenceRow(NamedTuple):
     pattern_text: str
     appears_in: tuple[int, ...]
     m1_solution: tuple[Word, Word]
@@ -379,8 +375,7 @@ def compare_with_reference(k: Exponent) -> list[TableRow]:
 # ---------------------------------------------------------------------------
 # The hexagon cancellation mechanism, verified structurally.
 
-@dataclass(frozen=True)
-class HexagonCase:
+class HexagonCase(NamedTuple):
     """Unique way one hexagon term hits one witness monomial, with its partner."""
 
     term_index: int
@@ -392,8 +387,7 @@ class HexagonCase:
     partner_sign: int
 
 
-@dataclass(frozen=True)
-class HexagonCaseAnalysis:
+class HexagonCaseAnalysis(NamedTuple):
     k: Exponent
     cases: tuple[HexagonCase, ...]
 

@@ -64,11 +64,10 @@ than one chunk.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, repeat
 from time import perf_counter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .barbell import (
     HEXAGON_FORMULAS,
@@ -103,8 +102,7 @@ class CheckFailure(Exception):
     """A check that completed and found the claim false."""
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     """One verified claim: what was claimed, how, and what happened."""
 
     name: str
@@ -130,13 +128,15 @@ class Check:
         }
 
 
-@dataclass
 class Report:
     """A suite's named checks plus the parameters it ran at."""
 
-    suite: str
-    parameters: dict
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("suite", "parameters", "checks")
+
+    def __init__(self, suite: str, parameters: dict, checks: list[Check] | None = None):
+        self.suite = suite
+        self.parameters = parameters
+        self.checks = [] if checks is None else checks
 
     @property
     def overall(self) -> str:
@@ -438,26 +438,6 @@ def _psi_columns(kmax: int, targets: Targets) -> Columns:
     return columns
 
 
-# Each disk's psi matrix by rows, row k - 1 holding psi_k on the targets
-# as index j - 1 -> value for the nonzero values at j = 1..kmax, or why
-# the first of its targets to fail failed.
-Rows = dict[Disk, list[dict[int, Fraction]] | str]
-
-
-def _psi_rows(kmax: int, columns: Columns) -> Rows:
-    rows: Rows = {}
-    for disk in Disk:
-        try:
-            matrix: list[dict[int, Fraction]] = [{} for _ in range(kmax)]
-            for j in range(1, kmax + 1):
-                for index, q in _target(columns, disk, j).items():
-                    matrix[index][j - 1] = q
-            rows[disk] = matrix
-        except CheckFailure as failure:
-            rows[disk] = str(failure)
-    return rows
-
-
 # The value of psi(k) on each disk's target at k.
 _PSI_ON_TARGET = {Disk.D1: 1, Disk.D2: 3}
 
@@ -467,13 +447,6 @@ def _target(targets: Targets | Columns, disk: Disk, k: int):
     if isinstance(value, str):
         raise CheckFailure(f"target construction failed for {disk.value} at k={k}: {value}")
     return value
-
-
-def _matrix(rows: Rows, disk: Disk) -> list[dict[int, Fraction]]:
-    matrix = rows[disk]
-    if isinstance(matrix, str):
-        raise CheckFailure(matrix)
-    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -495,17 +468,31 @@ def _at_each_k(analysis: Callable[[int], object]) -> Callable[[int], object]:
 
 def verify_psi_targets(kmax: int = 10) -> Report:
     """psi(k) takes value 1 on disk-1 targets, 3 on disk-2 targets, 0 across."""
-    return _psi_targets(kmax, _psi_rows(kmax, _psi_columns(kmax, _build_targets(kmax))))
+    return _psi_targets(kmax, _psi_columns(kmax, _build_targets(kmax)))
 
 
-def _psi_targets(kmax: int, rows: Rows) -> Report:
+def _psi_targets(kmax: int, columns: Columns) -> Report:
     report = Report("psi-targets", {"kmax": kmax})
+    # Each disk's psi matrix by rows, row k - 1 holding psi_k on the
+    # targets as index j - 1 -> value, nonzero values only, or why the
+    # first of its targets to fail failed.
+    rows: dict[Disk, list[dict[int, Fraction]] | str] = {}
+    for disk in Disk:
+        try:
+            rows[disk] = [{} for _ in range(kmax)]
+            for j in range(1, kmax + 1):
+                for index, q in _target(columns, disk, j).items():
+                    rows[disk][index][j - 1] = q
+        except CheckFailure as failure:
+            rows[disk] = str(failure)
     for k in range(1, kmax + 1):
         for disk in Disk:
             value = _PSI_ON_TARGET[disk]
 
             def body(disk=disk, k=k, value=value) -> str:
-                row = _matrix(rows, disk)[k - 1]
+                if isinstance(rows[disk], str):
+                    raise CheckFailure(rows[disk])
+                row = rows[disk][k - 1]
                 diagonal = row.get(k - 1, 0)
                 if diagonal != value:
                     raise CheckFailure(
@@ -714,10 +701,9 @@ def verify_main_theorem(
     span = verify_span_vanishing(**bounds, workers=workers)
     built = _build_targets(kmax)
     values = built if target_factory is None else _build_targets(kmax, target_factory)
-    columns = _psi_columns(kmax, values)
     return _main_theorem(
-        kmax, max_syllables, max_exponent, hexagon, span, built, values, columns,
-        _psi_rows(kmax, columns),
+        kmax, max_syllables, max_exponent, hexagon, span, built, values,
+        _psi_columns(kmax, values),
     )
 
 
@@ -730,15 +716,13 @@ def _main_theorem(
     built: Targets,
     values: Targets,
     columns: Columns,
-    rows: Rows,
 ) -> Report:
     """The main-theorem report, citing the checks of hexagon and span reports
     built at the same kmax and word bounds; their random trials are not cited.
 
     ``built`` holds the w3_target values for k = 1..kmax, ``values`` the
-    targets the certificates test (the same unless a factory replaced them),
-    ``columns`` psi(1..kmax) on each of ``values`` and ``rows`` each
-    disk's psi matrix read from them.
+    targets the certificates test (the same unless a factory replaced them)
+    and ``columns`` psi(1..kmax) on each of ``values``.
     """
     report = Report(
         "main-theorem",
@@ -766,7 +750,7 @@ def _main_theorem(
     )
     exhaustive, _random, *hexagon_cases = hexagon.checks
     span_generators, *solution_tables = span.checks
-    report.checks += [agree, exhaustive, *hexagon_cases, span_generators, *solution_tables]
+    report.checks.extend([agree, exhaustive, *hexagon_cases, span_generators, *solution_tables])
 
     target_checks: dict[tuple[Disk, int], Check] = {}
     for k in range(1, kmax + 1):
@@ -796,7 +780,10 @@ def _main_theorem(
         def ranks(disk=disk) -> str:
             family = [_target(values, disk, k) for k in range(1, kmax + 1)]
             elimination_rank = rank(family)
-            matrix_rank = _eliminate(dict(row) for row in _matrix(rows, disk))
+            # The columns' rank: a matrix and its transpose have the same rank.
+            matrix_rank = _eliminate(
+                dict(_target(columns, disk, j)) for j in range(1, kmax + 1)
+            )
             if elimination_rank != kmax or matrix_rank != kmax:
                 raise CheckFailure(
                     f"rank of the {disk.value} family is {elimination_rank} by "
@@ -868,8 +855,7 @@ def verify_all(
     """
     targets = _build_targets(kmax)
     columns = _psi_columns(kmax, targets)
-    rows = _psi_rows(kmax, columns)
-    psi_targets = _psi_targets(kmax, rows)
+    psi_targets = _psi_targets(kmax, columns)
     bounds = dict(kmax=kmax, max_syllables=max_syllables, max_exponent=max_exponent)
     hexagon = verify_hexagon_vanishing(
         **bounds, random_trials=random_trials, seed=seed, workers=workers
@@ -880,7 +866,6 @@ def verify_all(
         hexagon,
         span,
         _main_theorem(
-            kmax, max_syllables, max_exponent, hexagon, span, targets, targets, columns,
-            rows,
+            kmax, max_syllables, max_exponent, hexagon, span, targets, targets, columns
         ),
     ]

@@ -22,7 +22,6 @@ from barbellw3.barbell import (
     monomials_m,
     psi,
     span_generator_records,
-    span_generators,
     t4_expansion,
     t6_expansion,
     t_poly,
@@ -273,5 +272,3 @@ def test_span_generators():
         assert record.value == t_poly(record.i, record.a, record.c)
     kinds = [record.i for record in records[:4]]
     assert kinds == sorted(kinds)
-    elements = list(span_generators(1, 1))
-    assert elements == [record.value for record in records]

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from barbellw3.patterns import (
-    Pattern,
     PatternError,
     PatternFactor,
     eval_pattern,
@@ -23,10 +22,9 @@ def test_factor_validation():
     factor = PatternFactor("a", 1, True)
     assert str(factor) == "a_1^-1"
     assert str(PatternFactor("c", 3, False)) == "c_3"
-    with pytest.raises(PatternError):
-        PatternFactor("a", 2, False)
-    with pytest.raises(PatternError):
-        PatternFactor("", 1, False)
+    for bad in ("a_2", "_1", "A_1"):
+        with pytest.raises(PatternError):
+            parse_pattern(bad)
 
 
 def test_parse_round_trip():
@@ -44,7 +42,7 @@ def test_parse_errors():
 
 def test_pattern_structure_rules():
     with pytest.raises(PatternError):
-        Pattern(())
+        parse_pattern("")
     with pytest.raises(PatternError):
         parse_pattern("a_1 b_3 c_1")  # three distinct variables
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -280,12 +279,12 @@ def test_symbolic_analyses_match_every_concrete_k():
 
     for k in range(1, 31):
         assert [
-            replace(row, m1_solution=pair_at(row.m1_solution, k),
-                    m2_solution=pair_at(row.m2_solution, k))
+            row._replace(m1_solution=pair_at(row.m1_solution, k),
+                         m2_solution=pair_at(row.m2_solution, k))
             for row in rows
         ] == regenerate_table(k)
         assert [
-            replace(case, nu=at_k(case.nu, k), mu=at_k(case.mu, k))
+            case._replace(nu=at_k(case.nu, k), mu=at_k(case.mu, k))
             for case in analysis.cases
         ] == list(hexagon_case_analysis(k).cases)
 

@@ -410,13 +410,14 @@ def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
     ]
 
 
-def test_serial_run_does_not_load_the_process_pool():
+def test_serial_run_loads_neither_the_process_pool_nor_dataclasses():
     code = (
         "import sys\n"
         "from barbellw3.cli import main\n"
         "main(['verify', 'all', '--kmax', '2', '--max-syllables', '1',"
         " '--max-exponent', '1', '--trials', '4', '--workers', '1', '--format', 'json'])\n"
-        "print(sorted(name for name in sys.modules if name == 'concurrent.futures'"
+        "print(sorted(name for name in sys.modules"
+        " if name in ('concurrent.futures', 'dataclasses', 'inspect')"
         " or name.startswith(('concurrent.futures.', 'multiprocessing'))),"
         " file=sys.stderr)\n"
     )
@@ -555,9 +556,7 @@ def _witness(k):
 
 
 def _psi_targets_report(kmax, targets):
-    return verify._psi_targets(
-        kmax, verify._psi_rows(kmax, verify._psi_columns(kmax, targets))
-    )
+    return verify._psi_targets(kmax, verify._psi_columns(kmax, targets))
 
 
 def test_psi_matrix_off_diagonal_details_list_j_in_ascending_order():
