@@ -258,8 +258,9 @@ def w3_target(disk: Disk, k: int) -> W3Value:
 def monomials_m(k: Exponent) -> tuple[Word, Word]:
     """The two witness monomials the functional psi(k) weighs."""
     _check_k(k)
-    m1 = Word(QUAD, [("t_1", -1), ("t_3", 1), ("u_3", -k), ("t_3", -2)])
-    m2 = Word(QUAD, [("t_1", 2), ("u_1", k), ("t_1", -1), ("t_3", 1)])
+    # Adjacent letters differ and k is nonzero: both words are reduced.
+    m1 = Word._raw(QUAD, (("t_1", -1), ("t_3", 1), ("u_3", -k), ("t_3", -2)))
+    m2 = Word._raw(QUAD, (("t_1", 2), ("u_1", k), ("t_1", -1), ("t_3", 1)))
     return (m1, m2)
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .barbell import Disk, hexagon, span_generator_records, t_poly, w3_target
 from .ring import RingElement
@@ -128,11 +129,96 @@ def _report_markdown(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The keys of a check record, as sort_keys orders them.
+_CHECK_FIELDS = ("claim", "details", "method", "name", "status")
+_CHECK_KEYS = frozenset(_CHECK_FIELDS)
+_string = json.encoder.encode_basestring_ascii
+
+
+class _Unsupported(Exception):
+    """A value outside what _layout writes; json.dumps writes it instead."""
+
+
+@lru_cache(maxsize=None)
+def _check_layout(indent: str) -> str:
+    """A check record laid out at ``indent``, with %s for each value."""
+    inner = indent + "  "
+    fields = ",\n".join(f'{inner}"{key}": %s' for key in _CHECK_FIELDS)
+    return "{\n" + fields + f"\n{indent}}}"
+
+
+def _layout(value, indent: str, out: list[str]) -> None:
+    """Append the text of ``value``, its nested lines at ``indent``, to out."""
+    if type(value) is str:
+        out.append(_string(value))
+    elif type(value) is dict:
+        if not value:
+            out.append("{}")
+            return
+        if value.keys() == _CHECK_KEYS:
+            try:  # _string raises TypeError on a value that is not a str
+                out.append(_check_layout(indent) % (
+                    _string(value["claim"]), _string(value["details"]),
+                    _string(value["method"]), _string(value["name"]),
+                    _string(value["status"]),
+                ))
+                return
+            except TypeError:
+                pass
+        if any(type(key) is not str for key in value):
+            raise _Unsupported
+        inner = indent + "  "
+        opening = "{\n"
+        for key in sorted(value):
+            out.append(f"{opening}{inner}{_string(key)}: ")
+            _layout(value[key], inner, out)
+            opening = ",\n"
+        out.append(f"\n{indent}}}")
+    elif type(value) in (list, tuple):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        opening = "[\n"
+        for item in value:
+            out.append(opening + inner)
+            _layout(item, inner, out)
+            opening = ",\n"
+        out.append(f"\n{indent}]")
+    elif value is None or type(value) in (bool, int):
+        out.append(json.dumps(value))
+    else:
+        raise _Unsupported
+
+
+def _json_text(value) -> str:
+    """Exactly ``json.dumps(value, indent=2, sort_keys=True)``, plus a newline.
+
+    With an indent, json.dumps runs the pure-Python encoder, so the
+    strings, dicts with string keys, lists, ints, bools and None the
+    documents are made of are laid out here, each string through the C
+    escaper, into one list of pieces joined once; anything else goes to
+    json.dumps whole.
+    """
+    out: list[str] = []
+    try:
+        _layout(value, "", out)
+    except _Unsupported:
+        return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
 def emit(report: Report | list[Report], format: str = "md") -> str:
-    """Render one report or a list of them as md or json text."""
+    """Render one report or a list of them as md or json text.
+
+    The json text is ``json.dumps(document, indent=2, sort_keys=True)``
+    byte for byte, written by ``_json_text``: check records, most of a
+    report, take one format string each.
+    """
     if isinstance(report, Report):
         if format == "json":
-            return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+            return _json_text(report.to_json_dict())
         return _report_markdown(report)
     reports = list(report)
     overall = "pass" if all(r.overall == "pass" for r in reports) else "fail"
@@ -142,7 +228,7 @@ def emit(report: Report | list[Report], format: str = "md") -> str:
             "overall": overall,
             "suites": [r.to_json_dict() for r in reports],
         }
-        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+        return _json_text(document)
     sections = [_report_markdown(r) for r in reports]
     return "\n".join(sections) + f"\n# all suites: {overall}\n"
 
@@ -176,7 +262,7 @@ def _table_json(rows: list[TableRow]) -> str:
         }
         for row in rows
     ]
-    return json.dumps(documents, indent=2, sort_keys=True) + "\n"
+    return _json_text(documents)
 
 
 def _write_span_dump(args, out) -> int:

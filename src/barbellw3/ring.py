@@ -108,7 +108,18 @@ class RingElement:
     def at_k(self, k: Exponent) -> "RingElement":
         """An element with affine exponents at one k: each word through
         ``words.at_k``, and words that coincide there merged."""
-        return RingElement(self.alphabet, [(at_k(w, k), c) for w, c in self._terms.items()])
+        # The coefficients are already nonzero Fractions: only words that
+        # coincide at k are added, and a sum that vanishes is dropped.
+        terms: dict[Word, Fraction] = {}
+        for word, coeff in self._terms.items():
+            word = at_k(word, k)
+            if word in terms:
+                coeff += terms[word]
+                if not coeff:
+                    del terms[word]
+                    continue
+            terms[word] = coeff
+        return RingElement._from_clean_dict(self.alphabet, terms)
 
     @property
     def term_count(self) -> int:

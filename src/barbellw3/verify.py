@@ -24,19 +24,22 @@ exceptional set E; the k in E, or every k when the symbolic argument
 did not go through, are analysed concretely, so a report reads the same
 either way.  The targets are built the same way: once per disk at
 k = K, comparing the two constructions as formal sums with affine
-exponents, then instantiated at each k outside E.  psi(1..kmax) is read
-on them through one index of its weighted words, and each disk's psi
-matrix is held sparse, as its nonzero entries only.  The symbolic results
-are not cached across calls: the planted-defect tests replace the
-tables between calls, and the per-call work counts must repeat from run
-to run.
+exponents, then instantiated at each k outside E.  Instantiation
+reduces a word again only where an exponent vanishes (``words.at_k``),
+and psi(1..kmax) is read on the targets through one index from witness
+word to (k, weight) (``_psi_columns``); each disk's psi matrix is held
+sparse, as its nonzero entries only.  The symbolic results are not
+cached across calls: the planted-defect tests replace the tables
+between calls, and the per-call work counts must repeat from run to run.
 
 The three sweeps, ``hexagon_exhaustive``, ``hexagon_random`` and
 ``span_generators``, are one computation: ``_scan`` takes psi of a
 signed formula at each of a stream of word pairs.  Each sweep builds its
-witness words once, from ``psi`` itself, and the two exhaustive sweeps
-build their bounded words' ``word_pieces`` once as well; all of it goes
-to the chunks in their tasks.
+witness words once, from ``psi`` itself (``_witnesses``, which refuses a
+word that psi weighs at two k: every lookup by witness word assumes
+none is), and the two exhaustive sweeps build their bounded words'
+``word_pieces`` once as well; all of it goes to the chunks in their
+tasks.
 
 Only the pairs a subscript projection cannot rule out reach ``_scan``.
 Every shape has a subscript whose factors are one factor x or x^-1, and
@@ -56,9 +59,10 @@ stay in memory only.  Each exhaustive sweep is split into one contiguous
 range per worker, and each chunk keeps its first violations up to the
 cap, so the chunks merged in order give the whole scan's first ones for
 any split.  The random sweep draws from ``_RANDOM_STREAMS`` seeded
-streams at any worker count.  The process pool, and the modules it
-needs, load only when a sweep runs with more than one worker and more
-than one chunk.
+streams at any worker count, one task per stream.  The process pool, and
+the modules it needs, load only when a sweep runs with more than one
+worker and more than one task; it gets one contiguous batch of the tasks
+per worker (``_run_tasks``).
 """
 
 from __future__ import annotations
@@ -175,15 +179,27 @@ def _chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:]))
 
 
+def _run_batch(batch: tuple[Callable, tuple]) -> list:
+    fn, tasks = batch
+    return [fn(task) for task in tasks]
+
+
 def _run_tasks(fn: Callable, tasks: list, workers: int) -> list:
+    """fn on each task, in order, at up to ``workers`` processes.
+
+    A pool gets one batch per worker, a contiguous run of the tasks, so
+    a sweep with more tasks than workers (the random sweep's streams)
+    ships and collects one message per worker, not one per task.
+    """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
     # Imported here, so that a serial run never loads the pool's modules.
     from concurrent.futures import ProcessPoolExecutor
 
-    # A forked pool starts all its workers at once: no more than tasks.
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+    batches = [(fn, tuple(tasks[start:stop])) for start, stop in _chunk_ranges(len(tasks), workers)]
+    # A forked pool starts all its workers at once: one per batch.
+    with ProcessPoolExecutor(max_workers=len(batches)) as pool:
+        return [result for results in pool.map(_run_batch, batches) for result in results]
 
 
 def _merge_chunks(results: Iterable[tuple[int, list[str]]]) -> tuple[int, list[str]]:
@@ -197,12 +213,20 @@ def _merge_chunks(results: Iterable[tuple[int, list[str]]]) -> tuple[int, list[s
 
 def _witnesses(kmax: int) -> tuple[tuple[Run, int, Fraction], ...]:
     """psi(1..kmax)'s weighted words as (syllables, k, weight), built once
-    per sweep and passed to every chunk in its task."""
-    return tuple(
-        (word.syllables, k, weight)
-        for k in range(1, kmax + 1)
-        for word, weight in psi(k).weights.items()
-    )
+    per sweep and passed to every chunk in its task.
+
+    Every lookup of a word's (k, weight) assumes no word is weighed
+    twice, so a repeated word raises a ValueError naming both k.
+    """
+    first: dict[Run, int] = {}
+    witnesses = []
+    for k in range(1, kmax + 1):
+        for word, weight in psi(k).weights.items():
+            j = first.setdefault(word.syllables, k)
+            if j != k:
+                raise ValueError(f"psi({j}) and psi({k}) both weigh the word {word}")
+            witnesses.append((word.syllables, k, weight))
+    return tuple(witnesses)
 
 
 def _words_and_pieces(
@@ -413,27 +437,25 @@ Columns = dict[tuple[Disk, int], dict[int, Fraction] | str]
 
 def _psi_columns(kmax: int, targets: Targets) -> Columns:
     """psi(1..kmax) on each target, read through one index of psi's
-    weighted words, so each target costs its own terms only.  A column
-    holds only its nonzero values."""
-    functionals = [psi(k) for k in range(1, kmax + 1)]
-    hits: dict[Word, list[tuple[int, Fraction]]] = {}
-    for index, functional in enumerate(functionals):
-        for word, weight in functional.weights.items():
-            hits.setdefault(word, []).append((index, weight))
-    alphabet = functionals[0].alphabet
+    weighted words (``_witnesses``), so each target costs its own terms
+    only.  A column holds only its nonzero values."""
+    hits = {run: (k - 1, weight) for run, k, weight in _witnesses(kmax)}
     columns: Columns = {}
     for key, value in targets.items():
         if isinstance(value, str):
             columns[key] = value
             continue
-        if value.alphabet is not alphabet:
+        if value.alphabet is not QUAD:
             raise AlphabetMismatchError(
                 "cannot evaluate a functional on an element over another alphabet"
             )
         column: dict[int, Fraction] = {}
         for word, coefficient in value.terms():
-            for index, weight in hits.get(word, ()):
-                column[index] = column.get(index, 0) + weight * coefficient
+            hit = hits.get(word.syllables)
+            if hit:
+                index, weight = hit
+                product = weight * coefficient
+                column[index] = column[index] + product if index in column else product
         columns[key] = {index: q for index, q in column.items() if q}
     return columns
 

@@ -368,14 +368,30 @@ def equal_syllables(x: tuple[Syllable, ...], y: tuple[Syllable, ...]) -> bool:
 
 def at_k(w: Word, k: Exponent) -> Word:
     """A word with affine exponents at one k (a positive int, or an
-    affine exponent for a sub-family), reduced."""
+    affine exponent for a sub-family), reduced.
+
+    Adjacent syllables of a reduced word have different letters, so only
+    an exponent that vanishes at k can bring equal letters together: the
+    syllables are reduced again only then.  Each exponent is truth tested
+    once either way, so ``recorded_roots`` sees the same roots.
+    """
     if not (type(k) is int and k >= 1 or isinstance(k, Affine)):
         raise WordError(f"k must be a positive int or an affine exponent, got {k!r}")
-    # Syllables with int exponents are shared with w, not copied.
-    syllables = tuple(
-        s if type(s[1]) is int else (s[0], s[1].at(k)) for s in w.syllables
-    )
-    return Word._raw(w.alphabet, _merge_runs([(s,) for s in syllables if s[1]]))
+    syllables = []
+    vanished = False
+    for s in w.syllables:
+        exp = s[1]
+        # Syllables with int exponents are shared with w, not copied.
+        if type(exp) is not int:
+            exp = exp.at(k)
+            s = (s[0], exp)
+        if exp:
+            syllables.append(s)
+        else:
+            vanished = True
+    if vanished:
+        return Word._raw(w.alphabet, _merge_runs([(s,) for s in syllables]))
+    return Word._raw(w.alphabet, tuple(syllables))
 
 
 def concat(v: Word, w: Word) -> Word:

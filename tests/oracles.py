@@ -22,7 +22,7 @@ import barbellw3.barbell as barbell
 from barbellw3.patterns import CompiledFormulas, Pattern, eval_pattern
 from barbellw3.ring import RingElement
 from barbellw3.solver import _solve_system
-from barbellw3.words import BASE, QUAD, Word, equal_syllables, identity
+from barbellw3.words import BASE, QUAD, Word, _merge_runs, equal_syllables, identity
 
 
 def expand_letters(w: Word) -> list[tuple[str, int]]:
@@ -94,6 +94,13 @@ def naive_project(w: Word, tag: int) -> Word:
             if _UNTAGGED[letter][1] == tag
         ],
     )
+
+
+def merged_at_k(w: Word, k) -> Word:
+    """``words.at_k`` without its fast path: every instantiated syllable
+    with a nonzero exponent goes through ``_merge_runs`` on its own."""
+    syllables = [s if type(s[1]) is int else (s[0], s[1].at(k)) for s in w.syllables]
+    return Word._raw(w.alphabet, _merge_runs([(s,) for s in syllables if s[1]]))
 
 
 def naive_eval_pattern(pattern: Pattern, assignment) -> Word:

@@ -13,7 +13,7 @@ import pytest
 
 import barbellw3.cli as cli
 from barbellw3.cli import main
-from barbellw3.verify import Report
+from barbellw3.verify import Check, Report
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -322,3 +322,67 @@ def test_verify_defaults_to_the_affinity_set(capsys, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     code, _, _ = run_cli(capsys, "verify", "hexagon")
     assert code == 0 and seen == [3, 2, 64, 1]
+
+
+# emit and the table writer lay JSON out themselves; their text must be
+# json.dumps(value, indent=2, sort_keys=True) byte for byte.
+def dumped(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("suite", ["all", "psi", "hexagon", "span", "main"])
+def test_verify_json_is_the_json_dumps_layout(capsys, suite):
+    code, out, _ = run_cli(
+        capsys,
+        "verify", suite, "--kmax", "3", "--max-syllables", "2", "--max-exponent", "1",
+        "--trials", "20", "--seed", "1", "--workers", "1", "--format", "json",
+    )
+    assert code == 0
+    assert out == dumped(json.loads(out))
+
+
+def test_table_json_is_the_json_dumps_layout(capsys):
+    code, out, _ = run_cli(capsys, "table", "--k", "3", "--format", "json")
+    assert code == 0
+    assert out == dumped(json.loads(out))
+    rows = cli.regenerate_table(3)
+    assert out == cli._table_json(rows)
+
+
+def test_emit_matches_json_dumps_on_awkward_reports():
+    odd = 'quote " backslash \\ newline \n tab \t control \x01 accents é ü and ✓ 😀'
+    failing = Report(
+        "odd \"suite\"",
+        {"kmax": 3, "label": odd, "flag": True, "none": None, "nested": {"b": [1, "x"], "a": []}},
+        [
+            Check("first", odd, "exact", "fail", odd),
+            Check("second \\", "claim", "randomized", "pass", ""),
+        ],
+    )
+    empty = Report("empty", {}, [])
+    for report in (failing, empty):
+        assert cli.emit(report, "json") == dumped(report.to_json_dict())
+    document = {"suite": "all", "overall": "fail",
+                "suites": [failing.to_json_dict(), empty.to_json_dict()]}
+    assert cli.emit([failing, empty], "json") == dumped(document)
+    assert cli.emit([], "json") == dumped({"suite": "all", "overall": "pass", "suites": []})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        "",
+        0,
+        [[], {}, [{}], (1, 2)],
+        # Shaped like a check record but not all strings: the general path.
+        {"claim": 1, "details": None, "method": "m", "name": "n", "status": "s"},
+        {"claim": "c", "details": "d", "method": "m", "name": "n", "status": "s", "x": 1},
+        # Outside the laid-out types: json.dumps writes the whole value.
+        {"a": 1.5, "b": [float("inf")]},
+        {2: "int keys", 1: "sorted as ints"},
+    ],
+)
+def test_json_text_matches_json_dumps(value):
+    assert cli._json_text(value) == dumped(value)

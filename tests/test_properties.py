@@ -34,7 +34,14 @@ from barbellw3.words import (
     rename,
 )
 
-from oracles import naive_concat, naive_invert, naive_project, reduce_letters, split_blocks
+from oracles import (
+    merged_at_k,
+    naive_concat,
+    naive_invert,
+    naive_project,
+    reduce_letters,
+    split_blocks,
+)
 from test_ring import sympy_rank
 
 INTS = st.integers(-4, 4).filter(bool)
@@ -119,6 +126,30 @@ def test_project_is_a_homomorphism_undoing_rename(x, y, w, tag):
     assert project(x, tag) == naive_project(x, tag)
     assert project(rename(w, tag), tag) == w
     assert project(rename(w, 4 - tag), tag) == identity(BASE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([BASE, QUAD]).flatmap(
+        lambda a: syllables(a, exponents=AFFINE).map(lambda s: Word(a, s))
+    ),
+    # Small int k often zeroes an exponent; an affine k (positive at
+    # every k >= 1) zeroes none, but each exponent records its roots.
+    st.one_of(
+        st.integers(1, 6),
+        st.builds(lambda a, b: a + b * K, st.integers(0, 3), st.integers(1, 2)),
+    ),
+)
+@example(Word(BASE, [("t", 1), ("u", K - 2), ("t", 1)]), 2)
+@example(Word(QUAD, [("t_1", 1), ("u_3", 2 - K), ("t_1", -1), ("u_1", K)]), 2)
+@example(Word(BASE, [("t", K - 3), ("u", 1), ("t", 3 - K)]), K + 2)
+def test_at_k_matches_the_merge_runs_reference(w, k):
+    with recorded_roots() as roots:
+        fast = at_k(w, k)
+    with recorded_roots() as reference_roots:
+        reference = merged_at_k(w, k)
+    assert fast == reference
+    assert roots == reference_roots
 
 
 def elements(k):

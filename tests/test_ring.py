@@ -21,6 +21,7 @@ from barbellw3.words import (
     BASE,
     QUAD,
     AlphabetMismatchError,
+    at_k,
     identity,
     parse_word,
 )
@@ -271,3 +272,31 @@ def test_rank_of_target_families_matches_sympy():
     for disk in Disk:
         family = [w3_target(disk, k).value for k in range(1, 7)]
         assert rank(family) == sympy_rank(family) == 6
+
+
+def test_at_k_merges_coinciding_words_as_the_constructor_does():
+    def k_word(text):
+        return parse_word(text, QUAD, k=True)
+
+    element = RingElement(
+        QUAD,
+        [
+            (k_word("t_1 u_1^k-2 t_1"), 3),  # t_1^2 at k = 2, cancelling the next
+            (k_word("t_1^2"), -3),
+            (k_word("u_3^k"), Fraction(1, 2)),
+            (k_word("t_3^k-1"), 1),  # t_3 at k = 2, adding to the next
+            (k_word("t_3^-k+3"), 2),
+            (k_word("u_1 t_3^k"), -1),
+        ],
+    )
+    for k in (1, 2, 3, 4):
+        instantiated = element.at_k(k)
+        constructed = RingElement(QUAD, [(at_k(w, k), c) for w, c in element.terms()])
+        assert instantiated == constructed
+        assert list(instantiated.terms()) == list(constructed.terms())  # insertion order
+        assert all(c and isinstance(c, Fraction) for _, c in instantiated.terms())
+    at_2 = element.at_k(2)
+    assert at_2.coeff(parse_word("t_1^2")) == 0
+    assert at_2.coeff(parse_word("t_3")) == 3
+    assert at_2.term_count == 3
+    assert element.at_k(3).term_count == 6

@@ -6,6 +6,7 @@ import concurrent.futures
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -18,7 +19,7 @@ import barbellw3.barbell as barbell
 import barbellw3.solver as solver
 import barbellw3.verify as verify
 from barbellw3.barbell import Disk, psi, t_poly, w3_target
-from barbellw3.cli import emit
+from barbellw3.cli import emit, main
 from barbellw3.patterns import CompiledFormulas, parse_pattern
 from barbellw3.solver import solve
 from barbellw3.verify import (
@@ -212,6 +213,29 @@ def test_targets_built_at_K_match_the_concrete_build():
             assert all(type(q) is Fraction for q in columns[disk, k].values())
 
 
+def test_psi_columns_read_both_witness_monomials():
+    # The targets hold no m2 term; these elements do, and they hit
+    # m1 and m2 of one k together, so the two weights must sum.
+    kmax = 4
+    m = {k: barbell.monomials_m(k) for k in range(1, kmax + 1)}
+    elements = {
+        (Disk.D1, 1): RingElement(QUAD, [(m[2][1], 5), (m[3][0], Fraction(1, 2))]),
+        (Disk.D2, 1): RingElement(QUAD, [(m[4][0], 2), (m[4][1], 2), (parse_word("t_1"), 7)]),
+        (Disk.D1, 2): RingElement(QUAD, [(m[1][0], 1), (m[1][1], -3)]),
+        (Disk.D2, 2): "construction failed",
+    }
+    columns = verify._psi_columns(kmax, elements)
+    assert columns[Disk.D2, 2] == "construction failed"
+    for key, value in elements.items():
+        if isinstance(value, RingElement):
+            assert columns[key] == {
+                j - 1: psi(j)(value) for j in range(1, kmax + 1) if psi(j)(value)
+            }
+    assert columns[Disk.D1, 1] == {1: -5, 2: Fraction(1, 2)}
+    assert columns[Disk.D2, 1] == {}
+    assert columns[Disk.D1, 2] == {0: 4}
+
+
 def test_exceptional_k_builds_the_target_concretely(monkeypatch):
     built = []
     original = verify.w3_target
@@ -299,6 +323,29 @@ def test_process_pool_is_no_larger_than_its_task_list(pool_sizes):
     assert pool_sizes == [25, 10, 8]
     assert verify._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert pool_sizes[-1] == 2
+
+
+def test_a_pool_gets_one_batch_of_tasks_per_worker(monkeypatch, pool_sizes):
+    batches = []
+    original = verify._run_batch
+
+    def recorded(batch):
+        batches.append([task[-2:] for task in batch[1]])
+        return original(batch)
+
+    monkeypatch.setattr(verify, "_run_batch", recorded)
+    kwargs = dict(kmax=2, max_syllables=1, max_exponent=1, random_trials=100, seed=3)
+    pooled = verify_hexagon_vanishing(**kwargs, workers=2)
+    # 25 hexagon pairs in two ranges, one batch each; the 32 random
+    # streams in two batches of 16, in stream order.
+    assert pool_sizes == [2, 2]
+    assert batches[:2] == [[(0, 13)], [(13, 25)]]
+    streams = [
+        (index, stop - start)
+        for index, (start, stop) in enumerate(verify._chunk_ranges(100, verify._RANDOM_STREAMS))
+    ]
+    assert batches[2:] == [streams[:16], streams[16:]]
+    assert report_json(pooled) == report_json(verify_hexagon_vanishing(**kwargs, workers=1))
 
 
 def flipped_hexagon_sign(monkeypatch):
@@ -679,3 +726,39 @@ def test_failed_check_carries_reason():
     )
     failing = next(c for c in report.checks if c.status == "fail")
     assert failing.details
+
+
+def test_a_repeated_witness_word_is_refused(monkeypatch, capsys):
+    # psi(2) planted to weigh m1(1) again: a lookup from word to (k,
+    # weight) would keep one of the two k, a sum over psi would count both.
+    real = barbell.monomials_m
+    repeated = real(1)[0]
+
+    def planted(k):
+        m1, m2 = real(k)
+        return (repeated, m2) if k == 2 else (m1, m2)
+
+    monkeypatch.setattr(barbell, "monomials_m", planted)
+    message = f"psi(1) and psi(2) both weigh the word {repeated}"
+    assert message == "psi(1) and psi(2) both weigh the word t_1^-1 t_3 u_3^-1 t_3^-2"
+    with pytest.raises(ValueError) as raised:
+        verify._witnesses(3)
+    assert str(raised.value) == message
+    assert verify._witnesses(1)  # below the repeat nothing is refused
+    bounds = dict(kmax=2, max_syllables=1, max_exponent=1)
+    for run in (
+        lambda: verify_all(**bounds, random_trials=10, seed=0, workers=1),
+        lambda: verify_psi_targets(kmax=2),
+        lambda: verify_main_theorem(**bounds, workers=1),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run()
+    hexagon = verify_hexagon_vanishing(**bounds, random_trials=10, seed=0, workers=1)
+    span = verify_span_vanishing(**bounds, workers=1)
+    for check in (hexagon.checks[0], hexagon.checks[1], span.checks[0]):
+        assert (check.status, check.details) == ("fail", f"ValueError: {message}")
+    # The command line reports it as an error, not as a verdict.
+    code = main(["verify", "all", "--kmax", "2", "--max-syllables", "1",
+                 "--max-exponent", "1", "--workers", "1", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
