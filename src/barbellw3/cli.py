@@ -135,10 +135,6 @@ _CHECK_KEYS = frozenset(_CHECK_FIELDS)
 _string = json.encoder.encode_basestring_ascii
 
 
-class _Unsupported(Exception):
-    """A value outside what _layout writes; json.dumps writes it instead."""
-
-
 @lru_cache(maxsize=None)
 def _check_layout(indent: str) -> str:
     """A check record laid out at ``indent``, with %s for each value."""
@@ -156,17 +152,12 @@ def _layout(value, indent: str, out: list[str]) -> None:
             out.append("{}")
             return
         if value.keys() == _CHECK_KEYS:
-            try:  # _string raises TypeError on a value that is not a str
-                out.append(_check_layout(indent) % (
-                    _string(value["claim"]), _string(value["details"]),
-                    _string(value["method"]), _string(value["name"]),
-                    _string(value["status"]),
-                ))
-                return
-            except TypeError:
-                pass
-        if any(type(key) is not str for key in value):
-            raise _Unsupported
+            out.append(_check_layout(indent) % (
+                _string(value["claim"]), _string(value["details"]),
+                _string(value["method"]), _string(value["name"]),
+                _string(value["status"]),
+            ))
+            return
         inner = indent + "  "
         opening = "{\n"
         for key in sorted(value):
@@ -188,7 +179,7 @@ def _layout(value, indent: str, out: list[str]) -> None:
     elif value is None or type(value) in (bool, int):
         out.append(json.dumps(value))
     else:
-        raise _Unsupported
+        raise TypeError(f"{type(value).__name__} is not laid out as JSON here")
 
 
 def _json_text(value) -> str:
@@ -197,14 +188,11 @@ def _json_text(value) -> str:
     With an indent, json.dumps runs the pure-Python encoder, so the
     strings, dicts with string keys, lists, ints, bools and None the
     documents are made of are laid out here, each string through the C
-    escaper, into one list of pieces joined once; anything else goes to
-    json.dumps whole.
+    escaper, into one list of pieces joined once.  Any other value, or a
+    key or check field that is not a string, raises TypeError.
     """
     out: list[str] = []
-    try:
-        _layout(value, "", out)
-    except _Unsupported:
-        return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    _layout(value, "", out)
     out.append("\n")
     return "".join(out)
 

@@ -61,7 +61,7 @@ cap, so the chunks merged in order give the whole scan's first ones for
 any split.  The random sweep draws from ``_RANDOM_STREAMS`` seeded
 streams at any worker count, one task per stream.  The process pool, and
 the modules it needs, load only when a sweep runs with more than one
-worker and more than one task; it gets one contiguous batch of the tasks
+worker and more than one task; it gets the tasks in one contiguous chunk
 per worker (``_run_tasks``).
 """
 
@@ -179,16 +179,11 @@ def _chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:]))
 
 
-def _run_batch(batch: tuple[Callable, tuple]) -> list:
-    fn, tasks = batch
-    return [fn(task) for task in tasks]
-
-
 def _run_tasks(fn: Callable, tasks: list, workers: int) -> list:
     """fn on each task, in order, at up to ``workers`` processes.
 
-    A pool gets one batch per worker, a contiguous run of the tasks, so
-    a sweep with more tasks than workers (the random sweep's streams)
+    The pool gets the tasks in contiguous chunks, one per worker, so a
+    sweep with more tasks than workers (the random sweep's streams)
     ships and collects one message per worker, not one per task.
     """
     if workers <= 1 or len(tasks) <= 1:
@@ -196,10 +191,10 @@ def _run_tasks(fn: Callable, tasks: list, workers: int) -> list:
     # Imported here, so that a serial run never loads the pool's modules.
     from concurrent.futures import ProcessPoolExecutor
 
-    batches = [(fn, tuple(tasks[start:stop])) for start, stop in _chunk_ranges(len(tasks), workers)]
-    # A forked pool starts all its workers at once: one per batch.
-    with ProcessPoolExecutor(max_workers=len(batches)) as pool:
-        return [result for results in pool.map(_run_batch, batches) for result in results]
+    chunksize = -(-len(tasks) // workers)
+    # A forked pool starts all its workers at once: one per chunk.
+    with ProcessPoolExecutor(max_workers=-(-len(tasks) // chunksize)) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
 def _merge_chunks(results: Iterable[tuple[int, list[str]]]) -> tuple[int, list[str]]:

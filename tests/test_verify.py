@@ -288,10 +288,15 @@ def test_k_specific_expansion_defect_fails_only_where_it_shows(monkeypatch):
     )
 
 
+# The chunksize of each map the pool_sizes fixture's pools ran.
+chunksizes: list[int] = []
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """The size of each process pool opened; every pool maps in this process."""
     sizes = []
+    chunksizes.clear()
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -303,7 +308,8 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
+            chunksizes.append(chunksize)
             return map(fn, tasks)
 
     # _run_tasks imports the pool where it opens one.
@@ -325,27 +331,19 @@ def test_process_pool_is_no_larger_than_its_task_list(pool_sizes):
     assert pool_sizes[-1] == 2
 
 
-def test_a_pool_gets_one_batch_of_tasks_per_worker(monkeypatch, pool_sizes):
-    batches = []
-    original = verify._run_batch
-
-    def recorded(batch):
-        batches.append([task[-2:] for task in batch[1]])
-        return original(batch)
-
-    monkeypatch.setattr(verify, "_run_batch", recorded)
+def test_a_pool_gets_one_chunk_of_tasks_per_worker(pool_sizes):
     kwargs = dict(kmax=2, max_syllables=1, max_exponent=1, random_trials=100, seed=3)
     pooled = verify_hexagon_vanishing(**kwargs, workers=2)
-    # 25 hexagon pairs in two ranges, one batch each; the 32 random
-    # streams in two batches of 16, in stream order.
+    # 25 hexagon pairs in two ranges, one task each; the 32 random
+    # streams in two chunks of 16.
     assert pool_sizes == [2, 2]
-    assert batches[:2] == [[(0, 13)], [(13, 25)]]
-    streams = [
-        (index, stop - start)
-        for index, (start, stop) in enumerate(verify._chunk_ranges(100, verify._RANDOM_STREAMS))
-    ]
-    assert batches[2:] == [streams[:16], streams[16:]]
+    assert chunksizes == [1, 16]
     assert report_json(pooled) == report_json(verify_hexagon_vanishing(**kwargs, workers=1))
+    # Three workers take 11 + 11 + 10 tasks; ten take eight chunks of 4.
+    del pool_sizes[:], chunksizes[:]
+    assert verify._run_tasks(abs, list(range(-32, 0)), 3) == list(range(32, 0, -1))
+    assert verify._run_tasks(abs, list(range(-32, 0)), 10) == list(range(32, 0, -1))
+    assert (pool_sizes, chunksizes) == ([3, 8], [11, 4])
 
 
 def flipped_hexagon_sign(monkeypatch):
