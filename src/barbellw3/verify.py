@@ -34,44 +34,48 @@ between calls, and the per-call work counts must repeat from run to run.
 
 The three sweeps, ``hexagon_exhaustive``, ``hexagon_random`` and
 ``span_generators``, are one computation: ``_scan`` takes psi of a
-signed formula at each of a stream of word pairs.  Each sweep builds its
-witness words once, from ``psi`` itself (``_witnesses``, which refuses a
-word that psi weighs at two k: every lookup by witness word assumes
-none is), and the two exhaustive sweeps build their bounded words'
-``word_pieces`` once as well; all of it goes to the chunks in their
-tasks.
+signed formula at each of a stream of word pairs, and ``_sweep`` runs a
+sweep's chunk tasks and joins their violations in task order, cut to the
+cap.  Each sweep builds its witness words once, from ``psi`` itself
+(``_witnesses``, which refuses a word that psi weighs at two k: every
+lookup by witness word assumes none is), and the two exhaustive sweeps
+build their bounded words' ``word_pieces`` once as well; all of it goes
+to the chunks in their tasks.
 
 Only the pairs a subscript projection cannot rule out reach ``_scan``.
 Every shape has a subscript whose factors are one factor x or x^-1, and
 projecting onto that subscript, a homomorphism, forces x to one value
-per witness word (``_forced``); a pair taking none of its variables'
-forced values has no witness word among its shape values and no
-violation, so it is settled by projection.  At bounds (3, 3) and
-kmax 10 that leaves 6 172 of 267 289 hexagon pairs and 4 128 of
-133 128 admissible pairs.  A shape with no such subscript switches the
-filter off.  Each chunk counts its share from its bounds, so the
-reports read as if every pair were scanned.  The hexagon chunks visit
-only the rows and columns of forced words; the random sweep tests each
-drawn pair before taking its pieces.
+per witness word (``_forced``, a set of syllable runs, the one key the
+sweeps test words by); a pair taking none of its variables' forced
+values has no witness word among its shape values and no violation, so
+it is settled by projection.  At bounds (3, 3) and kmax 10 that leaves
+6 172 of 267 289 hexagon pairs and 4 128 of 133 128 admissible pairs.
+A shape with no such subscript switches the filter off.  Each chunk
+counts its share from its bounds, so the reports read as if every pair
+were scanned; a span chunk refuses a walk that yields another count.
+A hexagon chunk takes a range of rows, row-major: a forced row takes
+every column, any other row the forced columns.  The random sweep draws
+runs from ``getrandbits`` as randint and choice would, and makes words
+and pieces only for candidate pairs.
 
 Reports serialize byte-identically from run to run: wall-clock timings
 stay in memory only.  Each exhaustive sweep is split into one contiguous
 range per worker, and each chunk keeps its first violations up to the
-cap, so the chunks merged in order give the whole scan's first ones for
+cap, so the chunks joined in order give the whole scan's first ones for
 any split.  The random sweep draws from ``_RANDOM_STREAMS`` seeded
 streams at any worker count, one task per stream.  The process pool, and
 the modules it needs, load only when a sweep runs with more than one
 worker and more than one task; it gets the tasks in one contiguous chunk
-per worker (``_run_tasks``).
+per worker.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import count, islice
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .barbell import (
     HEXAGON_FORMULAS,
@@ -197,13 +201,17 @@ def _run_tasks(fn: Callable, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
-def _merge_chunks(results: Iterable[tuple[int, list[str]]]) -> tuple[int, list[str]]:
+def _sweep(chunk: Callable[[tuple], tuple[int, list[str]]], tasks: list, workers: int) -> int:
+    """The pairs a sweep's chunks checked; their violations, joined in task
+    order and cut to the cap, raise a CheckFailure."""
     checked = 0
     violations: list[str] = []
-    for count, chunk_violations in results:
-        checked += count
-        violations.extend(chunk_violations)
-    return checked, violations[:_VIOLATION_CAP]
+    for pairs, found in _run_tasks(chunk, tasks, workers):
+        checked += pairs
+        violations.extend(found)
+    if violations:
+        raise CheckFailure("; ".join(violations[:_VIOLATION_CAP]))
+    return checked
 
 
 def _witnesses(kmax: int) -> tuple[tuple[Run, int, Fraction], ...]:
@@ -248,10 +256,10 @@ def _single_factor(shape: Pattern) -> tuple[str, int, bool] | None:
 
 def _forced(
     formulas: CompiledFormulas, witnesses: tuple[tuple[Run, int, Fraction], ...]
-) -> tuple[frozenset[Word], ...] | None:
-    """The values each variable of ``formulas`` is forced to take where some
-    shape is a witness word, in the order of ``variables``; None when a
-    shape has no subscript whose factors are one factor.
+) -> tuple[frozenset[Run], ...] | None:
+    """The syllable runs each variable of ``formulas`` is forced to take
+    where some shape is a witness word, in the order of ``variables``;
+    None when a shape has no subscript whose factors are one factor.
 
     pi_s, which keeps the letters of subscript s, is a homomorphism, and
     pi_s(shape) is the product of the shape's subscript-s factors
@@ -260,7 +268,8 @@ def _forced(
     (or x^-1) is the witness m at (x, y) only if x = pi_s(m) (or
     pi_s(m)^-1).  A pair whose values are all outside these sets has no
     witness word among its shape values, hence no psi violation.  Each
-    witness is projected once per subscript.
+    witness is projected once per subscript, and each (subscript,
+    inverted) image is one run set, shared by the shapes that use it.
     """
     choices = set()
     for shape in formulas.shapes:
@@ -268,12 +277,12 @@ def _forced(
         if choice is None:
             return None
         choices.add(choice)
-    images: dict[tuple[int, bool], frozenset[Word]] = {}
+    images: dict[tuple[int, bool], frozenset[Run]] = {}
     for tag in (1, 3):
-        projected = frozenset(project(Word._raw(QUAD, run), tag) for run, _, _ in witnesses)
-        images[tag, False] = projected
-        images[tag, True] = frozenset(map(invert, projected))
-    forced: dict[str, set[Word]] = {var: set() for var in formulas.variables}
+        projected = [project(Word._raw(QUAD, run), tag) for run, _, _ in witnesses]
+        images[tag, False] = frozenset(w.syllables for w in projected)
+        images[tag, True] = frozenset(invert(w).syllables for w in projected)
+    forced: dict[str, set[Run]] = {var: set() for var in formulas.variables}
     for var, tag, inverted in choices:
         forced[var] |= images[tag, inverted]
     return tuple(frozenset(forced[var]) for var in formulas.variables)
@@ -325,45 +334,35 @@ def _scan(
 # counts its share from its bounds.
 
 
-def _cells(
-    n: int, rows: frozenset[int], columns: tuple[int, ...], start: int, stop: int
-) -> Iterator[tuple[int, int]]:
-    """The cells (i, j) of an n-column grid with flat index i * n + j in
-    [start, stop) and i in ``rows`` or j in ``columns`` (ascending), in
-    flat-index order."""
-    for i in range(start // n, -(-stop // n)):
-        low, high = max(start - i * n, 0), min(stop - i * n, n)
-        if i in rows:
-            yield from zip(repeat(i), range(low, high))
-        else:
-            for j in columns:
-                if low <= j < high:
-                    yield i, j
-
-
 def _hexagon_chunk(task: tuple) -> tuple[int, list[str]]:
+    # Rows [start, stop), row-major: a forced row takes every column, any other the forced ones.
     words, pieces, rows, columns, witnesses, start, stop = task
+    every = range(len(words))
     items = (
         (words[i], words[j], pieces[i] + pieces[j])
-        for i, j in _cells(len(words), rows, columns, start, stop)
+        for i in range(start, stop)
+        for j in (every if i in rows else columns)
     )
-    return stop - start, _scan(HEXAGON_FORMULAS, ("H",), "H({1}, {2})", items, witnesses)
+    violations = _scan(HEXAGON_FORMULAS, ("H",), "H({1}, {2})", items, witnesses)
+    return (stop - start) * len(words), violations
 
 
-def _random_word(rng: random.Random, max_syllables: int, max_exponent: int) -> Word:
-    # The draws of randint and choice, made through the one method both
-    # call, in their order: count, first letter, then each exponent and
-    # its sign.
-    below = rng._randbelow
-    count = below(max_syllables) + 1
-    letter = "tu"[below(2)]
+def _random_word(rng: random.Random, max_syllables: int, max_exponent: int) -> Run:
+    # The draws of randint and choice, in their order (the count, the first
+    # letter, then each exponent and its sign), each made as their
+    # Random._randbelow(n) makes it: getrandbits(n.bit_length()) until below n.
+    bits, width = rng.getrandbits, max_exponent.bit_length()
+    while (n := bits(max_syllables.bit_length())) >= max_syllables: pass
+    while (first := bits(2)) >= 2: pass
+    letter = "tu"[first]
     syllables = []
-    for _ in range(count):
-        exponent = below(max_exponent) + 1
-        syllables.append((letter, -exponent if below(2) else exponent))
+    for _ in range(n + 1):
+        while (exponent := bits(width)) >= max_exponent: pass
+        while (sign := bits(2)) >= 2: pass
+        syllables.append((letter, -1 - exponent if sign else 1 + exponent))
         letter = "u" if letter == "t" else "t"
-    # Alternating letters and nonzero exponents: the word is reduced.
-    return Word._raw(BASE, tuple(syllables))
+    # Alternating letters and nonzero exponents: the run is reduced.
+    return tuple(syllables)
 
 
 def _hexagon_random_chunk(task: tuple) -> tuple[int, list[str]]:
@@ -375,7 +374,8 @@ def _hexagon_random_chunk(task: tuple) -> tuple[int, list[str]]:
     if forced is not None:
         nus, mus = forced
         pairs = ((nu, mu) for nu, mu in pairs if nu in nus or mu in mus)
-    items = ((nu, mu, word_pieces(nu) + word_pieces(mu)) for nu, mu in pairs)
+    words = ((Word._raw(BASE, nu), Word._raw(BASE, mu)) for nu, mu in pairs)
+    items = ((nu, mu, word_pieces(nu) + word_pieces(mu)) for nu, mu in words)
     return trials, _scan(HEXAGON_FORMULAS, ("H",), "H({1}, {2})", items, witnesses)
 
 
@@ -383,11 +383,18 @@ def _span_chunk(task: tuple) -> tuple[int, list[str]]:
     (max_syllables, max_exponent, witnesses, words, pieces, forced_a, forced_c,
      start, stop) = task
     lookup = dict(zip(words, pieces))
-    pairs = islice(enumerate_admissible(max_syllables, max_exponent), start, stop)
+    # zip takes a pair before its count, so ``walked`` ends at the pairs taken.
+    walked = count()
+    pairs = zip(islice(enumerate_admissible(max_syllables, max_exponent), start, stop), walked)
     items = (
-        (a, c, lookup[a] + lookup[c]) for a, c in pairs if a in forced_a or c in forced_c
+        (a, c, lookup[a] + lookup[c])
+        for (a, c), _ in pairs if a.syllables in forced_a or c.syllables in forced_c
     )
     violations = _scan(T_POLY_FORMULAS, T_KINDS, "t_poly({0}, {1}, {2})", items, witnesses)
+    taken = next(walked)
+    if taken != stop - start:
+        raise ValueError(f"the admissible enumeration yielded {taken} pairs in "
+                         f"[{start}, {stop}), not {stop - start}")
     return (stop - start) * len(T_KINDS), violations
 
 
@@ -560,17 +567,15 @@ def verify_hexagon_vanishing(
     def exhaustive() -> str:
         words, pieces = _words_and_pieces(max_syllables, max_exponent, True)
         witnesses = _witnesses(kmax)
-        # With the filter off, every row is a candidate.
-        nus, mus = _forced(HEXAGON_FORMULAS, witnesses) or (frozenset(words), frozenset())
-        rows = frozenset(i for i, w in enumerate(words) if w in nus)
-        columns = tuple(j for j, w in enumerate(words) if w in mus)
+        everything = (frozenset(w.syllables for w in words), frozenset())  # filter off
+        nus, mus = _forced(HEXAGON_FORMULAS, witnesses) or everything
+        rows = frozenset(i for i, w in enumerate(words) if w.syllables in nus)
+        columns = tuple(j for j, w in enumerate(words) if w.syllables in mus)
         tasks = [
             (words, pieces, rows, columns, witnesses, start, stop)
-            for start, stop in _chunk_ranges(len(words) ** 2, workers)
+            for start, stop in _chunk_ranges(len(words), workers)
         ]
-        checked, violations = _merge_chunks(_run_tasks(_hexagon_chunk, tasks, workers))
-        if violations:
-            raise CheckFailure("; ".join(violations))
+        checked = _sweep(_hexagon_chunk, tasks, workers)
         return f"{checked} pairs (identity included) x k = 1..{kmax}: all zero"
 
     report.checks.append(
@@ -588,18 +593,13 @@ def verify_hexagon_vanishing(
         random_syllables = max_syllables + 3
         random_exponent = max_exponent + 3
         streams = _chunk_ranges(random_trials, _RANDOM_STREAMS)
-        quotas = [stop - start for start, stop in streams]
-        witnesses = _witnesses(kmax) if quotas else ()
+        witnesses = _witnesses(kmax) if streams else ()
         forced = _forced(HEXAGON_FORMULAS, witnesses)
         tasks = [
-            (random_syllables, random_exponent, forced, witnesses, seed, index, quota)
-            for index, quota in enumerate(quotas)
+            (random_syllables, random_exponent, forced, witnesses, seed, index, stop - start)
+            for index, (start, stop) in enumerate(streams)
         ]
-        checked, violations = _merge_chunks(
-            _run_tasks(_hexagon_random_chunk, tasks, workers)
-        )
-        if violations:
-            raise CheckFailure("; ".join(violations))
+        checked = _sweep(_hexagon_random_chunk, tasks, workers)
         return (
             f"{checked} seeded random pairs at bounds "
             f"({random_syllables}, {random_exponent}): all zero"
@@ -657,16 +657,14 @@ def verify_span_vanishing(
         total_pairs = count_admissible(max_syllables, max_exponent)
         words, pieces = _words_and_pieces(max_syllables, max_exponent, False)
         witnesses = _witnesses(kmax)
-        everything = (frozenset(words), frozenset())  # every pair, with the filter off
+        everything = (frozenset(w.syllables for w in words), frozenset())  # filter off
         forced_a, forced_c = _forced(T_POLY_FORMULAS, witnesses) or everything
         tasks = [
             (max_syllables, max_exponent, witnesses, words, pieces, forced_a, forced_c,
              start, stop)
             for start, stop in _chunk_ranges(total_pairs, workers)
         ]
-        checked, violations = _merge_chunks(_run_tasks(_span_chunk, tasks, workers))
-        if violations:
-            raise CheckFailure("; ".join(violations))
+        checked = _sweep(_span_chunk, tasks, workers)
         return (
             f"{total_pairs} admissible pairs, {checked} generators "
             f"(kinds {list(T_KINDS)}) x k = 1..{kmax}: all zero"

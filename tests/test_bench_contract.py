@@ -57,6 +57,16 @@ def test_one_traced_iteration_reports_no_problems(bench):
     assert metrics["verify.repeat_ratio"] == 1
 
 
+def test_admissible_count_is_the_enumeration_and_the_gate_closed_form(bench):
+    closed_form = importlib.import_module("gate").admissible_pair_count
+    for max_syllables in (1, 2, 3):
+        for max_exponent in (1, 2, 3):
+            bounds = max_syllables, max_exponent
+            count = barbell.count_admissible(*bounds)
+            assert count == len(list(barbell.enumerate_admissible(*bounds)))
+            assert count == closed_form(*bounds)
+
+
 def test_the_traced_fallback_is_reachable(bench):
     # A wrapped name that resolves but is never called would read 0
     # forever; a pattern with no forced order must reach the fallback.

@@ -111,8 +111,9 @@ def test_every_shape_has_a_single_factor_subscript():
 def test_forced_values_are_the_projected_witnesses():
     nus, mus = verify._forced(HEXAGON_FORMULAS, verify._witnesses(1))
     # m1(1) = t_1^-1 t_3 u_3^-1 t_3^-2 and m2(1) = t_1^2 u_1 t_1^-1 t_3.
-    assert sorted(map(str, nus)) == ["t", "t u^-1 t^-2", "t^-1", "t^2 u t^-1"]
-    assert sorted(map(str, mus)) == ["t", "t u^-1 t^-2"]
+    runs = lambda *texts: {parse_word(text).syllables for text in texts}
+    assert nus == runs("t", "t u^-1 t^-2", "t^-1", "t^2 u t^-1")
+    assert mus == runs("t", "t u^-1 t^-2")
     assert verify._forced(HEXAGON_FORMULAS, ()) == (frozenset(), frozenset())
 
 
@@ -170,7 +171,7 @@ def test_an_unforced_hexagon_shape_turns_the_filter_off(monkeypatch):
     # A pair the four hexagon shapes' forced values do not reach.
     nu, mu = parse_word("u"), parse_word("t u")
     plant(monkeypatch, naive_eval_pattern(UNFORCED, {"nu": nu, "mu": mu}))
-    assert nu not in verify._forced(HEXAGON_FORMULAS, verify._witnesses(2))[0]
+    assert nu.syllables not in verify._forced(HEXAGON_FORMULAS, verify._witnesses(2))[0]
     found = exhaustive()
     assert f"psi_1(H({nu}, {mu})) = 1" in found
     assert found == brute_force_violations(formulas, ("H",), HEXAGON_LABEL, hexagon_pairs(), 2)
@@ -219,24 +220,32 @@ def test_sweeps_scan_only_the_candidates_and_count_every_pair(monkeypatch):
             st.just(n),
             st.frozensets(st.integers(0, n - 1)),
             st.frozensets(st.integers(0, n - 1)),
-            st.integers(0, n * n),
-            st.integers(0, n * n),
+            st.integers(1, 12),
         )
     )
 )
-def test_cells_are_the_filtered_flat_range(case):
-    n, rows, columns, a, b = case
-    start, stop = min(a, b), max(a, b)
+def test_hexagon_rows_are_the_filtered_flat_grid(case):
+    # Word i stands for itself, and its pieces are (i,).
+    n, rows, columns, parts = case
+    items, counts = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_scan", lambda *args: items.extend(args[3]) or [])
+        for start, stop in verify._chunk_ranges(n, parts):
+            task = (tuple(range(n)), tuple((i,) for i in range(n)), rows,
+                    tuple(sorted(columns)), (), start, stop)
+            counts.append(verify._hexagon_chunk(task)[0])
     expected = [
-        (i, j) for i, j in map(divmod, range(start, stop), [n] * (stop - start))
+        (i, j, (i, j)) for i, j in map(divmod, range(n * n), [n] * (n * n))
         if i in rows or j in columns
     ]
-    assert list(verify._cells(n, rows, tuple(sorted(columns)), start, stop)) == expected
+    assert items == expected
+    assert sum(counts) == n * n
 
 
 def test_random_words_are_the_randint_choice_draws():
     fast, slow = random.Random("7:3"), random.Random("7:3")
     bounds = ((4, 4), (1, 1), (6, 9))
     for n in range(10_000):
-        assert verify._random_word(fast, *bounds[n % 3]) == random_word(slow, *bounds[n % 3])
+        drawn = verify._random_word(fast, *bounds[n % 3])
+        assert drawn == random_word(slow, *bounds[n % 3]).syllables
     assert fast.random() == slow.random()

@@ -320,13 +320,13 @@ def pool_sizes(monkeypatch):
 def test_process_pool_is_no_larger_than_its_task_list(pool_sizes):
     kwargs = dict(kmax=1, max_syllables=1, max_exponent=1, random_trials=10, seed=0)
     pooled = verify_all(**kwargs, workers=500)
-    # 25 hexagon pairs, 10 random trials and 8 admissible pairs, one per chunk.
-    assert pool_sizes == [25, 10, 8]
+    # 5 hexagon rows, 10 random trials and 8 admissible pairs, one per chunk.
+    assert pool_sizes == [5, 10, 8]
     serial = [report_json(r) for r in verify_all(**kwargs, workers=1)]
     assert [report_json(r) for r in pooled] == serial
     # A worker count below 1 runs serially: the same reports, no pool.
     assert [report_json(r) for r in verify_all(**kwargs, workers=0)] == serial
-    assert pool_sizes == [25, 10, 8]
+    assert pool_sizes == [5, 10, 8]
     assert verify._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert pool_sizes[-1] == 2
 
@@ -334,8 +334,8 @@ def test_process_pool_is_no_larger_than_its_task_list(pool_sizes):
 def test_a_pool_gets_one_chunk_of_tasks_per_worker(pool_sizes):
     kwargs = dict(kmax=2, max_syllables=1, max_exponent=1, random_trials=100, seed=3)
     pooled = verify_hexagon_vanishing(**kwargs, workers=2)
-    # 25 hexagon pairs in two ranges, one task each; the 32 random
-    # streams in two chunks of 16.
+    # 5 hexagon rows in two ranges, one task each; the 32 random streams
+    # in two chunks of 16.
     assert pool_sizes == [2, 2]
     assert chunksizes == [1, 16]
     assert report_json(pooled) == report_json(verify_hexagon_vanishing(**kwargs, workers=1))
@@ -406,6 +406,50 @@ def test_one_worker_enumerates_the_admissible_pairs_once(monkeypatch):
     assert yielded == [barbell.count_admissible(2, 2)]
 
 
+@pytest.mark.parametrize("workers, last", [(1, (0, 800)), (3, (534, 800))])
+def test_a_short_admissible_walk_fails_the_span_sweep(monkeypatch, pool_sizes, workers, last):
+    def short(*bounds):
+        return iter(list(barbell.enumerate_admissible(*bounds))[:-1])
+
+    monkeypatch.setattr(verify, "enumerate_admissible", short)
+    report = verify_span_vanishing(kmax=2, max_syllables=2, max_exponent=2, workers=workers)
+    start, stop = last
+    assert report.checks[0].status == "fail"
+    assert report.checks[0].details == (
+        f"ValueError: the admissible enumeration yielded {stop - start - 1} pairs "
+        f"in [{start}, {stop}), not {stop - start}"
+    )
+
+
+def planted_at(monkeypatch, word):
+    """Make ``word`` the first witness monomial at k = 1."""
+    real = barbell.monomials_m
+    monkeypatch.setattr(
+        barbell, "monomials_m", lambda k: (word, real(k)[1]) if k == 1 else real(k)
+    )
+
+
+@pytest.mark.parametrize(
+    "suite, witness",
+    [
+        # The first hexagon term at (t u, u^-1 t).
+        (verify_hexagon_vanishing, "t_1 u_1 u_3^-1 t_3"),
+        (verify_span_vanishing, "t_1 u_3^-1 t_3"),
+    ],
+)
+def test_a_planted_witness_fails_alike_at_one_and_two_workers(monkeypatch, suite, witness):
+    # The witnesses travel in the tasks, so a real pool's workers see the
+    # plant under any start method.
+    planted_at(monkeypatch, parse_word(witness))
+    one, two = (
+        suite(kmax=2, max_syllables=2, max_exponent=2, workers=workers).checks[0]
+        for workers in (1, 2)
+    )
+    assert one.status == two.status == "fail"
+    assert one.details == two.details
+    assert one.details.startswith("psi_1(")
+
+
 def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
     check = [None]  # the check running when a call is made
     calls, tasks = [], []
@@ -447,7 +491,8 @@ def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
         for name in ("_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk")
     }
     # One worker: one chunk per exhaustive sweep, and one per random stream.
-    assert ends["_hexagon_chunk"] == [(0, 41 ** 2)]
+    # The hexagon sweep is cut into ranges of its 41 rows.
+    assert ends["_hexagon_chunk"] == [(0, 41)]
     assert ends["_span_chunk"] == [(0, barbell.count_admissible(2, 2))]
     streams = verify._chunk_ranges(10, verify._RANDOM_STREAMS)
     assert ends["_hexagon_random_chunk"] == [
