@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import lru_cache
 
-from .barbell import Disk, hexagon, span_generator_records, t_poly, w3_target
+from .barbell import T_KINDS, Disk, hexagon, span_generator_records, t_poly, w3_target
 from .ring import RingElement
 from .solver import TableError, TableRow, regenerate_table
 from .verify import (
@@ -24,6 +23,7 @@ from .verify import (
     verify_main_theorem,
     verify_psi_targets,
     verify_span_vanishing,
+    _usable_cpus,
 )
 from .words import BASE, parse_word
 from . import barbell
@@ -48,8 +48,8 @@ def _kinds(text: str) -> tuple[int, ...]:
         kinds = tuple(sorted({int(piece) for piece in text.split(",") if piece.strip()}))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot read kinds {text!r}")
-    if not kinds or any(i not in (1, 3, 4, 6) for i in kinds):
-        raise argparse.ArgumentTypeError("kinds must be a nonempty subset of 1,3,4,6")
+    if not kinds or any(i not in T_KINDS for i in kinds):
+        raise argparse.ArgumentTypeError(f"kinds must be a nonempty subset of {T_KINDS}")
     return kinds
 
 
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mu", help="word over t, u")
 
     p = sub.add_parser("tpoly", help="print the kind-i polynomial value on (a, c)")
-    p.add_argument("i", type=int, choices=(1, 3, 4, 6), help="polynomial kind")
+    p.add_argument("i", type=int, choices=T_KINDS, help="polynomial kind")
     p.add_argument("a", help="nontrivial word over t, u")
     p.add_argument("c", help="nontrivial word over t, u")
 
@@ -104,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("span-dump", help="dump span generators as JSON records")
     p.add_argument("--max-syllables", type=_positive_int, required=True)
     p.add_argument("--max-exponent", type=_positive_int, required=True)
-    p.add_argument("--kinds", type=_kinds, default=(1, 3, 4, 6),
-                   help="comma-separated subset of 1,3,4,6")
+    p.add_argument("--kinds", type=_kinds, default=T_KINDS,
+                   help=f"comma-separated subset of {T_KINDS}")
 
     return parser
 
@@ -274,20 +274,12 @@ def _write_span_dump(args, out) -> int:
 # ---------------------------------------------------------------------------
 # Dispatch.
 
-def _default_workers() -> int:
-    """Processors this process may run on; os.cpu_count() can count more."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without affinity masks
-        return os.cpu_count() or 1
-
-
 def _run_verify(args) -> int:
     bounds = {
         "kmax": args.kmax,
         "max_syllables": args.max_syllables,
         "max_exponent": args.max_exponent,
-        "workers": args.workers if args.workers is not None else _default_workers(),
+        "workers": args.workers if args.workers is not None else _usable_cpus(),
     }
     sampling = {"random_trials": args.trials, "seed": args.seed}
     # Each lambda looks its suite function up when called, so replacing

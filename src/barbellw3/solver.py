@@ -10,24 +10,25 @@ one unknown occurrence the unknown is forced by one-sided division;
 systems that never reach that state fall back to bounded enumeration of
 one variable at a time, so the solver is exhaustive in general only up
 to the fallback bounds.  Each candidate is then checked on the pattern
-itself.  ``solve`` says whether it needed the fallback, and the
-solution table and the hexagon case analysis refuse a result that did.
-None of their 25 shapes needs it: each has a subscript whose factors
-are one factor, which division fixes, and the other variable then
-occurs once among some subscript's factors.
+itself, and ``solve`` says whether it needed the fallback.
 
 The module also regenerates the solution table for the 21 monomial
-shapes of the four T-polynomials and carries an independently
-transcribed copy of that table to compare against, as words with
-exponents affine in k.
+shapes of the four T-polynomials, compares it with an independently
+transcribed copy (words with exponents affine in k), and checks the
+hexagon case analysis.  Both rest on one lemma, which
+``_unique_solutions`` checks shape by shape: each shape meets each
+witness monomial m1(k), m2(k) in exactly one pair, found without the
+fallback.  None of the 25 shapes needs the fallback: each has a
+subscript whose factors are one factor, which division fixes, and the
+other variable then occurs once among some subscript's factors.
 
-Everything here also runs with k symbolic: ``for_every_k`` passes the
-family parameter ``K`` to the table or the hexagon case analysis, so
-the words carry exponents a + b*k.  The same code then answers for
-every k >= 1 except a finite exceptional set E: the k at which one of
-its k-dependent decisions would flip, a seam sum that vanishes in
-``_seam`` or two words that coincide in ``equal_syllables``.
-Every k in E must be solved again concretely.
+Everything here also runs with k symbolic: ``at_each_k`` passes the
+family parameter ``K`` to the table, the hexagon case analysis or a
+target build, so the words carry exponents a + b*k.  The same code then
+answers for every k >= 1 except a finite exceptional set E: the k at
+which one of its k-dependent decisions would flip, a seam sum that
+vanishes in ``_seam`` or two words that coincide in ``equal_syllables``.
+Every k in E is computed again concretely.
 """
 
 from __future__ import annotations
@@ -222,6 +223,30 @@ def solve(
     return Solutions(solutions, used_fallback)
 
 
+def _unique_solutions(
+    pattern: Pattern, k: Exponent, label: str, error: type[Exception]
+) -> tuple[dict[str, Word], ...]:
+    """The one assignment solving pattern = m1(k), then the one for m2(k).
+
+    Raises ``error``, naming ``label``, when ``solve`` needed the bounded
+    fallback or found other than one solution.
+    """
+    assignments = []
+    for name, monomial in zip(("m1", "m2"), monomials_m(k)):
+        solutions = solve(pattern, monomial)
+        if solutions.used_fallback:
+            raise error(
+                f"{label} = {name}({k}) needed the bounded fallback, so its "
+                "solutions are complete only within bounds"
+            )
+        if len(solutions) != 1:
+            raise error(
+                f"{label} = {name}({k}) has {len(solutions)} solutions, expected exactly 1"
+            )
+        assignments.append(solutions[0].assignment)
+    return tuple(assignments)
+
+
 # ---------------------------------------------------------------------------
 # The 21-row solution table.
 
@@ -251,21 +276,6 @@ class TableRow(NamedTuple):
     admissible: bool
 
 
-def _unique_pair_solution(pattern: Pattern, target: Word, label: str) -> tuple[Word, Word]:
-    solutions = solve(pattern, target)
-    if solutions.used_fallback:
-        raise TableError(
-            f"pattern {pattern} = {label} needed the bounded fallback, so its "
-            "solutions are complete only within bounds"
-        )
-    if len(solutions) != 1:
-        raise TableError(
-            f"pattern {pattern} = {label} has {len(solutions)} solutions, expected 1"
-        )
-    assignment = solutions[0].assignment
-    return (assignment["a"], assignment["c"])
-
-
 def regenerate_table(k: Exponent) -> list[TableRow]:
     """Solve every table shape against both witness monomials at this k
     (or, at k = K, for every k outside the recorded roots).
@@ -274,18 +284,18 @@ def regenerate_table(k: Exponent) -> list[TableRow]:
     monomial, found without the bounded fallback, and none of the
     solutions is an admissible pair.
     """
-    m1, m2 = monomials_m(k)
     rows = []
     for pattern, appears_in in table_patterns():
-        pair1 = _unique_pair_solution(pattern, m1, f"m1({k})")
-        pair2 = _unique_pair_solution(pattern, m2, f"m2({k})")
-        admissible = is_admissible(*pair1) or is_admissible(*pair2)
-        if admissible:
+        pair1, pair2 = (
+            (assignment["a"], assignment["c"])
+            for assignment in _unique_solutions(pattern, k, f"pattern {pattern}", TableError)
+        )
+        if is_admissible(*pair1) or is_admissible(*pair2):
             raise TableError(
                 f"pattern {pattern}: a solution at k={k} is admissible, "
                 "contradicting the table"
             )
-        rows.append(TableRow(pattern, appears_in, pair1, pair2, admissible))
+        rows.append(TableRow(pattern, appears_in, pair1, pair2, False))
     return rows
 
 
@@ -403,80 +413,53 @@ def hexagon_case_analysis(k: Exponent) -> HexagonCaseAnalysis:
     neither monomial.  The two matched contributions therefore cancel
     inside psi(k).
     """
-    m1, m2 = monomials_m(k)
-    monomials = {"m1": m1, "m2": m2}
-    shapes = [shape for _, shape in HEXAGON_FORMULAS.terms["H"]]
+    monomials = dict(zip(("m1", "m2"), monomials_m(k)))
+    signed = HEXAGON_FORMULAS.terms["H"]
     cases = []
     for term_index, (sign, pattern) in enumerate(HEXAGON_TERMS, start=1):
-        for target_name, monomial in monomials.items():
-            solutions = solve(pattern, monomial)
-            if solutions.used_fallback:
-                raise CaseAnalysisError(
-                    f"term {term_index} = {target_name}({k}) needed the bounded "
-                    "fallback, so its solutions are complete only within bounds"
-                )
-            if len(solutions) != 1:
-                raise CaseAnalysisError(
-                    f"term {term_index} = {target_name}({k}) has "
-                    f"{len(solutions)} solutions, expected exactly 1"
-                )
-            assignment = solutions[0].assignment
+        solved = _unique_solutions(pattern, k, f"term {term_index}", CaseAnalysisError)
+        for target_name, other_name, assignment in zip(("m1", "m2"), ("m2", "m1"), solved):
             nu, mu = assignment["nu"], assignment["mu"]
             words = HEXAGON_FORMULAS.evaluate(word_pieces(nu) + word_pieces(mu))
-            values = {index: words[shape] for index, shape in enumerate(shapes, start=1)}
-            other_name = "m2" if target_name == "m1" else "m1"
-            other = monomials[other_name].syllables
-            partners = [
-                index
-                for index, value in values.items()
-                if index != term_index and equal_syllables(value, other)
+            # The witness monomials each term equals at (nu, mu), one
+            # comparison per (term, monomial); every check below reads it.
+            hits = [
+                {name for name, m in monomials.items()
+                 if equal_syllables(words[shape], m.syllables)}
+                for _, shape in signed
             ]
+            case = f"term {term_index} = {target_name}({k})"
+            partners = [i for i, hit in enumerate(hits, 1)
+                        if i != term_index and other_name in hit]
             if len(partners) != 1:
                 raise CaseAnalysisError(
-                    f"term {term_index} = {target_name}({k}): expected exactly one "
-                    f"partner term equal to {other_name}, found {len(partners)}"
+                    f"{case}: expected exactly one partner term equal to "
+                    f"{other_name}, found {len(partners)}"
                 )
             partner_index = partners[0]
             partner_sign = HEXAGON_TERMS[partner_index - 1][0]
             if partner_sign != sign:
                 raise CaseAnalysisError(
-                    f"term {term_index} = {target_name}({k}): partner term "
-                    f"{partner_index} carries the opposite sign"
+                    f"{case}: partner term {partner_index} carries the opposite sign"
                 )
-            for index, value in values.items():
-                if index in (term_index, partner_index):
-                    continue
-                if equal_syllables(value, m1.syllables) or equal_syllables(
-                    value, m2.syllables
-                ):
+            for index, hit in enumerate(hits, start=1):
+                if hit and index not in (term_index, partner_index):
                     raise CaseAnalysisError(
-                        f"term {term_index} = {target_name}({k}): term {index} "
-                        "also hits a witness monomial"
+                        f"{case}: term {index} also hits a witness monomial"
                     )
+            # What psi rests on.  Past the three checks above it fails only
+            # where a compiled term differs from the term solved.
             coefficients = [
-                sum(
-                    term_sign
-                    for term_sign, shape in HEXAGON_FORMULAS.terms["H"]
-                    if equal_syllables(words[shape], monomial.syllables)
-                )
-                for monomial in (m1, m2)
+                sum(term_sign for (term_sign, _), hit in zip(signed, hits) if name in hit)
+                for name in monomials
             ]
             if coefficients[0] != coefficients[1]:
                 raise CaseAnalysisError(
-                    f"term {term_index} = {target_name}({k}): hexagon coefficients "
-                    "at the witness monomials differ"
+                    f"{case}: hexagon coefficients at the witness monomials differ"
                 )
-            cases.append(
-                HexagonCase(
-                    term_index=term_index,
-                    target_name=target_name,
-                    nu=nu,
-                    mu=mu,
-                    partner_index=partner_index,
-                    sign=sign,
-                    partner_sign=partner_sign,
-                )
-            )
+            cases.append(HexagonCase(
+                term_index, target_name, nu, mu, partner_index, sign, partner_sign
+            ))
     return HexagonCaseAnalysis(k, tuple(cases))
 
 
@@ -486,23 +469,24 @@ def hexagon_case_analysis(k: Exponent) -> HexagonCaseAnalysis:
 Result = TypeVar("Result")
 
 
-def for_every_k(
-    analysis: Callable[[Exponent], Result],
-) -> tuple[Result | None, frozenset[int]]:
-    """Run a k-parametrised computation, such as ``compare_with_reference``,
-    ``hexagon_case_analysis`` or a target build, once at k = K, and return
-    its result with the exceptional set E.
+def at_each_k(analysis: Callable[[Exponent], Result]) -> Callable[[int], Result]:
+    """A k-parametrised computation, such as ``compare_with_reference``,
+    ``hexagon_case_analysis`` or a target build, for each positive k.
 
-    The result holds at every positive k outside E: there each decision
-    the computation made comes out the same on the concrete words.  It
-    is None when the symbolic argument did not go through (the
-    computation raised: for the analyses, not exactly one solution, the
-    fallback, a mismatch, or an admissible solution), and then every k
-    must be computed concretely, where the failure is met again.
+    It runs once now, at k = K, recording its exceptional set E.  At each
+    k outside E the result at K holds: every decision it made comes out
+    the same on the concrete words.  At each k in E, and at every k when
+    the run at K raised, the computation runs at that k, where a failure
+    is met again.
     """
     with recorded_roots() as roots:
         try:
-            result = analysis(K)
+            for_all = analysis(K)
         except Exception:
-            result = None
-    return result, frozenset(roots)
+            for_all = None
+    exceptional = frozenset(roots)
+
+    def at(k: int) -> Result:
+        return analysis(k) if for_all is None or k in exceptional else for_all
+
+    return at

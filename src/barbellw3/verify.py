@@ -19,12 +19,12 @@ checks that use it.
 
 The per-k structural checks, ``solution_table_k*`` and
 ``hexagon_cases_k*``, rest on one analysis per suite call, run with k
-symbolic (``solver.for_every_k``).  It is valid for every k outside its
-exceptional set E; the k in E, or every k when the symbolic argument
-did not go through, are analysed concretely, so a report reads the same
-either way.  The targets are built the same way: once per disk at
-k = K, comparing the two constructions as formal sums with affine
-exponents, then instantiated at each k outside E.  Instantiation
+symbolic by ``solver.at_each_k``, which analyses concretely the k in
+its exceptional set E, or every k when the symbolic argument did not go
+through, so a report reads the same either way.  The targets are built
+by the same runner: once per disk at k = K, comparing the two
+constructions as formal sums with affine exponents, then instantiated
+at each k outside E.  Instantiation
 reduces a word again only where an exponent vanishes (``words.at_k``),
 and psi(1..kmax) is read on the targets through one index from witness
 word to (k, weight) (``_psi_columns``); each disk's psi matrix is held
@@ -59,18 +59,20 @@ runs from ``getrandbits`` as randint and choice would, and makes words
 and pieces only for candidate pairs.
 
 Reports serialize byte-identically from run to run: wall-clock timings
-stay in memory only.  Each exhaustive sweep is split into one contiguous
-range per worker, and each chunk keeps its first violations up to the
-cap, so the chunks joined in order give the whole scan's first ones for
-any split.  The random sweep draws from ``_RANDOM_STREAMS`` seeded
-streams at any worker count, one task per stream.  The process pool, and
-the modules it needs, load only when a sweep runs with more than one
-worker and more than one task; it gets the tasks in one contiguous chunk
-per worker.
+stay in memory only.  A suite runs at most one worker per processor the
+process may use (``_usable_cpus``).  Each exhaustive sweep is split into
+one contiguous range per worker, and each chunk keeps its first
+violations up to the cap, so the chunks joined in order give the whole
+scan's first ones for any split.  The random sweep draws from
+``_RANDOM_STREAMS`` seeded streams at any worker count, one task per
+stream.  The process pool, and the modules it needs, load only when a
+sweep runs with more than one worker and more than one task; it gets the
+tasks in one contiguous chunk per worker.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from itertools import count, islice
@@ -89,7 +91,7 @@ from .barbell import (
 )
 from .patterns import CompiledFormulas, Pattern, Run, word_pieces
 from .ring import RingElement, _eliminate, rank
-from .solver import compare_with_reference, for_every_k, hexagon_case_analysis
+from .solver import at_each_k, compare_with_reference, hexagon_case_analysis
 from .words import (
     BASE,
     QUAD,
@@ -169,6 +171,12 @@ def _run_check(name: str, claim: str, method: str, body: Callable[[], str]) -> C
     except Exception as error:
         status, details = "fail", f"{type(error).__name__}: {error}"
     return Check(name, claim, method, status, details, (perf_counter() - started) * 1000)
+
+
+def _usable_cpus() -> int:
+    """Processors this process may run on; os.cpu_count() can count more."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
@@ -409,17 +417,13 @@ def _build_targets(
 ) -> Targets:
     """Both disks' targets for k = 1..kmax, from the factory if one is given.
 
-    Otherwise each disk's target is built once by w3_target at k = K,
-    which compares its two constructions as affine formal sums, and
-    instantiated at each k.  Instantiation is linear, so two sums equal
-    at K are equal at every k.  The k in the build's exceptional set, and
-    every k of a disk whose build at K raised, are built by w3_target at
-    that k, so a failure reads as it would concretely.
+    Otherwise each disk's target is built by w3_target through
+    ``solver.at_each_k``: at K, comparing the two constructions as affine
+    formal sums, and instantiated at each k outside E, since instantiation
+    is linear; a failure reads as it would concretely.
     """
     if factory is None:
-        at = {
-            disk: _at_each_k(lambda k, disk=disk: w3_target(disk, k).value) for disk in Disk
-        }
+        at = {disk: at_each_k(lambda k, d=disk: w3_target(d, k).value) for disk in Disk}
         # at_k leaves a value built at a concrete k as it is.
         factory = lambda disk, k: at[disk](k).at_k(k)
     targets: Targets = {}
@@ -475,20 +479,6 @@ def _target(targets: Targets | Columns, disk: Disk, k: int):
 
 # ---------------------------------------------------------------------------
 # Suites.
-
-def _at_each_k(analysis: Callable[[int], object]) -> Callable[[int], object]:
-    """A k-parametrised computation for each k: the one symbolic result,
-    run now, except at the k in its exceptional set, or at every k when it
-    did not go through, where the computation runs at that k."""
-    for_all, exceptional = for_every_k(analysis)
-
-    def at(k: int):
-        if for_all is None or k in exceptional:
-            return analysis(k)
-        return for_all
-
-    return at
-
 
 def verify_psi_targets(kmax: int = 10) -> Report:
     """psi(k) takes value 1 on disk-1 targets, 3 on disk-2 targets, 0 across."""
@@ -553,6 +543,7 @@ def verify_hexagon_vanishing(
     workers: int = 1,
 ) -> Report:
     """psi(k) kills every hexagon relator, by enumeration and by structure."""
+    workers = min(workers, _usable_cpus())
     report = Report(
         "hexagon-vanishing",
         {
@@ -616,7 +607,7 @@ def verify_hexagon_vanishing(
         )
     )
 
-    analysis_at = _at_each_k(hexagon_case_analysis)
+    analysis_at = at_each_k(hexagon_case_analysis)
     for k in range(1, kmax + 1):
 
         def cases(k=k) -> str:
@@ -644,6 +635,7 @@ def verify_span_vanishing(
     workers: int = 1,
 ) -> Report:
     """psi(k) kills every admissible-pair generator; the solution table checks out."""
+    workers = min(workers, _usable_cpus())
     report = Report(
         "span-vanishing",
         {
@@ -681,7 +673,7 @@ def verify_span_vanishing(
         )
     )
 
-    table_at = _at_each_k(compare_with_reference)
+    table_at = at_each_k(compare_with_reference)
     for k in range(1, kmax + 1):
 
         def table(k=k) -> str:

@@ -14,15 +14,15 @@ from barbellw3.barbell import (
     is_admissible,
     monomials_m,
 )
-from barbellw3.patterns import eval_pattern, parse_pattern
+from barbellw3.patterns import CompiledFormulas, eval_pattern, parse_pattern
 from barbellw3.solver import (
     REFERENCE_TABLE_ROWS,
     CaseAnalysisError,
     Solution,
     Solutions,
     TableError,
+    at_each_k,
     compare_with_reference,
-    for_every_k,
     hexagon_case_analysis,
     reference_table,
     regenerate_table,
@@ -159,7 +159,7 @@ def test_unforced_shape_needs_the_fallback_and_fails_the_table(monkeypatch):
         m1, _ = monomials_m(k)
         assert solve(planted, m1).used_fallback
         with pytest.raises(TableError, match="bounded fallback"):
-            solver._unique_pair_solution(planted, m1, f"m1({k})")
+            solver._unique_solutions(planted, k, f"pattern {planted}", TableError)
         with pytest.raises(TableError, match="bounded fallback"):
             regenerate_table(k)
 
@@ -268,10 +268,21 @@ def test_fallback_use_fails_the_structural_checks(monkeypatch):
         hexagon_case_analysis(1)
 
 
+def counted_at_each_k(analysis, calls):
+    """at_each_k of ``analysis``, appending each k it runs at to ``calls``."""
+
+    def run(k):
+        calls.append(k)
+        return analysis(k)
+
+    return at_each_k(run)
+
+
 def test_symbolic_analyses_match_every_concrete_k():
-    rows, table_roots = for_every_k(compare_with_reference)
-    analysis, case_roots = for_every_k(hexagon_case_analysis)
-    assert table_roots == case_roots == frozenset()
+    table_calls, case_calls = [], []
+    table_at = counted_at_each_k(compare_with_reference, table_calls)
+    analysis_at = counted_at_each_k(hexagon_case_analysis, case_calls)
+    rows, analysis = table_at(1), analysis_at(1)
     assert analysis.k is K
 
     def pair_at(pair, k):
@@ -287,6 +298,9 @@ def test_symbolic_analyses_match_every_concrete_k():
             case._replace(nu=at_k(case.nu, k), mu=at_k(case.mu, k))
             for case in analysis.cases
         ] == list(hexagon_case_analysis(k).cases)
+        assert (table_at(k), analysis_at(k)) == (rows, analysis)
+    # E is empty for both: the one run at K answers every k.
+    assert table_calls == case_calls == [K]
 
 
 def test_solve_records_where_an_equation_holds_at_one_k():
@@ -302,21 +316,108 @@ def test_solve_records_where_an_equation_holds_at_one_k():
     assert assignments(solve(pattern, at_k(target, 3))) == {(("a", "t^3"),)}
 
 
-def test_symbolic_analysis_that_does_not_go_through_returns_none(monkeypatch):
+def test_symbolic_analysis_that_does_not_go_through_runs_every_k_concretely(monkeypatch):
     # A planted transcription row: the symbolic comparison fails, so
-    # every k must be checked concretely.
+    # every k is checked concretely, where it fails again.
     text, _, m1_row, m2_row = REFERENCE_TABLE_ROWS[0]
     monkeypatch.setattr(
         solver,
         "REFERENCE_TABLE_ROWS",
         ((text, (1,), m1_row, m2_row),) + tuple(REFERENCE_TABLE_ROWS[1:]),
     )
-    assert for_every_k(compare_with_reference) == (None, frozenset())
+    calls = []
+    table_at = counted_at_each_k(compare_with_reference, calls)
+    for k in (1, 2):
+        with pytest.raises(TableError, match="appears-in"):
+            table_at(k)
+    assert calls == [K, 1, 2]
     original = solver.solve
     monkeypatch.setattr(
         solver, "solve", lambda pattern, target: Solutions(original(pattern, target), True)
     )
-    assert for_every_k(hexagon_case_analysis) == (None, frozenset())
+    calls.clear()
+    analysis_at = counted_at_each_k(hexagon_case_analysis, calls)
+    with pytest.raises(CaseAnalysisError, match="bounded fallback"):
+        analysis_at(3)
+    assert calls == [K, 3]
+
+
+# ---------------------------------------------------------------------------
+# Each refusal of the table and the case analysis, planted at K and at one k.
+
+@pytest.mark.parametrize("copies", [2, 0])
+def test_other_than_one_solution_fails_both_analyses(monkeypatch, copies):
+    # solve returns each solution twice, or none.
+    original = solver.solve
+    monkeypatch.setattr(
+        solver,
+        "solve",
+        lambda pattern, target: Solutions(tuple(original(pattern, target)) * copies, False),
+    )
+    for k in (K, 2):
+        with pytest.raises(TableError) as table:
+            regenerate_table(k)
+        assert str(table.value) == (
+            f"pattern a_1 c_3^-1 a_3 = m1({k}) has {copies} solutions, expected exactly 1"
+        )
+        with pytest.raises(CaseAnalysisError) as cases:
+            hexagon_case_analysis(k)
+        assert str(cases.value) == f"term 1 = m1({k}) has {copies} solutions, expected exactly 1"
+
+
+def test_an_admissible_solution_fails_the_table(monkeypatch):
+    monkeypatch.setattr(solver, "is_admissible", lambda a, c: True)
+    for k in (K, 2):
+        with pytest.raises(TableError) as table:
+            regenerate_table(k)
+        assert str(table.value) == (
+            f"pattern a_1 c_3^-1 a_3: a solution at k={k} is admissible, contradicting the table"
+        )
+
+
+def plant_hexagon_term(monkeypatch, index):
+    """Add a copy of hexagon term ``index`` (from 1) as a fifth term."""
+    terms = HEXAGON_TERMS + (HEXAGON_TERMS[index - 1],)
+    monkeypatch.setattr(solver, "HEXAGON_TERMS", terms)
+    monkeypatch.setattr(
+        solver, "HEXAGON_FORMULAS", CompiledFormulas(("nu", "mu"), {"H": terms})
+    )
+
+
+def test_a_second_partner_fails_the_case_analysis(monkeypatch):
+    # Term 2 is term 1's partner: where term 1 is m1, term 2 is m2.
+    plant_hexagon_term(monkeypatch, 2)
+    for k in (K, 2):
+        with pytest.raises(CaseAnalysisError) as cases:
+            hexagon_case_analysis(k)
+        assert str(cases.value) == (
+            f"term 1 = m1({k}): expected exactly one partner term equal to m2, found 2"
+        )
+
+
+def test_a_compiled_term_unlike_the_solved_one_fails_the_coefficient_check(monkeypatch):
+    # Term 1 compiled with its factors swapped: at term 1's solution the
+    # compiled term misses m1, while its partner still hits m2.
+    terms = ((1, parse_pattern("mu_3 nu_1")),) + HEXAGON_TERMS[1:]
+    monkeypatch.setattr(
+        solver, "HEXAGON_FORMULAS", CompiledFormulas(("nu", "mu"), {"H": terms})
+    )
+    for k in (K, 2):
+        with pytest.raises(CaseAnalysisError) as cases:
+            hexagon_case_analysis(k)
+        assert str(cases.value) == (
+            f"term 1 = m1({k}): hexagon coefficients at the witness monomials differ"
+        )
+
+
+def test_a_third_term_hit_fails_the_case_analysis(monkeypatch):
+    plant_hexagon_term(monkeypatch, 1)
+    for k in (K, 2):
+        with pytest.raises(CaseAnalysisError) as cases:
+            hexagon_case_analysis(k)
+        assert str(cases.value) == (
+            f"term 1 = m1({k}): term 5 also hits a witness monomial"
+        )
 
 
 def test_case_analysis_structure():

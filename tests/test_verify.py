@@ -294,7 +294,12 @@ chunksizes: list[int] = []
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The size of each process pool opened; every pool maps in this process."""
+    """The size of each process pool opened; every pool maps in this process.
+
+    No process starts, so the processor count is set high: each suite
+    gets the workers it asks for, on any machine.
+    """
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1000)
     sizes = []
     chunksizes.clear()
 
@@ -329,6 +334,25 @@ def test_process_pool_is_no_larger_than_its_task_list(pool_sizes):
     assert pool_sizes == [5, 10, 8]
     assert verify._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert pool_sizes[-1] == 2
+
+
+def test_workers_are_capped_at_the_usable_processors(monkeypatch, pool_sizes):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    ranges = []
+
+    def counted(task, original=verify._span_chunk):
+        ranges.append(task[-2:])
+        return original(task)
+
+    monkeypatch.setattr(verify, "_span_chunk", counted)
+    kwargs = dict(kmax=1, max_syllables=1, max_exponent=1, random_trials=10, seed=0)
+    capped = verify_all(**kwargs, workers=10**6)
+    # Hexagon rows, random streams and the 8 admissible pairs, each in
+    # two: one range per processor, not per worker asked for.
+    assert pool_sizes == [2, 2, 2]
+    assert ranges == [(0, 4), (4, 8)]
+    serial = verify_all(**kwargs, workers=1)
+    assert [report_json(r) for r in capped] == [report_json(r) for r in serial]
 
 
 def test_a_pool_gets_one_chunk_of_tasks_per_worker(pool_sizes):
@@ -583,7 +607,10 @@ def test_reports_are_deterministic():
     assert report_json(first) == report_json(second)
 
 
-def test_reports_do_not_depend_on_worker_count():
+def test_reports_do_not_depend_on_worker_count(monkeypatch):
+    # Three processors, whatever the machine has, so the hexagon sweep
+    # still splits three ways.
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 3)
     kwargs = dict(kmax=2, max_syllables=2, max_exponent=1, random_trials=40, seed=11)
     serial = verify_hexagon_vanishing(workers=1, **kwargs)
     parallel = verify_hexagon_vanishing(workers=3, **kwargs)
