@@ -25,7 +25,7 @@ from .verify import (
     verify_span_vanishing,
     _usable_cpus,
 )
-from .words import BASE, parse_word
+from .words import BASE, QUAD, parse_word
 from . import barbell
 
 
@@ -311,7 +311,7 @@ def _run_psi(args, parser: argparse.ArgumentParser) -> int:
             print(f"error: bad element JSON: {error}", file=sys.stderr)
             return 2
     else:
-        element = RingElement.monomial(parse_word(args.expr))
+        element = RingElement.monomial(parse_word(args.expr, QUAD))
     value = barbell.psi(args.k)(element)
     print(value.numerator if value.denominator == 1 else value)
     return 0

@@ -394,7 +394,6 @@ class HexagonCase(NamedTuple):
     mu: Word
     partner_index: int
     sign: int
-    partner_sign: int
 
 
 class HexagonCaseAnalysis(NamedTuple):
@@ -437,8 +436,7 @@ def hexagon_case_analysis(k: Exponent) -> HexagonCaseAnalysis:
                     f"{other_name}, found {len(partners)}"
                 )
             partner_index = partners[0]
-            partner_sign = HEXAGON_TERMS[partner_index - 1][0]
-            if partner_sign != sign:
+            if HEXAGON_TERMS[partner_index - 1][0] != sign:
                 raise CaseAnalysisError(
                     f"{case}: partner term {partner_index} carries the opposite sign"
                 )
@@ -457,9 +455,7 @@ def hexagon_case_analysis(k: Exponent) -> HexagonCaseAnalysis:
                 raise CaseAnalysisError(
                     f"{case}: hexagon coefficients at the witness monomials differ"
                 )
-            cases.append(HexagonCase(
-                term_index, target_name, nu, mu, partner_index, sign, partner_sign
-            ))
+            cases.append(HexagonCase(term_index, target_name, nu, mu, partner_index, sign))
     return HexagonCaseAnalysis(k, tuple(cases))
 
 

@@ -27,8 +27,8 @@ constructions as formal sums with affine exponents, then instantiated
 at each k outside E.  Instantiation
 reduces a word again only where an exponent vanishes (``words.at_k``),
 and psi(1..kmax) is read on the targets through one index from witness
-word to (k, weight) (``_psi_columns``); each disk's psi matrix is held
-sparse, as its nonzero entries only.  The symbolic results are not
+word to (k, weight) (``_psi_matrix``); each disk's psi matrix is held
+once, as rows of its nonzero entries only.  The symbolic results are not
 cached across calls: the planted-defect tests replace the tables
 between calls, and the per-call work counts must repeat from run to run.
 
@@ -50,7 +50,7 @@ sweeps test words by); a pair taking none of its variables' forced
 values has no witness word among its shape values and no violation, so
 it is settled by projection.  At bounds (3, 3) and kmax 10 that leaves
 6 172 of 267 289 hexagon pairs and 4 128 of 133 128 admissible pairs.
-A shape with no such subscript switches the filter off.  Each chunk
+A sweep refuses a shape with no such subscript: its check fails.  Each chunk
 counts its share from its bounds, so the reports read as if every pair
 were scanned; a span chunk refuses a walk that yields another count.
 A hexagon chunk takes a range of rows, row-major: a forced row takes
@@ -250,24 +250,25 @@ def _words_and_pieces(
     return words, tuple([word_pieces(w) for w in words])
 
 
-def _single_factor(shape: Pattern) -> tuple[str, int, bool] | None:
+def _single_factor(shape: Pattern) -> tuple[str, int, bool]:
     """(variable, subscript, inverted) of the first subscript whose factors
-    in ``shape`` (``Pattern.projection``) are one factor, or None when
-    neither subscript's are."""
+    in ``shape`` (``Pattern.projection``) are one factor.  A shape with no
+    such subscript raises a ValueError: no projection forces its values."""
     for tag in (1, 3):
         factors = shape.projection(tag)
         if len(factors) == 1:
             [(var, inverted)] = factors
             return var, tag, inverted
-    return None
+    raise ValueError(f"no subscript of shape {shape} has a single factor")
 
 
 def _forced(
     formulas: CompiledFormulas, witnesses: tuple[tuple[Run, int, Fraction], ...]
-) -> tuple[frozenset[Run], ...] | None:
+) -> tuple[frozenset[Run], ...]:
     """The syllable runs each variable of ``formulas`` is forced to take
-    where some shape is a witness word, in the order of ``variables``;
-    None when a shape has no subscript whose factors are one factor.
+    where some shape is a witness word, in the order of ``variables``.
+    A shape with no subscript whose factors are one factor raises a
+    ValueError (``_single_factor``), which fails the sweep's check.
 
     pi_s, which keeps the letters of subscript s, is a homomorphism, and
     pi_s(shape) is the product of the shape's subscript-s factors
@@ -279,12 +280,7 @@ def _forced(
     witness is projected once per subscript, and each (subscript,
     inverted) image is one run set, shared by the shapes that use it.
     """
-    choices = set()
-    for shape in formulas.shapes:
-        choice = _single_factor(shape)
-        if choice is None:
-            return None
-        choices.add(choice)
+    choices = {_single_factor(shape) for shape in formulas.shapes}
     images: dict[tuple[int, bool], frozenset[Run]] = {}
     for tag in (1, 3):
         projected = [project(Word._raw(QUAD, run), tag) for run, _, _ in witnesses]
@@ -374,14 +370,11 @@ def _random_word(rng: random.Random, max_syllables: int, max_exponent: int) -> R
 
 
 def _hexagon_random_chunk(task: tuple) -> tuple[int, list[str]]:
-    max_syllables, max_exponent, forced, witnesses, seed, chunk_index, trials = task
+    max_syllables, max_exponent, (nus, mus), witnesses, seed, chunk_index, trials = task
     rng = random.Random(f"{seed}:{chunk_index}")
     # nu, then mu, from one stream of draws.
     draws = (_random_word(rng, max_syllables, max_exponent) for _ in range(2 * trials))
-    pairs = zip(draws, draws)
-    if forced is not None:
-        nus, mus = forced
-        pairs = ((nu, mu) for nu, mu in pairs if nu in nus or mu in mus)
+    pairs = ((nu, mu) for nu, mu in zip(draws, draws) if nu in nus or mu in mus)
     words = ((Word._raw(BASE, nu), Word._raw(BASE, mu)) for nu, mu in pairs)
     items = ((nu, mu, word_pieces(nu) + word_pieces(mu)) for nu, mu in words)
     return trials, _scan(HEXAGON_FORMULAS, ("H",), "H({1}, {2})", items, witnesses)
@@ -436,25 +429,24 @@ def _build_targets(
     return targets
 
 
-# psi(1..kmax) on each target, as index k - 1 -> psi_k where that is
-# nonzero, or the reason its construction failed.
-Columns = dict[tuple[Disk, int], dict[int, Fraction] | str]
+def _psi_matrix(kmax: int, targets: Targets) -> dict[Disk, list[dict[int, Fraction]]]:
+    """Each disk's psi matrix by rows: row k - 1 holds psi_k on the disk's
+    targets as index j - 1 -> value, nonzero values only.  A failed target
+    has no entries; why it failed stays in ``targets``.
 
-
-def _psi_columns(kmax: int, targets: Targets) -> Columns:
-    """psi(1..kmax) on each target, read through one index of psi's
-    weighted words (``_witnesses``), so each target costs its own terms
-    only.  A column holds only its nonzero values."""
+    Each target is read through one index of psi(1..kmax)'s weighted
+    words (``_witnesses``), so it costs its own terms only.
+    """
     hits = {run: (k - 1, weight) for run, k, weight in _witnesses(kmax)}
-    columns: Columns = {}
-    for key, value in targets.items():
+    matrix = {disk: [{} for _ in range(kmax)] for disk in Disk}
+    for (disk, j), value in targets.items():
         if isinstance(value, str):
-            columns[key] = value
             continue
         if value.alphabet is not QUAD:
             raise AlphabetMismatchError(
                 "cannot evaluate a functional on an element over another alphabet"
             )
+        # m1 and m2 of one k can both be terms, so a k's products are summed.
         column: dict[int, Fraction] = {}
         for word, coefficient in value.terms():
             hit = hits.get(word.syllables)
@@ -462,15 +454,17 @@ def _psi_columns(kmax: int, targets: Targets) -> Columns:
                 index, weight = hit
                 product = weight * coefficient
                 column[index] = column[index] + product if index in column else product
-        columns[key] = {index: q for index, q in column.items() if q}
-    return columns
+        for index, q in column.items():
+            if q:
+                matrix[disk][index][j - 1] = q
+    return matrix
 
 
 # The value of psi(k) on each disk's target at k.
 _PSI_ON_TARGET = {Disk.D1: 1, Disk.D2: 3}
 
 
-def _target(targets: Targets | Columns, disk: Disk, k: int):
+def _target(targets: Targets, disk: Disk, k: int) -> RingElement:
     value = targets[disk, k]
     if isinstance(value, str):
         raise CheckFailure(f"target construction failed for {disk.value} at k={k}: {value}")
@@ -482,31 +476,28 @@ def _target(targets: Targets | Columns, disk: Disk, k: int):
 
 def verify_psi_targets(kmax: int = 10) -> Report:
     """psi(k) takes value 1 on disk-1 targets, 3 on disk-2 targets, 0 across."""
-    return _psi_targets(kmax, _psi_columns(kmax, _build_targets(kmax)))
+    targets = _build_targets(kmax)
+    return _psi_targets(kmax, targets, _psi_matrix(kmax, targets))
 
 
-def _psi_targets(kmax: int, columns: Columns) -> Report:
+def _psi_targets(
+    kmax: int, targets: Targets, matrix: dict[Disk, list[dict[int, Fraction]]]
+) -> Report:
     report = Report("psi-targets", {"kmax": kmax})
-    # Each disk's psi matrix by rows, row k - 1 holding psi_k on the
-    # targets as index j - 1 -> value, nonzero values only, or why the
-    # first of its targets to fail failed.
-    rows: dict[Disk, list[dict[int, Fraction]] | str] = {}
-    for disk in Disk:
-        try:
-            rows[disk] = [{} for _ in range(kmax)]
-            for j in range(1, kmax + 1):
-                for index, q in _target(columns, disk, j).items():
-                    rows[disk][index][j - 1] = q
-        except CheckFailure as failure:
-            rows[disk] = str(failure)
+    # A disk's first failed target fails each of its checks: row k reads
+    # psi_k on all of the disk's targets.
+    failed = {
+        disk: next((j for j in range(1, kmax + 1) if isinstance(targets[disk, j], str)), None)
+        for disk in Disk
+    }
     for k in range(1, kmax + 1):
         for disk in Disk:
             value = _PSI_ON_TARGET[disk]
 
             def body(disk=disk, k=k, value=value) -> str:
-                if isinstance(rows[disk], str):
-                    raise CheckFailure(rows[disk])
-                row = rows[disk][k - 1]
+                if failed[disk] is not None:
+                    _target(targets, disk, failed[disk])  # raises its CheckFailure
+                row = matrix[disk][k - 1]
                 diagonal = row.get(k - 1, 0)
                 if diagonal != value:
                     raise CheckFailure(
@@ -558,8 +549,7 @@ def verify_hexagon_vanishing(
     def exhaustive() -> str:
         words, pieces = _words_and_pieces(max_syllables, max_exponent, True)
         witnesses = _witnesses(kmax)
-        everything = (frozenset(w.syllables for w in words), frozenset())  # filter off
-        nus, mus = _forced(HEXAGON_FORMULAS, witnesses) or everything
+        nus, mus = _forced(HEXAGON_FORMULAS, witnesses)
         rows = frozenset(i for i, w in enumerate(words) if w.syllables in nus)
         columns = tuple(j for j, w in enumerate(words) if w.syllables in mus)
         tasks = [
@@ -649,8 +639,7 @@ def verify_span_vanishing(
         total_pairs = count_admissible(max_syllables, max_exponent)
         words, pieces = _words_and_pieces(max_syllables, max_exponent, False)
         witnesses = _witnesses(kmax)
-        everything = (frozenset(w.syllables for w in words), frozenset())  # filter off
-        forced_a, forced_c = _forced(T_POLY_FORMULAS, witnesses) or everything
+        forced_a, forced_c = _forced(T_POLY_FORMULAS, witnesses)
         tasks = [
             (max_syllables, max_exponent, witnesses, words, pieces, forced_a, forced_c,
              start, stop)
@@ -710,7 +699,7 @@ def verify_main_theorem(
     values = built if target_factory is None else _build_targets(kmax, target_factory)
     return _main_theorem(
         kmax, max_syllables, max_exponent, hexagon, span, built, values,
-        _psi_columns(kmax, values),
+        _psi_matrix(kmax, values),
     )
 
 
@@ -722,14 +711,14 @@ def _main_theorem(
     span: Report,
     built: Targets,
     values: Targets,
-    columns: Columns,
+    matrix: dict[Disk, list[dict[int, Fraction]]],
 ) -> Report:
     """The main-theorem report, citing the checks of hexagon and span reports
     built at the same kmax and word bounds; their random trials are not cited.
 
     ``built`` holds the w3_target values for k = 1..kmax, ``values`` the
     targets the certificates test (the same unless a factory replaced them)
-    and ``columns`` psi(1..kmax) on each of ``values``.
+    and ``matrix`` psi(1..kmax) on each of ``values``.
     """
     report = Report(
         "main-theorem",
@@ -764,7 +753,8 @@ def _main_theorem(
         for disk in Disk:
 
             def nonvanishing(disk=disk, k=k) -> str:
-                value = _target(columns, disk, k).get(k - 1, 0)
+                _target(values, disk, k)  # a failed target fails the check
+                value = matrix[disk][k - 1].get(k - 1, 0)
                 if value != _PSI_ON_TARGET[disk]:
                     raise CheckFailure(
                         f"psi_{k} on the {disk.value} value is {value}, "
@@ -787,10 +777,8 @@ def _main_theorem(
         def ranks(disk=disk) -> str:
             family = [_target(values, disk, k) for k in range(1, kmax + 1)]
             elimination_rank = rank(family)
-            # The columns' rank: a matrix and its transpose have the same rank.
-            matrix_rank = _eliminate(
-                dict(_target(columns, disk, j)) for j in range(1, kmax + 1)
-            )
+            # _eliminate reduces the rows it is given in place.
+            matrix_rank = _eliminate(dict(row) for row in matrix[disk])
             if elimination_rank != kmax or matrix_rank != kmax:
                 raise CheckFailure(
                     f"rank of the {disk.value} family is {elimination_rank} by "
@@ -861,8 +849,8 @@ def verify_all(
     cites the hexagon and span checks run just before it.
     """
     targets = _build_targets(kmax)
-    columns = _psi_columns(kmax, targets)
-    psi_targets = _psi_targets(kmax, columns)
+    matrix = _psi_matrix(kmax, targets)
+    psi_targets = _psi_targets(kmax, targets, matrix)
     bounds = dict(kmax=kmax, max_syllables=max_syllables, max_exponent=max_exponent)
     hexagon = verify_hexagon_vanishing(
         **bounds, random_trials=random_trials, seed=seed, workers=workers
@@ -873,6 +861,6 @@ def verify_all(
         hexagon,
         span,
         _main_theorem(
-            kmax, max_syllables, max_exponent, hexagon, span, targets, targets, columns
+            kmax, max_syllables, max_exponent, hexagon, span, targets, targets, matrix
         ),
     ]

@@ -11,8 +11,10 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from barbellw3.barbell import (
+    HEXAGON_TERMS,
     Disk,
     monomials_m,
     psi,
@@ -91,7 +93,7 @@ def test_criterion_3_functional_kills_relators():
             partner = by_key[
                 (case.partner_index, "m2" if case.target_name == "m1" else "m1")
             ]
-            assert case.sign == case.partner_sign
+            assert case.sign == HEXAGON_TERMS[case.partner_index - 1][0]
             assert (partner.nu, partner.mu) == (case.nu, case.mu)
     assert time.perf_counter() - started < 60.0
 
@@ -209,3 +211,11 @@ def test_criterion_9_reports_are_byte_identical():
     assert first == second == eight
     combined = json.loads(first)
     assert combined["overall"] == "pass"
+
+
+def test_readme_library_quick_tour_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "['a = t^-1, c = t u^2 t^-1']\n"

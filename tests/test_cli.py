@@ -105,6 +105,11 @@ def test_psi_on_expression(capsys):
     assert code == 0 and out.strip() == "-1"
     code, out, _ = run_cli(capsys, "psi", "--k", "1", "t_1")
     assert code == 0 and out.strip() == "0"
+    code, out, _ = run_cli(capsys, "psi", "--k", "1", "1")
+    assert code == 0 and out.strip() == "0"
+    code, out, err = run_cli(capsys, "psi", "--k", "1", "t")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: letter 't' is not in alphabet QUAD (at position 0)"
 
 
 def test_psi_on_file(capsys, tmp_path):

@@ -431,7 +431,7 @@ def test_case_analysis_structure():
         m1, m2 = monomials_m(k)
         monomial = {"m1": m1, "m2": m2}
         for case in analysis.cases:
-            assert case.sign == case.partner_sign
+            assert case.sign == HEXAGON_TERMS[case.partner_index - 1][0]
             partner = by_key[(case.partner_index, "m2" if case.target_name == "m1" else "m1")]
             assert (partner.nu, partner.mu) == (case.nu, case.mu)
             h = hexagon(case.nu, case.mu)

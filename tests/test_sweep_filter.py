@@ -104,7 +104,9 @@ def test_every_shape_has_a_single_factor_subscript():
     for formulas in (HEXAGON_FORMULAS, T_POLY_FORMULAS):
         assert all(verify._single_factor(shape) for shape in formulas.shapes)
     assert len(HEXAGON_FORMULAS.shapes) + len(T_POLY_FORMULAS.shapes) == 25
-    assert verify._single_factor(parse_pattern("a_1 c_1 a_3 c_3")) is None
+    unforced = "a_1 c_1 a_3 c_3"
+    with pytest.raises(ValueError, match=f"^no subscript of shape {unforced} has a single factor$"):
+        verify._single_factor(parse_pattern(unforced))
     assert verify._single_factor(parse_pattern("c_1^-1 a_1 a_3")) == ("a", 3, False)
 
 
@@ -159,45 +161,33 @@ def test_unplanted_sweeps_match_the_brute_force_scan():
 
 
 # A shape none of whose subscripts is a single factor: no projection
-# forces a value, so the sweeps must scan every pair.
+# forces a value, so the sweeps refuse it.
 UNFORCED = parse_pattern("nu_1 mu_1 nu_3 mu_3")
+REFUSAL = "ValueError: no subscript of shape {} has a single factor"
 
 
-def test_an_unforced_hexagon_shape_turns_the_filter_off(monkeypatch):
+def test_an_unforced_hexagon_shape_is_refused(monkeypatch):
     formulas = CompiledFormulas(("nu", "mu"), {"H": HEXAGON_TERMS + ((1, UNFORCED),)})
     monkeypatch.setattr(verify, "HEXAGON_FORMULAS", formulas)
-    assert verify._forced(formulas, verify._witnesses(2)) is None
     items = scanned(monkeypatch)
-    # A pair the four hexagon shapes' forced values do not reach.
-    nu, mu = parse_word("u"), parse_word("t u")
-    plant(monkeypatch, naive_eval_pattern(UNFORCED, {"nu": nu, "mu": mu}))
-    assert nu.syllables not in verify._forced(HEXAGON_FORMULAS, verify._witnesses(2))[0]
-    found = exhaustive()
-    assert f"psi_1(H({nu}, {mu})) = 1" in found
-    assert found == brute_force_violations(formulas, ("H",), HEXAGON_LABEL, hexagon_pairs(), 2)
-    assert [item[:2] for item in items] == hexagon_pairs()
-
-    items.clear()
-    pairs = drawn_pairs()
-    plant(monkeypatch, naive_eval_pattern(UNFORCED, dict(zip(("nu", "mu"), pairs[5]))))
-    found = randomized()
-    assert found == brute_force_violations(formulas, ("H",), HEXAGON_LABEL, pairs, 2)
-    # The exhaustive sweep at (1, 1) runs first.
-    assert found and [item[:2] for item in items] == hexagon_pairs(1, 1) + pairs
+    report = verify_hexagon_vanishing(
+        kmax=2, max_syllables=2, max_exponent=1, random_trials=100, workers=1
+    )
+    checks = {check.name: check for check in report.checks}
+    for name in ("hexagon_exhaustive", "hexagon_random"):
+        assert checks[name].status == "fail"
+        assert checks[name].details == REFUSAL.format(UNFORCED)
+    assert checks["hexagon_cases_k1"].passed
+    assert items == []
 
 
-def test_an_unforced_t_poly_shape_turns_the_filter_off(monkeypatch):
-    kinds = {**T_FORMULAS, 1: T_FORMULAS[1] + ((1, parse_pattern("a_1 c_1 a_3 c_3")),)}
-    formulas = CompiledFormulas(("a", "c"), kinds)
-    monkeypatch.setattr(verify, "T_POLY_FORMULAS", formulas)
+def test_an_unforced_t_poly_shape_is_refused(monkeypatch):
+    unforced = parse_pattern("a_1 c_1 a_3 c_3")
+    kinds = {**T_FORMULAS, 1: T_FORMULAS[1] + ((1, unforced),)}
+    monkeypatch.setattr(verify, "T_POLY_FORMULAS", CompiledFormulas(("a", "c"), kinds))
     items = scanned(monkeypatch)
-    a, c = parse_word("u"), parse_word("t u")
-    plant(monkeypatch, naive_eval_pattern(parse_pattern("a_1 c_1 a_3 c_3"), {"a": a, "c": c}))
-    found = span()
-    assert f"psi_1(t_poly(1, {a}, {c})) = 1" in found
-    pairs = list(enumerate_admissible(2, 1))
-    assert found == brute_force_violations(formulas, T_KINDS, SPAN_LABEL, pairs, 2)
-    assert [item[:2] for item in items] == pairs
+    assert span() == [REFUSAL.format(unforced)]
+    assert items == []
 
 
 def test_sweeps_scan_only_the_candidates_and_count_every_pair(monkeypatch):

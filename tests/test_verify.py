@@ -199,18 +199,26 @@ def test_verify_all_builds_each_target_once(monkeypatch):
     assert built == [(barbell.Disk.D1, K), (barbell.Disk.D2, K)]
 
 
+def _column(matrix, disk, j):
+    """psi(1..kmax) on the disk's target j, as index k - 1 -> psi_k, read
+    from the rows of ``verify._psi_matrix``."""
+    return {k - 1: row[j - 1] for k, row in enumerate(matrix[disk], 1) if j - 1 in row}
+
+
 def test_targets_built_at_K_match_the_concrete_build():
     kmax = 30
     targets = verify._build_targets(kmax)
-    columns = verify._psi_columns(kmax, targets)
+    matrix = verify._psi_matrix(kmax, targets)
     for disk in Disk:
+        assert len(matrix[disk]) == kmax
         for k in range(1, kmax + 1):
             value = w3_target(disk, k).value
             assert targets[disk, k] == value
-            assert columns[disk, k] == {
+            column = _column(matrix, disk, k)
+            assert column == {
                 j - 1: psi(j)(value) for j in range(1, kmax + 1) if psi(j)(value)
             }
-            assert all(type(q) is Fraction for q in columns[disk, k].values())
+            assert all(type(q) is Fraction for q in column.values())
 
 
 def test_psi_columns_read_both_witness_monomials():
@@ -224,16 +232,19 @@ def test_psi_columns_read_both_witness_monomials():
         (Disk.D1, 2): RingElement(QUAD, [(m[1][0], 1), (m[1][1], -3)]),
         (Disk.D2, 2): "construction failed",
     }
-    columns = verify._psi_columns(kmax, elements)
-    assert columns[Disk.D2, 2] == "construction failed"
-    for key, value in elements.items():
+    matrix = verify._psi_matrix(kmax, elements)
+    # The failed target leaves no entry.
+    assert _column(matrix, Disk.D2, 2) == {}
+    for (disk, j), value in elements.items():
         if isinstance(value, RingElement):
-            assert columns[key] == {
-                j - 1: psi(j)(value) for j in range(1, kmax + 1) if psi(j)(value)
+            assert _column(matrix, disk, j) == {
+                k - 1: psi(k)(value) for k in range(1, kmax + 1) if psi(k)(value)
             }
-    assert columns[Disk.D1, 1] == {1: -5, 2: Fraction(1, 2)}
-    assert columns[Disk.D2, 1] == {}
-    assert columns[Disk.D1, 2] == {0: 4}
+    assert _column(matrix, Disk.D1, 1) == {1: -5, 2: Fraction(1, 2)}
+    assert _column(matrix, Disk.D2, 1) == {}
+    assert _column(matrix, Disk.D1, 2) == {0: 4}
+    assert matrix[Disk.D1] == [{1: 4}, {0: -5}, {0: Fraction(1, 2)}, {}]
+    assert matrix[Disk.D2] == [{}, {}, {}, {}]
 
 
 def test_exceptional_k_builds_the_target_concretely(monkeypatch):
@@ -673,7 +684,7 @@ def _witness(k):
 
 
 def _psi_targets_report(kmax, targets):
-    return verify._psi_targets(kmax, verify._psi_columns(kmax, targets))
+    return verify._psi_targets(kmax, targets, verify._psi_matrix(kmax, targets))
 
 
 def test_psi_matrix_off_diagonal_details_list_j_in_ascending_order():
