@@ -1,4 +1,4 @@
-"""Word equations: which substitutions send a pattern to a given word.
+"""Word equations: which substitution sends a pattern to a given word.
 
 Solving ``pattern = target`` over a free group goes through the two
 subscript projections.  pi_s (``words.project``) keeps the letters of
@@ -6,21 +6,20 @@ subscript s and is a homomorphism onto the two-letter group, so every
 solution also solves pi_s(pattern) = pi_s(target) for s = 1 and s = 3,
 where pi_s(pattern) is the product of the pattern's subscript-s factors
 (``Pattern.projection``).  Whenever one of these equations has exactly
-one unknown occurrence the unknown is forced by one-sided division;
-systems that never reach that state fall back to bounded enumeration of
-one variable at a time, so the solver is exhaustive in general only up
-to the fallback bounds.  Each candidate is then checked on the pattern
-itself, and ``solve`` says whether it needed the fallback.
+one unknown occurrence the unknown is forced by one-sided division.
+``solve`` answers by division alone: it fixes each variable once, so
+there is at most one solution, which is checked on the pattern itself.
+A system that division cannot finish is refused with ``SolveError``.
 
 The module also regenerates the solution table for the 21 monomial
 shapes of the four T-polynomials, compares it with an independently
 transcribed copy (words with exponents affine in k), and checks the
 hexagon case analysis.  Both rest on one lemma, which
 ``_unique_solutions`` checks shape by shape: each shape meets each
-witness monomial m1(k), m2(k) in exactly one pair, found without the
-fallback.  None of the 25 shapes needs the fallback: each has a
-subscript whose factors are one factor, which division fixes, and the
-other variable then occurs once among some subscript's factors.
+witness monomial m1(k), m2(k) in exactly one pair, found by division.
+Each of the 25 shapes has a subscript whose factors are one factor,
+which division fixes, and the other variable then occurs once among
+some subscript's factors.
 
 Everything here also runs with k symbolic: ``at_each_k`` passes the
 family parameter ``K`` to the table, the hexagon case analysis or a
@@ -33,7 +32,7 @@ Every k in E is computed again concretely.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, TypeVar
 
 from .barbell import (
     HEXAGON_FORMULAS,
@@ -50,19 +49,18 @@ from .words import (
     Exponent,
     Word,
     at_k,
-    bounded_words,
     concat_words,
     equal_syllables,
     invert,
     parse_word,
     project,
     recorded_roots,
-    word_sort_key,
 )
 
 
 class SolveError(ValueError):
-    """Ill-formed solver input."""
+    """Solver input refused: a target off the four-letter alphabet, or a
+    system that division does not finish."""
 
 
 class TableError(RuntimeError):
@@ -86,24 +84,8 @@ class Solution(NamedTuple):
     def assignment(self) -> dict[str, Word]:
         return dict(self.items)
 
-    def sort_key(self) -> tuple:
-        return tuple((var, word_sort_key(word)) for var, word in self.items)
-
     def __str__(self) -> str:
         return ", ".join(f"{var} = {word}" for var, word in self.items)
-
-
-class Solutions(tuple):
-    """What ``solve`` returns: its solutions, plus ``used_fallback``, True
-    when division did not reach every variable and the bounded enumeration
-    was used, so the solutions are complete only within its bounds."""
-
-    used_fallback: bool
-
-    def __new__(cls, solutions: Iterable[Solution], used_fallback: bool):
-        result = super().__new__(cls, solutions)
-        result.used_fallback = used_fallback
-        return result
 
 
 Factors = tuple[tuple[str, bool], ...]
@@ -120,23 +102,19 @@ def _product(
 
 
 def _solve_system(
-    equations: list[tuple[Factors, Word]],
-    known: dict[str, Word],
-    fallback_syllables: int,
-    fallback_exponent: int,
-) -> tuple[list[dict[str, Word]], bool]:
-    """All in-bounds assignments satisfying every equation, and whether
-    the bounded fallback was used.
+    equations: list[tuple[Factors, Word]], known: dict[str, Word]
+) -> dict[str, Word] | None:
+    """The one assignment satisfying every equation, or None when an
+    equation with no unknowns fails.
 
-    Division steps are exact, and a divided value may be the identity;
-    only systems with no equation containing a single unknown occurrence
-    resort to enumerating one variable over the fallback bounds and
-    recursing.
+    Each step divides an equation with a single unknown occurrence by
+    the known factors on either side, exactly; a divided value may be
+    the identity.  Raises SolveError when no equation left has a single
+    unknown occurrence.
     """
     pending = list(equations)
     known = dict(known)
     while pending:
-        progress = False
         remaining = []
         for factors, rhs in pending:
             unknown_positions = [
@@ -144,8 +122,7 @@ def _solve_system(
             ]
             if not unknown_positions:
                 if not equal_syllables(_product(factors, known).syllables, rhs.syllables):
-                    return [], False
-                progress = True
+                    return None
                 continue
             if len(unknown_positions) == 1:
                 index = unknown_positions[0]
@@ -154,73 +131,50 @@ def _solve_system(
                 suffix = _product(factors[index + 1:], known)
                 value = concat_words([invert(prefix), rhs, invert(suffix)], BASE)
                 known[var] = invert(value) if inverted else value
-                progress = True
                 continue
             remaining.append((factors, rhs))
+        # Every step that makes progress removes its equation.
+        if len(remaining) == len(pending):
+            _enumerate_one_variable(remaining)
         pending = remaining
-        if pending and not progress:
-            return _enumerate_one_variable(
-                pending, known, fallback_syllables, fallback_exponent
-            ), True
-    return [known], False
+    return known
 
 
-def _enumerate_one_variable(
-    pending, known, fallback_syllables, fallback_exponent
-) -> list[dict[str, Word]]:
-    occurrences: dict[str, int] = {}
-    for factors, _ in pending:
-        for var, _ in factors:
-            if var not in known:
-                occurrences[var] = occurrences.get(var, 0) + 1
-    # Enumerate the most-repeated unknown: what is left is then closest
-    # to division-solvable.
-    var = max(sorted(occurrences), key=lambda v: occurrences[v])
-    results = []
-    for candidate in bounded_words(fallback_syllables, fallback_exponent):
-        results.extend(
-            _solve_system(
-                pending, {**known, var: candidate}, fallback_syllables, fallback_exponent
-            )[0]
-        )
-    return results
+# The refusal keeps this name because bench/tracer.py times it as
+# solver.fallback, whose count is therefore the number of refusals.
+def _enumerate_one_variable(pending: list[tuple[Factors, Word]]) -> NoReturn:
+    stuck = "; ".join(
+        " ".join(var + ("^-1" if inverted else "") for var, inverted in factors)
+        + f" = {rhs}"
+        for factors, rhs in pending
+    )
+    raise SolveError(
+        "division does not fix every variable: no equation left has a single "
+        f"unknown occurrence ({stuck})"
+    )
 
 
-def solve(
-    pattern: Pattern,
-    target: Word,
-    fallback_max_syllables: int = 4,
-    fallback_max_exponent: int | None = None,
-) -> Solutions:
-    """All assignments of nontrivial words satisfying pattern = target.
+def solve(pattern: Pattern, target: Word) -> tuple[Solution, ...]:
+    """The assignment of nontrivial words satisfying pattern = target, as
+    a tuple of at most one solution.
 
     The system solved is the pair of projection equations
-    pi_s(pattern) = pi_s(target), s = 1, 3, and every candidate it yields
-    is checked on the pattern.  Returned in a deterministic order for a
-    target without k.  Complete whenever division reaches every variable;
-    otherwise complete up to the fallback bounds, and the result's
-    ``used_fallback`` is True.
+    pi_s(pattern) = pi_s(target), s = 1, 3.  Division fixes each variable
+    once, so there is at most one candidate, and it is checked on the
+    pattern.  Raises SolveError when division does not fix every
+    variable.
     """
     if target.alphabet is not QUAD:
         raise SolveError("the target must be a word over the four-letter alphabet")
-    if fallback_max_exponent is None:
-        # A k-word has no largest exponent.  At bound 0 the fallback
-        # finds nothing, and used_fallback tells the caller so.
-        fallback_max_exponent = 0 if target.has_k else target.max_exponent() + 1
     equations = [(pattern.projection(tag), project(target, tag)) for tag in (1, 3)]
-    assignments, used_fallback = _solve_system(
-        equations, {}, fallback_max_syllables, fallback_max_exponent
-    )
-    found: set[tuple[tuple[str, Word], ...]] = set()
-    for assignment in assignments:
-        if any(word.is_identity for word in assignment.values()):
-            continue
-        if equal_syllables(eval_pattern(pattern, assignment).syllables, target.syllables):
-            found.add(tuple(sorted(assignment.items())))
-    solutions = [Solution(items) for items in found]
-    if len(solutions) > 1 and not target.has_k:  # k-words have no order
-        solutions.sort(key=Solution.sort_key)
-    return Solutions(solutions, used_fallback)
+    assignment = _solve_system(equations, {})
+    if (
+        assignment is None
+        or any(word.is_identity for word in assignment.values())
+        or not equal_syllables(eval_pattern(pattern, assignment).syllables, target.syllables)
+    ):
+        return ()
+    return (Solution.of(assignment),)
 
 
 def _unique_solutions(
@@ -228,21 +182,18 @@ def _unique_solutions(
 ) -> tuple[dict[str, Word], ...]:
     """The one assignment solving pattern = m1(k), then the one for m2(k).
 
-    Raises ``error``, naming ``label``, when ``solve`` needed the bounded
-    fallback or found other than one solution.
+    Raises ``error``, naming ``label``, when division does not fix every
+    variable or ``solve`` returns other than one solution.
     """
     assignments = []
     for name, monomial in zip(("m1", "m2"), monomials_m(k)):
-        solutions = solve(pattern, monomial)
-        if solutions.used_fallback:
-            raise error(
-                f"{label} = {name}({k}) needed the bounded fallback, so its "
-                "solutions are complete only within bounds"
-            )
+        case = f"{label} = {name}({k})"
+        try:
+            solutions = solve(pattern, monomial)
+        except SolveError as refusal:
+            raise error(f"{case}: {refusal}") from refusal
         if len(solutions) != 1:
-            raise error(
-                f"{label} = {name}({k}) has {len(solutions)} solutions, expected exactly 1"
-            )
+            raise error(f"{case} has {len(solutions)} solutions, expected exactly 1")
         assignments.append(solutions[0].assignment)
     return tuple(assignments)
 
@@ -267,7 +218,7 @@ def table_patterns() -> list[tuple[Pattern, tuple[int, ...]]]:
 
 
 class TableRow(NamedTuple):
-    """Solutions of pattern = m1(k) and pattern = m2(k) for one shape."""
+    """The solutions of pattern = m1(k) and pattern = m2(k) for one shape."""
 
     pattern: Pattern
     appears_in: tuple[int, ...]
@@ -280,8 +231,8 @@ def regenerate_table(k: Exponent) -> list[TableRow]:
     """Solve every table shape against both witness monomials at this k
     (or, at k = K, for every k outside the recorded roots).
 
-    Raises TableError unless every shape has exactly one solution per
-    monomial, found without the bounded fallback, and none of the
+    Raises TableError unless division fixes every shape's variables,
+    every shape has exactly one solution per monomial, and none of the
     solutions is an admissible pair.
     """
     rows = []
@@ -405,12 +356,11 @@ def hexagon_case_analysis(k: Exponent) -> HexagonCaseAnalysis:
     """Check the pairing that makes psi(k) kill every hexagon.
 
     For each of the four hexagon terms and each witness monomial, the
-    equation term = monomial has exactly one solution (nu, mu), found
-    without the bounded fallback; at that solution, evaluated on the
-    compiled hexagon formula, exactly one other term equals the other
-    monomial, with the same sign, and the remaining two terms hit
-    neither monomial.  The two matched contributions therefore cancel
-    inside psi(k).
+    equation term = monomial has exactly one solution (nu, mu), found by
+    division; at that solution, evaluated on the compiled hexagon
+    formula, exactly one other term equals the other monomial, with the
+    same sign, and the remaining two terms hit neither monomial.  The
+    two matched contributions therefore cancel inside psi(k).
     """
     monomials = dict(zip(("m1", "m2"), monomials_m(k)))
     signed = HEXAGON_FORMULAS.terms["H"]

@@ -280,9 +280,7 @@ def _collapse_branches(runs, collapsed, seen):
         )
 
 
-def branch_solutions(
-    pattern: Pattern, target: Word, max_syllables: int = 4, max_exponent: int | None = None
-) -> set[tuple[tuple[str, Word], ...]]:
+def branch_solutions(pattern: Pattern, target: Word) -> set[tuple[tuple[str, Word], ...]]:
     """``solve``'s answer by the route of block matching.
 
     The pattern's factors are grouped into maximal runs of constant
@@ -290,12 +288,10 @@ def branch_solutions(
     collapsing runs to the identity whose surviving runs carry the
     blocks' subscripts, each surviving run is equated to its block and
     each collapsed run to the identity, and the system goes to the
-    solver's division engine with the same fallback bounds as ``solve``.
-    Candidates with an identity value, or that miss the target on the
-    pattern, are dropped.
+    solver's division engine, which raises where division cannot fix
+    every variable.  Candidates with an identity value, or that miss the
+    target on the pattern, are dropped.
     """
-    if max_exponent is None:
-        max_exponent = 0 if target.has_k else target.max_exponent() + 1
     blocks = split_blocks(target)
     runs = tuple((factor.tag, ((factor.var, factor.inverted),)) for factor in pattern.factors)
     found = set()
@@ -304,12 +300,11 @@ def branch_solutions(
             continue
         equations = [(factors, word) for (_, factors), (_, word) in zip(surviving, blocks)]
         equations += [(factors, identity(BASE)) for factors in collapsed]
-        assignments, _ = _solve_system(equations, {}, max_syllables, max_exponent)
-        for assignment in assignments:
-            if any(word.is_identity for word in assignment.values()):
-                continue
-            if equal_syllables(eval_pattern(pattern, assignment).syllables, target.syllables):
-                found.add(tuple(sorted(assignment.items())))
+        assignment = _solve_system(equations, {})
+        if assignment is None or any(word.is_identity for word in assignment.values()):
+            continue
+        if equal_syllables(eval_pattern(pattern, assignment).syllables, target.syllables):
+            found.add(tuple(sorted(assignment.items())))
     return found
 
 

@@ -152,7 +152,7 @@ def test_criterion_7_solver_matches_oracle():
             continue
         checked += 1
         target = eval_pattern(pattern, values)
-        found = solve(pattern, target, *bounds)
+        found = solve(pattern, target)
         in_bounds = {
             s.items
             for s in found

@@ -12,7 +12,9 @@ import jsonschema
 import pytest
 
 import barbellw3.cli as cli
+import barbellw3.solver as solver
 from barbellw3.cli import main
+from barbellw3.patterns import parse_pattern
 from barbellw3.verify import Check, Report
 
 REPORT_SCHEMA = {
@@ -167,6 +169,16 @@ def test_table_json(capsys):
     assert first["appears_in"] == [1, 3, 4, 6]
     assert first["m1_solution"] == {"a": "t^-1", "c": "t u^2 t^-1"}
     assert first["admissible"] is False
+
+
+def test_a_shape_division_cannot_fix_makes_table_exit_1(capsys, monkeypatch):
+    # The solver's refusal, a ValueError (exit 2), reaches the CLI as the
+    # table's TableError (exit 1).
+    planted, shapes = parse_pattern("a_1 c_1 a_3 c_3"), solver.table_patterns()
+    monkeypatch.setattr(solver, "table_patterns", lambda: [(planted, (1,))] + shapes)
+    code, out, err = run_cli(capsys, "table", "--k", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: pattern a_1 c_1 a_3 c_3 = m1(2): division does not fix")
 
 
 @pytest.mark.parametrize(

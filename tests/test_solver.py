@@ -19,7 +19,7 @@ from barbellw3.solver import (
     REFERENCE_TABLE_ROWS,
     CaseAnalysisError,
     Solution,
-    Solutions,
+    SolveError,
     TableError,
     at_each_k,
     compare_with_reference,
@@ -80,13 +80,17 @@ def test_solve_single_variable():
 
 
 def test_solve_never_returns_trivial_values():
-    found = solve(parse_pattern("a_1 a_1^-1"), identity(QUAD), 1, 1)
-    assert found and all(not word.is_identity for s in found for _, word in s.items)
-    assert assignments(found) == {
-        (("a", "t"),), (("a", "t^-1"),), (("a", "u"),), (("a", "u^-1"),)
+    # Division gives c = 1 here, which solve drops.
+    assert solve(parse_pattern("a_1 c_3"), parse_word("t_1")) == ()
+    assert assignments(solve(parse_pattern("a_1 c_3"), parse_word("t_1 u_3"))) == {
+        (("a", "t"), ("c", "u"))
     }
-    # a a^-1 = 1 is not division-solvable: only the fallback finds these.
-    assert found.used_fallback
+
+
+def test_solve_refuses_what_division_cannot_fix():
+    # a a^-1 = 1 holds for every a: no equation has a single unknown.
+    with pytest.raises(SolveError, match="division does not fix every variable"):
+        solve(parse_pattern("a_1 a_1^-1"), identity(QUAD))
 
 
 CERTIFICATE_SHAPES = [pattern for pattern, _ in table_patterns()] + [
@@ -101,7 +105,7 @@ def test_solve_matches_branch_reference_on_certificate_shapes():
             for pattern in CERTIFICATE_SHAPES:
                 found = solve(pattern, target)
                 assert {s.items for s in found} == branch_solutions(pattern, target)
-                assert len(found) == 1 and not found.used_fallback
+                assert len(found) == 1
 
 
 def test_solve_matches_branch_reference_at_K():
@@ -112,7 +116,7 @@ def test_solve_matches_branch_reference_at_K():
             with recorded_roots() as branch_roots:
                 expected = branch_solutions(pattern, target)
             assert {s.items for s in found} == expected
-            assert len(found) == 1 and not found.used_fallback
+            assert len(found) == 1
             assert solve_roots == branch_roots == set()
 
 
@@ -129,7 +133,6 @@ def test_solve_matches_branch_reference_on_planted_targets():
             continue
         target = eval_pattern(pattern, {first: x, second: y})
         found = solve(pattern, target)
-        assert not found.used_fallback
         assert tuple(sorted({first: x, second: y}.items())) in {s.items for s in found}
         assert {s.items for s in found} == branch_solutions(pattern, target)
 
@@ -144,11 +147,11 @@ def test_solve_matches_branch_reference_on_collapse_only_targets():
     ]:
         pattern, target = parse_pattern(pattern_text), parse_word(target_text)
         found = solve(pattern, target)
-        assert found and not found.used_fallback
+        assert found
         assert {s.items for s in found} == branch_solutions(pattern, target)
 
 
-def test_unforced_shape_needs_the_fallback_and_fails_the_table(monkeypatch):
+def test_unforced_shape_is_refused_and_fails_the_table(monkeypatch):
     # No subscript of a_1 c_1 a_3 c_3 has a single factor, so neither
     # projection equation is division-solvable.
     planted = parse_pattern("a_1 c_1 a_3 c_3")
@@ -157,21 +160,29 @@ def test_unforced_shape_needs_the_fallback_and_fails_the_table(monkeypatch):
     )
     for k in (K, 2):
         m1, _ = monomials_m(k)
-        assert solve(planted, m1).used_fallback
-        with pytest.raises(TableError, match="bounded fallback"):
+        with pytest.raises(SolveError, match="division does not fix"):
+            solve(planted, m1)
+        with pytest.raises(TableError, match="division does not fix"):
             solver._unique_solutions(planted, k, f"pattern {planted}", TableError)
-        with pytest.raises(TableError, match="bounded fallback"):
+        with pytest.raises(TableError, match="division does not fix"):
             regenerate_table(k)
 
 
-def test_solve_output_is_sorted_and_verified():
+def test_an_unforced_hexagon_term_fails_the_case_analysis(monkeypatch):
+    terms = ((1, parse_pattern("nu_1 mu_1 nu_3 mu_3")),) + HEXAGON_TERMS[1:]
+    monkeypatch.setattr(solver, "HEXAGON_TERMS", terms)
+    for k in (K, 2):
+        with pytest.raises(CaseAnalysisError) as cases:
+            hexagon_case_analysis(k)
+        assert str(cases.value).startswith(f"term 1 = m1({k}): ")
+        assert "division does not fix" in str(cases.value)
+
+
+def test_solve_output_is_one_verified_solution():
     pattern = parse_pattern("a_1 c_3^-1 a_3")
     target = parse_word("t_1^-1 t_3 u_3^-2 t_3^-2")
-    found = solve(pattern, target)
-    keys = [s.sort_key() for s in found]
-    assert keys == sorted(keys)
-    for s in found:
-        assert eval_pattern(pattern, s.assignment) == target
+    (found,) = solve(pattern, target)
+    assert eval_pattern(pattern, found.assignment) == target
 
 
 def test_solve_matches_exhaustive_oracle_random():
@@ -186,7 +197,7 @@ def test_solve_matches_exhaustive_oracle_random():
         if any(word.is_identity for word in values.values()):
             continue
         target = eval_pattern(pattern, values)
-        found = solve(pattern, target, 3, 4)
+        found = solve(pattern, target)
         planted = tuple(sorted(values.items()))
         mine = {s.items for s in found}
         assert planted in mine
@@ -255,16 +266,15 @@ def test_reference_templates_match_text_substitution():
             assert [*row.m1_solution, *row.m2_solution] == parsed
 
 
-def test_fallback_use_fails_the_structural_checks(monkeypatch):
-    original = solver.solve
+def refuse(pattern, target):
+    raise SolveError("division does not fix every variable: planted")
 
-    def flagged(pattern, target):
-        return Solutions(original(pattern, target), True)
 
-    monkeypatch.setattr(solver, "solve", flagged)
-    with pytest.raises(TableError, match="bounded fallback"):
+def test_a_refusal_fails_the_structural_checks(monkeypatch):
+    monkeypatch.setattr(solver, "solve", refuse)
+    with pytest.raises(TableError, match="division does not fix"):
         regenerate_table(1)
-    with pytest.raises(CaseAnalysisError, match="bounded fallback"):
+    with pytest.raises(CaseAnalysisError, match="division does not fix"):
         hexagon_case_analysis(1)
 
 
@@ -308,7 +318,7 @@ def test_solve_records_where_an_equation_holds_at_one_k():
     target = parse_word("t_1^k t_3^3", QUAD, k=True)
     with recorded_roots() as roots:
         found = solve(pattern, target)
-    assert found == () and not found.used_fallback
+    assert found == ()
     assert roots == {3}
     # Outside the recorded root the symbolic answer holds; at it, not.
     for k in (1, 2, 4, 5):
@@ -331,13 +341,10 @@ def test_symbolic_analysis_that_does_not_go_through_runs_every_k_concretely(monk
         with pytest.raises(TableError, match="appears-in"):
             table_at(k)
     assert calls == [K, 1, 2]
-    original = solver.solve
-    monkeypatch.setattr(
-        solver, "solve", lambda pattern, target: Solutions(original(pattern, target), True)
-    )
+    monkeypatch.setattr(solver, "solve", refuse)
     calls.clear()
     analysis_at = counted_at_each_k(hexagon_case_analysis, calls)
-    with pytest.raises(CaseAnalysisError, match="bounded fallback"):
+    with pytest.raises(CaseAnalysisError, match="division does not fix"):
         analysis_at(3)
     assert calls == [K, 3]
 
@@ -352,7 +359,7 @@ def test_other_than_one_solution_fails_both_analyses(monkeypatch, copies):
     monkeypatch.setattr(
         solver,
         "solve",
-        lambda pattern, target: Solutions(tuple(original(pattern, target)) * copies, False),
+        lambda pattern, target: original(pattern, target) * copies,
     )
     for k in (K, 2):
         with pytest.raises(TableError) as table:
