@@ -8,7 +8,6 @@ from .words import (
     WordError,
     WordSyntaxError,
     bounded_words,
-    concat,
     concat_words,
     identity,
     invert,
@@ -51,7 +50,6 @@ from .solver import (
     TableRow,
     compare_with_reference,
     hexagon_case_analysis,
-    reference_table,
     regenerate_table,
     solve,
     table_patterns,

@@ -308,7 +308,7 @@ def enumerate_admissible(
     """
     if max_syllables < 1 or max_exponent < 1:
         raise BarbellError("enumeration bounds must be at least 1")
-    words = bounded_words(max_syllables, max_exponent, BASE)
+    words = bounded_words(max_syllables, max_exponent)
     # Filtering the sorted words keeps each (syllable count, first letter)
     # group in word order.
     heads: dict[tuple[int, str], list[Word]] = {

@@ -8,7 +8,6 @@ verification can never pass by rounding.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -97,9 +96,6 @@ class RingElement:
     def items(self) -> list[tuple[Word, Fraction]]:
         """Terms sorted by the deterministic word order."""
         return sorted(self._terms.items(), key=lambda item: word_sort_key(item[0]))
-
-    def support(self) -> list[Word]:
-        return sorted(self._terms, key=word_sort_key)
 
     def terms(self) -> Iterable[tuple[Word, Fraction]]:
         """The terms in no fixed order, for lookups that need no sorting."""
@@ -219,13 +215,6 @@ class RingElement:
                 raise ValueError("each term's 'word' must be word text")
             terms.append((parse_word(entry["word"], alphabet), as_fraction(entry["coeff"])))
         return cls(alphabet, terms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RingElement":
-        return cls.from_json_dict(json.loads(text))
 
 
 _ZERO = Fraction(0)

@@ -282,34 +282,21 @@ REFERENCE_TABLE_ROWS: tuple[tuple[str, tuple[int, ...], tuple[Word, Word], tuple
 )
 
 
-class ReferenceRow(NamedTuple):
-    pattern_text: str
-    appears_in: tuple[int, ...]
-    m1_solution: tuple[Word, Word]
-    m2_solution: tuple[Word, Word]
-
-
-def reference_table(k: Exponent) -> list[ReferenceRow]:
-    """The transcribed table instantiated at one k, in its published order."""
-    return [
-        ReferenceRow(
-            pattern_text,
-            appears_in,
-            (at_k(pair1[0], k), at_k(pair1[1], k)),
-            (at_k(pair2[0], k), at_k(pair2[1], k)),
-        )
-        for pattern_text, appears_in, pair1, pair2 in REFERENCE_TABLE_ROWS
-    ]
-
-
-def _same_pair(x: tuple[Word, Word], y: tuple[Word, Word]) -> bool:
-    return all(equal_syllables(v.syllables, w.syllables) for v, w in zip(x, y))
+def _same_pair(row: tuple[Word, Word], transcribed: tuple[Word, Word], k: Exponent) -> bool:
+    """Whether a regenerated pair equals a transcribed pair instantiated
+    at k (``at_k``), word for word, recording where not."""
+    return all(
+        equal_syllables(v.syllables, at_k(w, k).syllables) for v, w in zip(row, transcribed)
+    )
 
 
 def compare_with_reference(k: Exponent) -> list[TableRow]:
-    """Regenerate the table and insist it matches the transcription row for row."""
+    """Regenerate the table at k and insist it matches the transcription,
+    ``REFERENCE_TABLE_ROWS``, row for row: the same shapes, appears-in
+    sets, and m1 and m2 solutions once the transcribed words are
+    instantiated at k."""
     rows = regenerate_table(k)
-    reference = {row.pattern_text: row for row in reference_table(k)}
+    reference = {row[0]: row[1:] for row in REFERENCE_TABLE_ROWS}
     if len(rows) != len(reference):
         raise TableError(
             f"regenerated table has {len(rows)} shapes, transcription has {len(reference)}"
@@ -318,14 +305,15 @@ def compare_with_reference(k: Exponent) -> list[TableRow]:
         ref = reference.get(str(row.pattern))
         if ref is None:
             raise TableError(f"shape {row.pattern} is missing from the transcription")
-        if row.appears_in != ref.appears_in:
+        appears_in, m1_solution, m2_solution = ref
+        if row.appears_in != appears_in:
             raise TableError(
                 f"shape {row.pattern}: appears-in {row.appears_in} differs from "
-                f"transcribed {ref.appears_in}"
+                f"transcribed {appears_in}"
             )
         if not (
-            _same_pair(row.m1_solution, ref.m1_solution)
-            and _same_pair(row.m2_solution, ref.m2_solution)
+            _same_pair(row.m1_solution, m1_solution, k)
+            and _same_pair(row.m2_solution, m2_solution, k)
         ):
             raise TableError(
                 f"shape {row.pattern}: solutions at k={k} differ from the transcription"

@@ -246,7 +246,7 @@ def _words_and_pieces(
     """The bounded words of a sweep and their word_pieces, built once per
     sweep and passed to every chunk in its task.  A span chunk uses the
     words only to look up the pieces of the pairs it enumerates."""
-    words = tuple(bounded_words(max_syllables, max_exponent, BASE, include_identity))
+    words = tuple(bounded_words(max_syllables, max_exponent, include_identity))
     return words, tuple([word_pieces(w) for w in words])
 
 
@@ -697,37 +697,26 @@ def verify_main_theorem(
     span = verify_span_vanishing(**bounds, workers=workers)
     built = _build_targets(kmax)
     values = built if target_factory is None else _build_targets(kmax, target_factory)
-    return _main_theorem(
-        kmax, max_syllables, max_exponent, hexagon, span, built, values,
-        _psi_matrix(kmax, values),
-    )
+    return _main_theorem(hexagon, span, built, values, _psi_matrix(kmax, values))
 
 
 def _main_theorem(
-    kmax: int,
-    max_syllables: int,
-    max_exponent: int,
     hexagon: Report,
     span: Report,
     built: Targets,
     values: Targets,
     matrix: dict[Disk, list[dict[int, Fraction]]],
 ) -> Report:
-    """The main-theorem report, citing the checks of hexagon and span reports
-    built at the same kmax and word bounds; their random trials are not cited.
+    """The main-theorem report, citing the checks of the hexagon and span
+    reports, both built at one kmax and word bounds; their random trials
+    are not cited.  The report's parameters are the span report's.
 
     ``built`` holds the w3_target values for k = 1..kmax, ``values`` the
     targets the certificates test (the same unless a factory replaced them)
     and ``matrix`` psi(1..kmax) on each of ``values``.
     """
-    report = Report(
-        "main-theorem",
-        {
-            "kmax": kmax,
-            "max_syllables": max_syllables,
-            "max_exponent": max_exponent,
-        },
-    )
+    kmax = span.parameters["kmax"]
+    report = Report("main-theorem", dict(span.parameters))
 
     def expansions() -> str:
         failures = [value for value in built.values() if isinstance(value, str)]
@@ -860,7 +849,5 @@ def verify_all(
         psi_targets,
         hexagon,
         span,
-        _main_theorem(
-            kmax, max_syllables, max_exponent, hexagon, span, targets, targets, matrix
-        ),
+        _main_theorem(hexagon, span, targets, targets, matrix),
     ]

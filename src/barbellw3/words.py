@@ -81,6 +81,7 @@ QUAD = Alphabet.QUAD
 # Longest first so that "t_1" is never read as "t" followed by junk.
 _ALL_LETTERS = ("t_1", "u_1", "t_3", "u_3", "t", "u")
 
+_TOKEN_RE = re.compile("[^ ]+")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _AFFINE_RE = re.compile(r"([+-]?)([0-9]*)k([+-][0-9]+)?")
 
@@ -260,7 +261,7 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return concat(self, other)
+        return concat_words((self, other), self.alphabet)
 
     def __invert__(self) -> "Word":
         return invert(self)
@@ -268,13 +269,8 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if not isinstance(n, int):
             return NotImplemented
-        if n == 0:
-            return identity(self.alphabet)
-        base = self if n > 0 else invert(self)
-        result = base
-        for _ in range(abs(n) - 1):
-            result = concat(result, base)
-        return result
+        base = invert(self) if n < 0 else self
+        return concat_words([base] * abs(n), self.alphabet)
 
     def __str__(self) -> str:
         if not self.syllables:
@@ -394,19 +390,6 @@ def at_k(w: Word, k: Exponent) -> Word:
     return Word._raw(w.alphabet, tuple(syllables))
 
 
-def concat(v: Word, w: Word) -> Word:
-    """Product of two words, reduced."""
-    if v.alphabet is not w.alphabet:
-        raise AlphabetMismatchError(
-            f"cannot concatenate a {v.alphabet.name} word with a {w.alphabet.name} word"
-        )
-    if not v.syllables:
-        return w
-    if not w.syllables:
-        return v
-    return Word._raw(v.alphabet, _merge_runs((v.syllables, w.syllables)))
-
-
 def concat_words(words: Iterable[Word], alphabet: Alphabet | None = None) -> Word:
     """Product of any number of words, reduced once at the end."""
     parts = []
@@ -467,19 +450,8 @@ def project(w: Word, tag: int) -> Word:
 
 
 def _tokenize(text: str) -> list[tuple[int, str]]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] == " ":
-            i += 1
-            continue
-        j = i
-        while j < n and text[j] != " ":
-            j += 1
-        tokens.append((i, text[i:j]))
-        i = j
-    return tokens
+    """The (position, text) of each run of characters between single spaces."""
+    return [(match.start(), match.group()) for match in _TOKEN_RE.finditer(text)]
 
 
 def _parse_syllable(
@@ -543,34 +515,29 @@ def parse_word(text: str, alphabet: Alphabet | None = None, k: bool = False) -> 
 
 
 def bounded_words(
-    max_syllables: int,
-    max_exponent: int,
-    alphabet: Alphabet = BASE,
-    include_identity: bool = False,
+    max_syllables: int, max_exponent: int, include_identity: bool = False
 ) -> list[Word]:
-    """All reduced words within the bounds, sorted by the word order.
+    """All reduced words over t, u within the bounds, sorted by the word
+    order.
 
     Bounds are on the syllable count and on each syllable's absolute
-    exponent.  Over the two-letter alphabet adjacent syllables simply
-    alternate letters; over the four-letter alphabet any letter change
-    is allowed.
+    exponent; adjacent syllables alternate letters.
     """
     if max_syllables < 0 or max_exponent < 0:
         raise WordError("bounds must be nonnegative")
     exponents = [e for e in range(-max_exponent, max_exponent + 1) if e != 0]
-    letters = alphabet.letters
-    out: list[Word] = [identity(alphabet)] if include_identity else []
+    out: list[Word] = [identity(BASE)] if include_identity else []
     level: list[tuple[Syllable, ...]] = [()]
     for _ in range(max_syllables):
         next_level: list[tuple[Syllable, ...]] = []
         for prefix in level:
             last = prefix[-1][0] if prefix else None
-            for letter in letters:
+            for letter in BASE.letters:
                 if letter == last:
                     continue
                 for exp in exponents:
                     next_level.append(prefix + ((letter, exp),))
-        out.extend(Word._raw(alphabet, syls) for syls in next_level)
+        out.extend(Word._raw(BASE, syls) for syls in next_level)
         level = next_level
     out.sort(key=word_sort_key)
     return out

@@ -9,7 +9,8 @@ equations (``Pattern.projection``) that ``solve`` solves:
 (dividing out single-occurrence variables so the enumeration stays
 affordable), and ``branch_solutions`` matches the pattern's runs of
 constant subscript to the target's blocks, branching over every way of
-collapsing runs to the identity.
+collapsing runs to the identity, and divides its equations with its
+own products and inverses.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from itertools import product
 import barbellw3.barbell as barbell
 from barbellw3.patterns import CompiledFormulas, Pattern, eval_pattern
 from barbellw3.ring import RingElement
-from barbellw3.solver import _solve_system
 from barbellw3.words import BASE, QUAD, Word, _merge_runs, equal_syllables, identity
 
 
@@ -59,16 +59,33 @@ def _run_length(alphabet, stack) -> Word:
     return Word(alphabet, syllables)
 
 
+def _stack_syllables(alphabet, syllables) -> Word:
+    """Stack reduction of a syllable sequence, for words whose affine
+    exponents cannot be spelled letter by letter.  Each merged exponent
+    is truth tested once, so its root is recorded."""
+    stack: list[tuple[str, object]] = []
+    for letter, exp in syllables:
+        if stack and stack[-1][0] == letter:
+            exp = exp + stack.pop()[1]
+            if not exp:
+                continue
+        stack.append((letter, exp))
+    return Word._raw(alphabet, tuple(stack))
+
+
 def naive_concat(*words: Word) -> Word:
     alphabet = words[0].alphabet
-    letters = []
-    for w in words:
-        assert w.alphabet is alphabet
-        letters.extend(expand_letters(w))
-    return reduce_letters(alphabet, letters)
+    assert all(w.alphabet is alphabet for w in words)
+    if any(w.has_k for w in words):
+        return _stack_syllables(alphabet, [s for w in words for s in w.syllables])
+    return reduce_letters(alphabet, [letter for w in words for letter in expand_letters(w)])
 
 
 def naive_invert(w: Word) -> Word:
+    if w.has_k:
+        return _stack_syllables(
+            w.alphabet, [(letter, -exp) for letter, exp in reversed(w.syllables)]
+        )
     return reduce_letters(
         w.alphabet, [(letter, -sign) for letter, sign in reversed(expand_letters(w))]
     )
@@ -280,6 +297,48 @@ def _collapse_branches(runs, collapsed, seen):
         )
 
 
+def _naive_product(factors, known) -> Word:
+    return naive_concat(
+        identity(BASE),
+        *(naive_invert(known[var]) if inverted else known[var] for var, inverted in factors),
+    )
+
+
+def _divide(equations) -> dict[str, Word] | None:
+    """The assignment that one-sided division forces on a system of
+    (factors, word) equations, or None when an equation whose variables
+    are all known fails.
+
+    Division takes an equation with one unknown occurrence and solves it
+    through ``naive_concat`` and ``naive_invert``, never through the
+    solver.  A system where no equation left has one unknown occurrence
+    raises a ValueError.
+    """
+    known: dict[str, Word] = {}
+    pending = list(equations)
+    while pending:
+        for index, (factors, rhs) in enumerate(pending):
+            unknown = [i for i, (var, _) in enumerate(factors) if var not in known]
+            if len(unknown) <= 1:
+                break
+        else:
+            raise ValueError(f"division does not fix every variable of {pending}")
+        del pending[index]
+        if not unknown:
+            if not equal_syllables(_naive_product(factors, known).syllables, rhs.syllables):
+                return None
+            continue
+        [i] = unknown
+        var, inverted = factors[i]
+        value = naive_concat(
+            naive_invert(_naive_product(factors[:i], known)),
+            rhs,
+            naive_invert(_naive_product(factors[i + 1:], known)),
+        )
+        known[var] = naive_invert(value) if inverted else value
+    return known
+
+
 def branch_solutions(pattern: Pattern, target: Word) -> set[tuple[tuple[str, Word], ...]]:
     """``solve``'s answer by the route of block matching.
 
@@ -287,9 +346,8 @@ def branch_solutions(pattern: Pattern, target: Word) -> set[tuple[tuple[str, Wor
     subscript and the target into its blocks.  For every way of
     collapsing runs to the identity whose surviving runs carry the
     blocks' subscripts, each surviving run is equated to its block and
-    each collapsed run to the identity, and the system goes to the
-    solver's division engine, which raises where division cannot fix
-    every variable.  Candidates with an identity value, or that miss the
+    each collapsed run to the identity, and the system is divided out
+    by ``_divide``.  Candidates with an identity value, or that miss the
     target on the pattern, are dropped.
     """
     blocks = split_blocks(target)
@@ -300,7 +358,7 @@ def branch_solutions(pattern: Pattern, target: Word) -> set[tuple[tuple[str, Wor
             continue
         equations = [(factors, word) for (_, factors), (_, word) in zip(surviving, blocks)]
         equations += [(factors, identity(BASE)) for factors in collapsed]
-        assignment = _solve_system(equations, {})
+        assignment = _divide(equations)
         if assignment is None or any(word.is_identity for word in assignment.values()):
             continue
         if equal_syllables(eval_pattern(pattern, assignment).syllables, target.syllables):

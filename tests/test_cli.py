@@ -119,7 +119,7 @@ def test_psi_on_file(capsys, tmp_path):
 
     element = w3_target(Disk.D2, 3).value
     path = tmp_path / "element.json"
-    path.write_text(element.to_json())
+    path.write_text(json.dumps(element.to_json_dict()))
     code, out, _ = run_cli(capsys, "psi", "--k", "3", "--in", str(path))
     assert code == 0 and out.strip() == "3"
     code, out, _ = run_cli(capsys, "psi", "--k", "4", "--in", str(path))

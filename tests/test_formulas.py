@@ -233,7 +233,7 @@ def _witness_hits(max_syllables: int, max_exponent: int, kmax: int) -> set:
         for k in range(1, kmax + 1)
         for name, m in zip(("m1", "m2"), monomials_m(k))
     }
-    values = bounded_words(max_syllables, max_exponent, BASE, include_identity=True)
+    values = bounded_words(max_syllables, max_exponent, include_identity=True)
     pieces = [word_pieces(w) for w in values]
     hits = set()
     for nu, nu_pieces in zip(values, pieces):

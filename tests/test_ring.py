@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -75,7 +76,7 @@ def test_module_laws_random():
         assert -x == zero - x
         assert (x + y).scale(q) == x.scale(q) + y.scale(q)
         assert q * x == x * q == x.scale(q)
-        for word in (x + y).support():
+        for word, _ in (x + y).items():
             assert (x + y).coeff(word) == x.coeff(word) + y.coeff(word)
 
 
@@ -99,7 +100,6 @@ def test_items_are_sorted_by_word_order():
         x = rand_element(rng)
         keys = [word.sort_key() for word, _ in x.items()]
         assert keys == sorted(keys)
-        assert set(x.support()) == {word for word, _ in x.items()}
 
 
 def test_str_format():
@@ -122,14 +122,14 @@ def test_json_round_trip_and_shape():
         ],
     }
     assert RingElement.from_json_dict(data) == x
-    assert RingElement.from_json(x.to_json()) == x
+    assert RingElement.from_json_dict(json.loads(json.dumps(x.to_json_dict()))) == x
 
 
 def test_json_round_trip_random():
     rng = random.Random(41)
     for _ in range(100):
         x = rand_element(rng, rng.choice([BASE, QUAD]))
-        assert RingElement.from_json(x.to_json()) == x
+        assert RingElement.from_json_dict(json.loads(json.dumps(x.to_json_dict()))) == x
 
 
 def test_from_json_dict_validation():
@@ -230,7 +230,7 @@ def test_rank_of_elements():
 
 
 def sympy_rank(elements):
-    columns = sorted({word for x in elements for word in x.support()}, key=lambda w: w.sort_key())
+    columns = sorted({word for x in elements for word, _ in x.items()}, key=lambda w: w.sort_key())
     if not elements or not columns:
         return 0
     return sympy.Matrix(

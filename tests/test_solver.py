@@ -24,7 +24,6 @@ from barbellw3.solver import (
     at_each_k,
     compare_with_reference,
     hexagon_case_analysis,
-    reference_table,
     regenerate_table,
     solve,
     table_patterns,
@@ -118,6 +117,21 @@ def test_solve_matches_branch_reference_at_K():
             assert {s.items for s in found} == expected
             assert len(found) == 1
             assert solve_roots == branch_roots == set()
+
+
+def test_branch_reference_catches_a_planted_division_fault(monkeypatch):
+    # With the solver's inverse replaced by the identity, division gives
+    # wrong quotients; the oracle divides on its own, so the two must
+    # disagree on some shape at a concrete k and at K.
+    monkeypatch.setattr(solver, "invert", lambda w: w)
+    for k in (2, K):
+        mismatches = [
+            pattern
+            for target in monomials_m(k)
+            for pattern in CERTIFICATE_SHAPES
+            if {s.items for s in solve(pattern, target)} != branch_solutions(pattern, target)
+        ]
+        assert mismatches, f"no mismatch at k={k}"
 
 
 def test_solve_matches_branch_reference_on_planted_targets():
@@ -242,28 +256,24 @@ def test_regenerate_table():
 def test_regenerated_table_matches_transcription():
     for k in (1, 2, 3, 7, 10):
         rows = compare_with_reference(k)
-        assert len(rows) == len(reference_table(k)) == 21
+        assert len(rows) == len(REFERENCE_TABLE_ROWS) == 21
 
 
 def test_reference_rows_substitute_k():
-    rows = reference_table(3)
-    first = rows[0]
-    assert str(first.m1_solution[1]) == "t u^3 t^-1"
-    assert str(first.m2_solution[0]) == "t^2 u^3 t^-1"
+    _, _, m1_solution, m2_solution = REFERENCE_TABLE_ROWS[0]
+    assert str(at_k(m1_solution[1], 3)) == "t u^3 t^-1"
+    assert str(at_k(m2_solution[0], 3)) == "t^2 u^3 t^-1"
 
 
 def test_reference_templates_match_text_substitution():
     # The transcription's words at k, against their printed text with k
     # substituted and parsed.
     for k in range(1, 31):
-        for row, (text, appears_in, pair1, pair2) in zip(
-            reference_table(k), REFERENCE_TABLE_ROWS
-        ):
+        for _, _, pair1, pair2 in REFERENCE_TABLE_ROWS:
             parsed = [
                 parse_word(str(w).replace("k", str(k)), BASE) for w in pair1 + pair2
             ]
-            assert (row.pattern_text, row.appears_in) == (text, appears_in)
-            assert [*row.m1_solution, *row.m2_solution] == parsed
+            assert [at_k(w, k) for w in pair1 + pair2] == parsed
 
 
 def refuse(pattern, target):

@@ -27,7 +27,7 @@ from barbellw3.barbell import (
 )
 from barbellw3.patterns import CompiledFormulas, parse_pattern
 from barbellw3.verify import verify_hexagon_vanishing, verify_span_vanishing
-from barbellw3.words import BASE, bounded_words, parse_word
+from barbellw3.words import bounded_words, parse_word
 
 from oracles import brute_force_violations, naive_eval_pattern, random_word
 
@@ -71,7 +71,7 @@ def exhaustive(kmax=2, max_syllables=2, max_exponent=1):
 
 
 def hexagon_pairs(max_syllables=2, max_exponent=1):
-    words = bounded_words(max_syllables, max_exponent, BASE, include_identity=True)
+    words = bounded_words(max_syllables, max_exponent, include_identity=True)
     return [(nu, mu) for nu in words for mu in words]
 
 

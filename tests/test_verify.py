@@ -32,7 +32,7 @@ from barbellw3.verify import (
     verify_span_vanishing,
 )
 from barbellw3.ring import RingElement
-from barbellw3.words import QUAD, K, concat, parse_word
+from barbellw3.words import QUAD, K, concat_words, parse_word
 
 
 def report_json(report):
@@ -168,7 +168,7 @@ def test_exceptional_k_is_checked_concretely(monkeypatch):
         if k is K:
             # A seam u^k u^-2 that vanishes at k = 2, and an equation
             # a_1 a_3 = t_1^k t_3^3 whose two sides agree only at k = 3.
-            concat(parse_word("u^k", k=True), parse_word("u^-2"))
+            concat_words([parse_word("u^k", k=True), parse_word("u^-2")])
             assert not solve(parse_pattern("a_1 a_3"), parse_word("t_1^k t_3^3", k=True))
         return original(k)
 
@@ -255,7 +255,7 @@ def test_exceptional_k_builds_the_target_concretely(monkeypatch):
         built.append((disk, k))
         if k is K:
             # A seam u^k u^-3 that vanishes at k = 3.
-            concat(parse_word("u^k", k=True), parse_word("u^-3"))
+            concat_words([parse_word("u^k", k=True), parse_word("u^-3")])
         return original(disk, k)
 
     monkeypatch.setattr(verify, "w3_target", planted)
@@ -793,6 +793,24 @@ def test_corrupted_reference_table_is_caught(monkeypatch):
     certificates = [c for c in main.checks if c.name.startswith("certificate_")]
     assert [c.name for c in certificates] == ["certificate_d1_k1", "certificate_d2_k1"]
     assert all(c.status == "fail" for c in certificates)
+
+
+def test_transcribed_word_right_at_one_k_fails_the_other_k(monkeypatch):
+    # Row 0's m1 solution c = t u^k t^-1, transcribed as t u^2 t^-1: right
+    # at k = 2 only, so each k instantiates the transcription on its own.
+    text, appears_in, (a, _), m2_row = solver.REFERENCE_TABLE_ROWS[0]
+    mutated = ((text, appears_in, (a, parse_word("t u^2 t^-1")), m2_row),) + tuple(
+        solver.REFERENCE_TABLE_ROWS[1:]
+    )
+    monkeypatch.setattr(solver, "REFERENCE_TABLE_ROWS", mutated)
+    report = verify_span_vanishing(kmax=3, max_syllables=1, max_exponent=1, workers=1)
+    check = {check.name: check for check in report.checks}
+    assert check["solution_table_k1"].status == "fail"
+    assert check["solution_table_k1"].details == (
+        "TableError: shape a_1 c_3^-1 a_3: solutions at k=1 differ from the transcription"
+    )
+    assert check["solution_table_k2"].status == "pass"
+    assert check["solution_table_k3"].status == "fail"
 
 
 def test_empty_report_passes():
