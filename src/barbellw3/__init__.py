@@ -24,12 +24,10 @@ from .ring import (
 )
 from .patterns import Pattern, PatternError, PatternFactor, eval_pattern, parse_pattern
 from .barbell import (
-    AdmissiblePair,
     BarbellError,
     Disk,
     SelfCheckError,
     SpanRecord,
-    W3Value,
     count_admissible,
     enumerate_admissible,
     hexagon,
@@ -43,7 +41,6 @@ from .barbell import (
 from .solver import (
     CaseAnalysisError,
     HexagonCase,
-    HexagonCaseAnalysis,
     Solution,
     SolveError,
     TableError,

@@ -220,22 +220,14 @@ class Disk(Enum):
     D2 = "d2"
 
 
-class W3Value(NamedTuple):
-    """A W3 target: the group-ring value attached to one disk and one k."""
-
-    disk: Disk
-    k: int
-    value: RingElement
-
-
 def target_argument_pair(k: Exponent) -> tuple[Word, Word]:
     """The argument pair (a, c) = (t, t u^k t^-1) of the target family."""
     _check_k(k)
     return (Word(BASE, [("t", 1)]), Word(BASE, [("t", 1), ("u", k), ("t", -1)]))
 
 
-def w3_target(disk: Disk, k: int) -> W3Value:
-    """Build a target value twice and insist both constructions agree."""
+def w3_target(disk: Disk, k: int) -> RingElement:
+    """The disk's W3 target at k, built twice; both constructions must agree."""
     if not isinstance(disk, Disk):
         raise BarbellError(f"disk must be Disk.D1 or Disk.D2, got {disk!r}")
     _check_k(k)
@@ -251,7 +243,7 @@ def w3_target(disk: Disk, k: int) -> W3Value:
             f"polynomial and hard-coded constructions of the {disk.value} target "
             f"disagree at k={k}"
         )
-    return W3Value(disk=disk, k=k, value=value)
+    return value
 
 
 def monomials_m(k: Exponent) -> tuple[Word, Word]:
@@ -272,20 +264,6 @@ def psi(k: int) -> Functional:
 # ---------------------------------------------------------------------------
 # Admissible pairs and the span they generate.
 
-class AdmissiblePair(NamedTuple):
-    """A pair of nontrivial words whose junction switches letters.
-
-    A tuple, so that the enumeration, which the span sweep walks pair by
-    pair, builds each pair at the cost of a tuple.
-    """
-
-    a: Word
-    c: Word
-
-    def __str__(self) -> str:
-        return f"({self.a}, {self.c})"
-
-
 def is_admissible(a: Word, c: Word) -> bool:
     """True when a ends and c begins with powers of different letters."""
     if a.alphabet is not BASE or c.alphabet is not BASE:
@@ -300,8 +278,9 @@ _OTHER_LETTER = {"t": "u", "u": "t"}
 
 def enumerate_admissible(
     max_syllables: int, max_exponent: int
-) -> Iterator[AdmissiblePair]:
-    """All admissible pairs within bounds, without repetition.
+) -> Iterator[tuple[Word, Word]]:
+    """All admissible pairs within bounds, each a plain tuple (a, c),
+    without repetition.
 
     Deterministic order: total syllable count of the pair, then the word
     order of a, then the word order of c.
@@ -316,14 +295,12 @@ def enumerate_admissible(
     }
     for w in words:
         heads[(w.syllable_count, w.syllables[0][0])].append(w)
-    # tuple.__new__ skips the generated constructor's argument handling.
-    new = tuple.__new__
     for total in range(2, 2 * max_syllables + 1):
         for a in words:
             c_count = total - a.syllable_count
             if 1 <= c_count <= max_syllables:
                 for c in heads[(c_count, _OTHER_LETTER[a.syllables[-1][0]])]:
-                    yield new(AdmissiblePair, (a, c))
+                    yield a, c
 
 
 def count_admissible(max_syllables: int, max_exponent: int) -> int:
@@ -359,9 +336,7 @@ def span_generator_records(
 ) -> Iterator[SpanRecord]:
     """Stream the span generators with their provenance, pairs outermost."""
     kind_list = _check_kinds(kinds)
-    for pair in enumerate_admissible(max_syllables, max_exponent):
-        words = T_POLY_FORMULAS.evaluate(_pair_pieces(pair.a, pair.c))
+    for a, c in enumerate_admissible(max_syllables, max_exponent):
+        words = T_POLY_FORMULAS.evaluate(_pair_pieces(a, c))
         for i in kind_list:
-            yield SpanRecord(
-                i, pair.a, pair.c, _element_from_coeffs(_t_poly_coeffs(i, words))
-            )
+            yield SpanRecord(i, a, c, _element_from_coeffs(_t_poly_coeffs(i, words)))

@@ -329,7 +329,7 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
         return 0
     if args.command == "target":
         disk = Disk.D1 if args.disk == "d1" else Disk.D2
-        print(w3_target(disk, args.k).value)
+        print(w3_target(disk, args.k))
         return 0
     if args.command == "psi":
         return _run_psi(args, parser)

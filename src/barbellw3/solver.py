@@ -335,13 +335,9 @@ class HexagonCase(NamedTuple):
     sign: int
 
 
-class HexagonCaseAnalysis(NamedTuple):
-    k: Exponent
-    cases: tuple[HexagonCase, ...]
-
-
-def hexagon_case_analysis(k: Exponent) -> HexagonCaseAnalysis:
-    """Check the pairing that makes psi(k) kill every hexagon.
+def hexagon_case_analysis(k: Exponent) -> tuple[HexagonCase, ...]:
+    """Check the pairing that makes psi(k) kill every hexagon, and return
+    its 8 cases, one per hexagon term and witness monomial.
 
     For each of the four hexagon terms and each witness monomial, the
     equation term = monomial has exactly one solution (nu, mu), found by
@@ -394,7 +390,7 @@ def hexagon_case_analysis(k: Exponent) -> HexagonCaseAnalysis:
                     f"{case}: hexagon coefficients at the witness monomials differ"
                 )
             cases.append(HexagonCase(term_index, target_name, nu, mu, partner_index, sign))
-    return HexagonCaseAnalysis(k, tuple(cases))
+    return tuple(cases)
 
 
 # ---------------------------------------------------------------------------

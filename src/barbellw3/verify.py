@@ -405,25 +405,22 @@ def _span_chunk(task: tuple) -> tuple[int, list[str]]:
 Targets = dict[tuple[Disk, int], RingElement | str]
 
 
-def _build_targets(
-    kmax: int, factory: Callable[[Disk, int], RingElement] | None = None
-) -> Targets:
-    """Both disks' targets for k = 1..kmax, from the factory if one is given.
+def _build_targets(kmax: int) -> Targets:
+    """Both disks' w3_target values for k = 1..kmax; where a construction
+    raised, its error as a string instead.
 
-    Otherwise each disk's target is built by w3_target through
-    ``solver.at_each_k``: at K, comparing the two constructions as affine
-    formal sums, and instantiated at each k outside E, since instantiation
-    is linear; a failure reads as it would concretely.
+    Each disk's target is built through ``solver.at_each_k``: at K,
+    comparing the two constructions as affine formal sums, and
+    instantiated at each k outside E, since instantiation is linear; a
+    failure reads as it would concretely.
     """
-    if factory is None:
-        at = {disk: at_each_k(lambda k, d=disk: w3_target(d, k).value) for disk in Disk}
-        # at_k leaves a value built at a concrete k as it is.
-        factory = lambda disk, k: at[disk](k).at_k(k)
+    at = {disk: at_each_k(lambda k, d=disk: w3_target(d, k)) for disk in Disk}
     targets: Targets = {}
     for k in range(1, kmax + 1):
         for disk in Disk:
             try:
-                targets[disk, k] = factory(disk, k)
+                # at_k leaves a value built at a concrete k as it is.
+                targets[disk, k] = at[disk](k).at_k(k)
             except Exception as error:
                 targets[disk, k] = f"{type(error).__name__}: {error}"
     return targets
@@ -601,8 +598,7 @@ def verify_hexagon_vanishing(
     for k in range(1, kmax + 1):
 
         def cases(k=k) -> str:
-            analysis = analysis_at(k)
-            pairings = sorted({(c.term_index, c.partner_index) for c in analysis.cases})
+            pairings = sorted({(c.term_index, c.partner_index) for c in analysis_at(k)})
             return f"8 term-monomial cases, pairings {pairings}"
 
         report.checks.append(
@@ -689,40 +685,37 @@ def verify_main_theorem(
     max_syllables: int = 3,
     max_exponent: int = 3,
     workers: int = 1,
-    target_factory: Callable[[Disk, int], RingElement] | None = None,
 ) -> Report:
-    """Assemble the non-membership certificate for both disks, k = 1..kmax."""
+    """Assemble the non-membership certificate for both disks, k = 1..kmax,
+    from the hexagon and span suites and the targets of ``_build_targets``."""
     bounds = dict(kmax=kmax, max_syllables=max_syllables, max_exponent=max_exponent)
     hexagon = verify_hexagon_vanishing(**bounds, random_trials=0, seed=0, workers=workers)
     span = verify_span_vanishing(**bounds, workers=workers)
-    built = _build_targets(kmax)
-    values = built if target_factory is None else _build_targets(kmax, target_factory)
-    return _main_theorem(hexagon, span, built, values, _psi_matrix(kmax, values))
+    targets = _build_targets(kmax)
+    return _main_theorem(hexagon, span, targets, _psi_matrix(kmax, targets))
 
 
 def _main_theorem(
     hexagon: Report,
     span: Report,
-    built: Targets,
-    values: Targets,
+    targets: Targets,
     matrix: dict[Disk, list[dict[int, Fraction]]],
 ) -> Report:
     """The main-theorem report, citing the checks of the hexagon and span
     reports, both built at one kmax and word bounds; their random trials
     are not cited.  The report's parameters are the span report's.
 
-    ``built`` holds the w3_target values for k = 1..kmax, ``values`` the
-    targets the certificates test (the same unless a factory replaced them)
-    and ``matrix`` psi(1..kmax) on each of ``values``.
+    ``targets`` holds the targets for k = 1..kmax, as ``_build_targets``
+    gives them, and ``matrix`` psi(1..kmax) on each of them.
     """
     kmax = span.parameters["kmax"]
     report = Report("main-theorem", dict(span.parameters))
 
     def expansions() -> str:
-        failures = [value for value in built.values() if isinstance(value, str)]
+        failures = [value for value in targets.values() if isinstance(value, str)]
         if failures:
             raise CheckFailure(
-                f"{len(failures)} of {len(built)} targets failed, first: {failures[0]}"
+                f"{len(failures)} of {len(targets)} targets failed, first: {failures[0]}"
             )
         return f"both disks, k = 1..{kmax}: formula and expansion constructions agree"
 
@@ -742,7 +735,7 @@ def _main_theorem(
         for disk in Disk:
 
             def nonvanishing(disk=disk, k=k) -> str:
-                _target(values, disk, k)  # a failed target fails the check
+                _target(targets, disk, k)  # a failed target fails the check
                 value = matrix[disk][k - 1].get(k - 1, 0)
                 if value != _PSI_ON_TARGET[disk]:
                     raise CheckFailure(
@@ -764,7 +757,7 @@ def _main_theorem(
     for disk in Disk:
 
         def ranks(disk=disk) -> str:
-            family = [_target(values, disk, k) for k in range(1, kmax + 1)]
+            family = [_target(targets, disk, k) for k in range(1, kmax + 1)]
             elimination_rank = rank(family)
             # _eliminate reduces the rows it is given in place.
             matrix_rank = _eliminate(dict(row) for row in matrix[disk])
@@ -849,5 +842,5 @@ def verify_all(
         psi_targets,
         hexagon,
         span,
-        _main_theorem(hexagon, span, targets, targets, matrix),
+        _main_theorem(hexagon, span, targets, matrix),
     ]

@@ -6,6 +6,7 @@ summary (see conftest) prints one ACCEPTANCE line per criterion.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import subprocess
@@ -33,6 +34,7 @@ from barbellw3.solver import (
     solve,
     table_patterns,
 )
+from barbellw3 import verify
 from barbellw3.verify import verify_hexagon_vanishing, verify_main_theorem
 from barbellw3.words import parse_word
 
@@ -50,21 +52,21 @@ def test_criterion_1_target_expansion_identity():
         assert six.term_count == 16
         assert t4_expansion(k) == four
         assert t6_expansion(k) == six
-        assert w3_target(Disk.D1, k).value == four
-        assert w3_target(Disk.D2, k).value == 2 * four + six
+        assert w3_target(Disk.D1, k) == four
+        assert w3_target(Disk.D2, k) == 2 * four + six
     assert time.perf_counter() - started < 1.0
 
 
 def test_criterion_2_functional_values_on_targets():
     started = time.perf_counter()
     for k in range(1, 21):
-        assert psi(k)(w3_target(Disk.D1, k).value) == 1
-        assert psi(k)(w3_target(Disk.D2, k).value) == 3
+        assert psi(k)(w3_target(Disk.D1, k)) == 1
+        assert psi(k)(w3_target(Disk.D2, k)) == 3
     for k in range(1, 11):
         for j in range(1, 11):
             expected = 1 if k == j else 0
-            assert psi(k)(w3_target(Disk.D1, j).value) == expected
-            assert psi(k)(w3_target(Disk.D2, j).value) == 3 * expected
+            assert psi(k)(w3_target(Disk.D1, j)) == expected
+            assert psi(k)(w3_target(Disk.D2, j)) == 3 * expected
     assert time.perf_counter() - started < 1.0
 
 
@@ -85,11 +87,11 @@ def test_criterion_3_functional_kills_relators():
     # the four proof bullets: each relator term hits each marker monomial
     # exactly once, and the paired term carries the same sign
     for k in range(1, 6):
-        analysis = hexagon_case_analysis(k)
-        assert len(analysis.cases) == 8
-        by_key = {(case.term_index, case.target_name): case for case in analysis.cases}
+        cases = hexagon_case_analysis(k)
+        assert len(cases) == 8
+        by_key = {(case.term_index, case.target_name): case for case in cases}
         assert set(by_key) == {(i, m) for i in (1, 2, 3, 4) for m in ("m1", "m2")}
-        for case in analysis.cases:
+        for case in cases:
             partner = by_key[
                 (case.partner_index, "m2" if case.target_name == "m1" else "m1")
             ]
@@ -123,7 +125,7 @@ def test_criterion_5_functional_kills_span():
 def test_criterion_6_targets_linearly_independent():
     started = time.perf_counter()
     for disk, scale in ((Disk.D1, 1), (Disk.D2, 3)):
-        targets = [w3_target(disk, k).value for k in range(1, 11)]
+        targets = [w3_target(disk, k) for k in range(1, 11)]
         elimination_rank = rank(targets)
         functional_matrix = [
             [psi(k)(target) for target in targets] for k in range(1, 11)
@@ -166,12 +168,12 @@ def test_criterion_7_solver_matches_oracle():
     assert time.perf_counter() - started < 120.0
 
 
-def test_criterion_8_negative_control():
+def test_criterion_8_negative_control(monkeypatch):
     started = time.perf_counter()
-    fake = lambda disk, k: t_poly(4, parse_word("t"), parse_word("u"))
-    report = verify_main_theorem(
-        kmax=3, max_syllables=1, max_exponent=1, workers=1, target_factory=fake
-    )
+    fake = t_poly(4, parse_word("t"), parse_word("u"))
+    targets = {(disk, k): fake for k in range(1, 4) for disk in Disk}
+    monkeypatch.setattr(verify, "_build_targets", lambda kmax: targets)
+    report = verify_main_theorem(kmax=3, max_syllables=1, max_exponent=1, workers=1)
     assert report.overall == "fail"
     status = {check.name: check.status for check in report.checks}
     for k in range(1, 4):
@@ -209,6 +211,10 @@ def test_criterion_9_reports_are_byte_identical():
     second = run(1)
     eight = run(8)
     assert first == second == eight
+    # The report at the default bounds (3, 3), pinned like those of test_cli.
+    assert hashlib.sha256(first).hexdigest() == (
+        "676d0c24dc141dc391169f421f202a272d212d7c6575de1a77990d65798f6809"
+    )
     combined = json.loads(first)
     assert combined["overall"] == "pass"
 

@@ -117,7 +117,7 @@ def test_psi_on_expression(capsys):
 def test_psi_on_file(capsys, tmp_path):
     from barbellw3.barbell import Disk, w3_target
 
-    element = w3_target(Disk.D2, 3).value
+    element = w3_target(Disk.D2, 3)
     path = tmp_path / "element.json"
     path.write_text(json.dumps(element.to_json_dict()))
     code, out, _ = run_cli(capsys, "psi", "--k", "3", "--in", str(path))
@@ -248,6 +248,26 @@ def test_deep_k_report_bytes_are_pinned(capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEEP_K_REPORT_SHA256
+
+
+# The same for outputs built from the admissible pairs, the solution
+# table and the hexagon case analysis.
+PINNED_OUTPUT_SHA256 = {
+    ("span-dump", "--max-syllables", "2", "--max-exponent", "1"):
+        "b2db8362e3b3dde36cd858ace8b6d009aa49f7efaf51690149c641a34c85ad65",
+    ("verify", "main", "--kmax", "5", "--max-syllables", "2", "--max-exponent", "2",
+     "--workers", "1", "--format", "json"):
+        "f8cf5ad5a5a7d068e470f5eb511eee57d77fcdea84f440acb4b9e8331d415ce2",
+    ("table", "--k", "3", "--format", "json"):
+        "17fd4da15506d43bb0bd4201842ecffe40bbfa4d5744d348e8f366469187b45e",
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_OUTPUT_SHA256), ids=lambda args: args[0])
+def test_output_bytes_are_pinned(capsys, args):
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUT_SHA256[args]
 
 
 def test_verify_markdown(capsys):

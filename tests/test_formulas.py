@@ -95,11 +95,11 @@ def test_hexagon_matches_oracle_on_all_pairs():
 def test_t_poly_matches_oracle_on_all_admissible_pairs():
     pairs = list(enumerate_admissible(2, 2))
     assert len(pairs) == 800
-    for pair in pairs:
-        assignment = {"a": pair.a, "c": pair.c}
+    for a, c in pairs:
+        assignment = {"a": a, "c": c}
         for kind in T_KINDS:
-            assert t_poly(kind, pair.a, pair.c) == naive_formula(T_FORMULAS[kind], assignment)
-        assert_shapes_match_oracle(T_POLY_FORMULAS, pair.a, pair.c)
+            assert t_poly(kind, a, c) == naive_formula(T_FORMULAS[kind], assignment)
+        assert_shapes_match_oracle(T_POLY_FORMULAS, a, c)
 
 
 @settings(max_examples=300, deadline=None)
@@ -251,6 +251,6 @@ def test_exhaustive_hexagon_sweep_reaches_the_witnesses_from_three_syllables():
     assert hits == {
         ((k, case.target_name), case.term_index, case.nu, case.mu)
         for k in (1, 2, 3)
-        for case in hexagon_case_analysis(k).cases
+        for case in hexagon_case_analysis(k)
     }
     assert _witness_hits(2, 3, 10) == set()

@@ -270,7 +270,7 @@ def test_rank_matches_sympy_on_overlapping_supports():
 
 def test_rank_of_target_families_matches_sympy():
     for disk in Disk:
-        family = [w3_target(disk, k).value for k in range(1, 7)]
+        family = [w3_target(disk, k) for k in range(1, 7)]
         assert rank(family) == sympy_rank(family) == 6
 
 

@@ -302,8 +302,7 @@ def test_symbolic_analyses_match_every_concrete_k():
     table_calls, case_calls = [], []
     table_at = counted_at_each_k(compare_with_reference, table_calls)
     analysis_at = counted_at_each_k(hexagon_case_analysis, case_calls)
-    rows, analysis = table_at(1), analysis_at(1)
-    assert analysis.k is K
+    rows, cases = table_at(1), analysis_at(1)
 
     def pair_at(pair, k):
         return tuple(at_k(word, k) for word in pair)
@@ -316,9 +315,9 @@ def test_symbolic_analyses_match_every_concrete_k():
         ] == regenerate_table(k)
         assert [
             case._replace(nu=at_k(case.nu, k), mu=at_k(case.mu, k))
-            for case in analysis.cases
-        ] == list(hexagon_case_analysis(k).cases)
-        assert (table_at(k), analysis_at(k)) == (rows, analysis)
+            for case in cases
+        ] == list(hexagon_case_analysis(k))
+        assert (table_at(k), analysis_at(k)) == (rows, cases)
     # E is empty for both: the one run at K answers every k.
     assert table_calls == case_calls == [K]
 
@@ -439,15 +438,14 @@ def test_a_third_term_hit_fails_the_case_analysis(monkeypatch):
 
 def test_case_analysis_structure():
     for k in (1, 2, 3, 5):
-        analysis = hexagon_case_analysis(k)
-        assert analysis.k == k
-        assert len(analysis.cases) == 8
-        seen = {(case.term_index, case.target_name) for case in analysis.cases}
+        cases = hexagon_case_analysis(k)
+        assert len(cases) == 8
+        seen = {(case.term_index, case.target_name) for case in cases}
         assert seen == {(i, m) for i in (1, 2, 3, 4) for m in ("m1", "m2")}
-        by_key = {(case.term_index, case.target_name): case for case in analysis.cases}
+        by_key = {(case.term_index, case.target_name): case for case in cases}
         m1, m2 = monomials_m(k)
         monomial = {"m1": m1, "m2": m2}
-        for case in analysis.cases:
+        for case in cases:
             assert case.sign == HEXAGON_TERMS[case.partner_index - 1][0]
             partner = by_key[(case.partner_index, "m2" if case.target_name == "m1" else "m1")]
             assert (partner.nu, partner.mu) == (case.nu, case.mu)
@@ -457,10 +455,9 @@ def test_case_analysis_structure():
 
 
 def test_case_analysis_values_k2():
-    analysis = hexagon_case_analysis(2)
     table = {
         (case.term_index, case.target_name): (str(case.nu), str(case.mu), case.sign)
-        for case in analysis.cases
+        for case in hexagon_case_analysis(2)
     }
     assert table == {
         (1, "m1"): ("t^-1", "t u^-2 t^-2", 1),

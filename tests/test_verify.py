@@ -212,7 +212,7 @@ def test_targets_built_at_K_match_the_concrete_build():
     for disk in Disk:
         assert len(matrix[disk]) == kmax
         for k in range(1, kmax + 1):
-            value = w3_target(disk, k).value
+            value = w3_target(disk, k)
             assert targets[disk, k] == value
             column = _column(matrix, disk, k)
             assert column == {
@@ -272,9 +272,8 @@ def test_k_specific_expansion_defect_fails_only_where_it_shows(monkeypatch):
     row = (sign, parse_word("t_1^-1 t_3 u_3^-2 t_3^-2", QUAD))
     monkeypatch.setattr(barbell, "T4_EXPANSION_ROWS", (row,) + barbell.T4_EXPANSION_ROWS[1:])
     targets = verify._build_targets(3)
-    assert targets == verify._build_targets(3, lambda disk, k: w3_target(disk, k).value)
     for disk in Disk:
-        assert isinstance(targets[disk, 2], RingElement)
+        assert targets[disk, 2] == w3_target(disk, 2)
         for k in (1, 3):
             assert targets[disk, k] == (
                 f"SelfCheckError: polynomial and hard-coded constructions of the "
@@ -641,11 +640,17 @@ def test_random_suite_seed_sensitivity():
     assert details_a == details_b  # same trial count, both clean
 
 
-def test_negative_control_fails_main_suite():
+def _main_theorem_on(monkeypatch, kmax, value):
+    """verify_main_theorem at word bounds (1, 1), with value(disk, k) for
+    the target of each disk at each k = 1..kmax."""
+    targets = {(disk, k): value(disk, k) for k in range(1, kmax + 1) for disk in Disk}
+    monkeypatch.setattr(verify, "_build_targets", lambda kmax: targets)
+    return verify_main_theorem(kmax=kmax, max_syllables=1, max_exponent=1, workers=1)
+
+
+def test_negative_control_fails_main_suite(monkeypatch):
     fake = lambda disk, k: t_poly(4, parse_word("t"), parse_word("u"))
-    report = verify_main_theorem(
-        kmax=1, max_syllables=1, max_exponent=1, workers=1, target_factory=fake
-    )
+    report = _main_theorem_on(monkeypatch, 1, fake)
     assert report.overall == "fail"
     status = {check.name: check.status for check in report.checks}
     assert status["target_psi_d1_k1"] == "fail"
@@ -656,15 +661,13 @@ def test_negative_control_fails_main_suite():
     assert status["span_generators"] == "pass"
 
 
-def test_planted_dependence_fails_the_rank_check():
+def test_planted_dependence_fails_the_rank_check(monkeypatch):
     def dependent(disk, k):
         if disk is barbell.Disk.D1 and k == 3:
             return dependent(disk, 1) + dependent(disk, 2)
-        return barbell.w3_target(disk, k).value
+        return barbell.w3_target(disk, k)
 
-    report = verify_main_theorem(
-        kmax=3, max_syllables=1, max_exponent=1, workers=1, target_factory=dependent
-    )
+    report = _main_theorem_on(monkeypatch, 3, dependent)
     checks = {check.name: check for check in report.checks}
     assert checks["rank_d1"].status == "fail"
     assert checks["rank_d1"].details == (
@@ -701,7 +704,7 @@ def test_psi_matrix_off_diagonal_details_list_j_in_ascending_order():
     }
 
 
-def test_psi_matrix_zero_diagonal_details():
+def test_psi_matrix_zero_diagonal_details(monkeypatch):
     kmax = 3
     # Each plant cancels psi(k) on its target at k: the diagonal entry is 0.
     plants = {(Disk.D1, 2): RingElement.monomial(_witness(2), -1),
@@ -720,12 +723,10 @@ def test_psi_matrix_zero_diagonal_details():
     }
 
     def planted(disk, k):
-        value = w3_target(disk, k).value
+        value = w3_target(disk, k)
         return value + plants[disk, k] if (disk, k) in plants else value
 
-    report = verify_main_theorem(
-        kmax=kmax, max_syllables=1, max_exponent=1, workers=1, target_factory=planted
-    )
+    report = _main_theorem_on(monkeypatch, kmax, planted)
     failed = {
         check.name: check.details
         for check in report.checks
@@ -818,11 +819,9 @@ def test_empty_report_passes():
     assert report.overall == "pass"
 
 
-def test_failed_check_carries_reason():
+def test_failed_check_carries_reason(monkeypatch):
     fake = lambda disk, k: t_poly(4, parse_word("t"), parse_word("u"))
-    report = verify_main_theorem(
-        kmax=1, max_syllables=1, max_exponent=1, workers=1, target_factory=fake
-    )
+    report = _main_theorem_on(monkeypatch, 1, fake)
     failing = next(c for c in report.checks if c.status == "fail")
     assert failing.details
 
