@@ -36,20 +36,24 @@ The three sweeps, ``hexagon_exhaustive``, ``hexagon_random`` and
 ``span_generators``, are one computation: ``_scan`` takes psi of a
 signed formula at each of a stream of word pairs, and ``_sweep`` runs a
 sweep's chunk tasks and joins their violations in task order, cut to the
-cap.  Each sweep builds its witness words once, from ``psi`` itself
-(``_witnesses``, which refuses a word that psi weighs at two k: every
-lookup by witness word assumes none is), and the two exhaustive sweeps
-build their bounded words' ``word_pieces`` once as well; all of it goes
-to the chunks in their tasks.
+cap.  Each suite call builds psi(1..kmax)'s witness words once, from
+``psi`` itself (``_witnesses``, which refuses a word that psi weighs at
+two k: every lookup by witness word assumes none is), with their
+subscript projections (``_images``), and shares them with the psi matrix
+and every sweep it runs; like the symbolic results they are not cached
+across calls.  The two exhaustive sweeps build their bounded words'
+``word_pieces`` once as well; all of it goes to the chunks in their
+tasks.
 
 Only the pairs a subscript projection cannot rule out reach ``_scan``.
 Every shape has a subscript whose factors are one factor x or x^-1, and
 projecting onto that subscript, a homomorphism, forces x to one value
-per witness word (``_forced``, a set of syllable runs, the one key the
-sweeps test words by); a pair taking none of its variables' forced
-values has no witness word among its shape values and no violation, so
-it is settled by projection.  At bounds (3, 3) and kmax 10 that leaves
-6 172 of 267 289 hexagon pairs and 4 128 of 133 128 admissible pairs.
+per witness word (``_forced``, sets of syllable runs read off the
+witnesses' projections, the one key the sweeps test words by); a pair
+taking none of its variables' forced values has no witness word among
+its shape values and no violation, so it is settled by projection.  At
+bounds (3, 3) and kmax 10 that leaves 6 172 of 267 289 hexagon pairs
+and 4 128 of 133 128 admissible pairs.
 A sweep refuses a shape with no such subscript: its check fails.  Each chunk
 counts its share from its bounds, so the reports read as if every pair
 were scanned; a span chunk refuses a walk that yields another count.
@@ -222,9 +226,16 @@ def _sweep(chunk: Callable[[tuple], tuple[int, list[str]]], tasks: list, workers
     return checked
 
 
-def _witnesses(kmax: int) -> tuple[tuple[Run, int, Fraction], ...]:
+Witnesses = tuple[tuple[Run, int, Fraction], ...]
+# Each subscript's projections of the witness words, and their inverses.
+Images = dict[tuple[int, bool], frozenset[Run]]
+PsiWords = tuple[Witnesses, Images]
+
+
+def _witnesses(kmax: int) -> Witnesses:
     """psi(1..kmax)'s weighted words as (syllables, k, weight), built once
-    per sweep and passed to every chunk in its task.
+    per suite call and passed to the psi matrix and to every chunk in its
+    task.
 
     Every lookup of a word's (k, weight) assumes no word is weighed
     twice, so a repeated word raises a ValueError naming both k.
@@ -262,30 +273,57 @@ def _single_factor(shape: Pattern) -> tuple[str, int, bool]:
     raise ValueError(f"no subscript of shape {shape} has a single factor")
 
 
-def _forced(
-    formulas: CompiledFormulas, witnesses: tuple[tuple[Run, int, Fraction], ...]
-) -> tuple[frozenset[Run], ...]:
+def _images(witnesses: Witnesses) -> Images:
+    """pi_s(m) and pi_s(m)^-1 of every witness word m, as one run set per
+    (subscript s, inverted), built once per suite call with the witnesses.
+
+    pi_s keeps the letters of subscript s."""
+    images: Images = {}
+    for tag in (1, 3):
+        projected = [project(Word._raw(QUAD, run), tag) for run, _, _ in witnesses]
+        images[tag, False] = frozenset(w.syllables for w in projected)
+        images[tag, True] = frozenset(invert(w).syllables for w in projected)
+    return images
+
+
+def _psi_witnesses(kmax: int) -> PsiWords:
+    """The witness words of psi(1..kmax) and their ``_images``."""
+    witnesses = _witnesses(kmax)
+    return witnesses, _images(witnesses)
+
+
+def _on_its_own(kmax: int) -> PsiWords | ValueError:
+    """``_psi_witnesses(kmax)`` for a sweep suite run on its own, or the
+    ValueError that refused a repeated witness word: each of the suite's
+    sweep checks fails with it (``_unpack``), and its other checks run."""
+    try:
+        return _psi_witnesses(kmax)
+    except ValueError as error:
+        return error
+
+
+def _unpack(psi_words: PsiWords | ValueError) -> PsiWords:
+    if isinstance(psi_words, ValueError):
+        raise psi_words
+    return psi_words
+
+
+def _forced(formulas: CompiledFormulas, images: Images) -> tuple[frozenset[Run], ...]:
     """The syllable runs each variable of ``formulas`` is forced to take
     where some shape is a witness word, in the order of ``variables``.
     A shape with no subscript whose factors are one factor raises a
     ValueError (``_single_factor``), which fails the sweep's check.
 
-    pi_s, which keeps the letters of subscript s, is a homomorphism, and
-    pi_s(shape) is the product of the shape's subscript-s factors
-    (``Pattern.projection``): the projection equations ``solver.solve``
-    solves.  So a shape whose subscript-s factors are the one factor x
-    (or x^-1) is the witness m at (x, y) only if x = pi_s(m) (or
-    pi_s(m)^-1).  A pair whose values are all outside these sets has no
-    witness word among its shape values, hence no psi violation.  Each
-    witness is projected once per subscript, and each (subscript,
-    inverted) image is one run set, shared by the shapes that use it.
+    pi_s is a homomorphism, and pi_s(shape) is the product of the shape's
+    subscript-s factors (``Pattern.projection``): the projection
+    equations ``solver.solve`` solves.  So a shape whose subscript-s
+    factors are the one factor x (or x^-1) is the witness m at (x, y) only
+    if x = pi_s(m) (or pi_s(m)^-1).  A pair whose values are all outside
+    these sets has no witness word among its shape values, hence no psi
+    violation.  Each (subscript, inverted) image is one run set of
+    ``images``, shared by the shapes that use it.
     """
     choices = {_single_factor(shape) for shape in formulas.shapes}
-    images: dict[tuple[int, bool], frozenset[Run]] = {}
-    for tag in (1, 3):
-        projected = [project(Word._raw(QUAD, run), tag) for run, _, _ in witnesses]
-        images[tag, False] = frozenset(w.syllables for w in projected)
-        images[tag, True] = frozenset(invert(w).syllables for w in projected)
     forced: dict[str, set[Run]] = {var: set() for var in formulas.variables}
     for var, tag, inverted in choices:
         forced[var] |= images[tag, inverted]
@@ -297,7 +335,7 @@ def _scan(
     keys: tuple,
     label: str,
     items: Iterable[tuple[Word, Word, tuple[Run, ...]]],
-    witnesses: tuple[tuple[Run, int, Fraction], ...],
+    witnesses: Witnesses,
 ) -> list[str]:
     """The psi violations found among the candidate items of a sweep.
 
@@ -426,15 +464,17 @@ def _build_targets(kmax: int) -> Targets:
     return targets
 
 
-def _psi_matrix(kmax: int, targets: Targets) -> dict[Disk, list[dict[int, Fraction]]]:
+def _psi_matrix(
+    kmax: int, targets: Targets, witnesses: Witnesses
+) -> dict[Disk, list[dict[int, Fraction]]]:
     """Each disk's psi matrix by rows: row k - 1 holds psi_k on the disk's
     targets as index j - 1 -> value, nonzero values only.  A failed target
     has no entries; why it failed stays in ``targets``.
 
     Each target is read through one index of psi(1..kmax)'s weighted
-    words (``_witnesses``), so it costs its own terms only.
+    words (``_witnesses(kmax)``), so it costs its own terms only.
     """
-    hits = {run: (k - 1, weight) for run, k, weight in _witnesses(kmax)}
+    hits = {run: (k - 1, weight) for run, k, weight in witnesses}
     matrix = {disk: [{} for _ in range(kmax)] for disk in Disk}
     for (disk, j), value in targets.items():
         if isinstance(value, str):
@@ -474,7 +514,7 @@ def _target(targets: Targets, disk: Disk, k: int) -> RingElement:
 def verify_psi_targets(kmax: int = 10) -> Report:
     """psi(k) takes value 1 on disk-1 targets, 3 on disk-2 targets, 0 across."""
     targets = _build_targets(kmax)
-    return _psi_targets(kmax, targets, _psi_matrix(kmax, targets))
+    return _psi_targets(kmax, targets, _psi_matrix(kmax, targets, _witnesses(kmax)))
 
 
 def _psi_targets(
@@ -531,6 +571,20 @@ def verify_hexagon_vanishing(
     workers: int = 1,
 ) -> Report:
     """psi(k) kills every hexagon relator, by enumeration and by structure."""
+    return _hexagon_vanishing(
+        _on_its_own(kmax), kmax, max_syllables, max_exponent, random_trials, seed, workers
+    )
+
+
+def _hexagon_vanishing(
+    psi_words: PsiWords | ValueError,
+    kmax: int,
+    max_syllables: int,
+    max_exponent: int,
+    random_trials: int,
+    seed: int,
+    workers: int,
+) -> Report:
     workers = min(workers, _usable_cpus())
     report = Report(
         "hexagon-vanishing",
@@ -544,9 +598,9 @@ def verify_hexagon_vanishing(
     )
 
     def exhaustive() -> str:
+        witnesses, images = _unpack(psi_words)
         words, pieces = _words_and_pieces(max_syllables, max_exponent, True)
-        witnesses = _witnesses(kmax)
-        nus, mus = _forced(HEXAGON_FORMULAS, witnesses)
+        nus, mus = _forced(HEXAGON_FORMULAS, images)
         rows = frozenset(i for i, w in enumerate(words) if w.syllables in nus)
         columns = tuple(j for j, w in enumerate(words) if w.syllables in mus)
         tasks = [
@@ -568,14 +622,13 @@ def verify_hexagon_vanishing(
     )
 
     def randomized() -> str:
+        witnesses, images = _unpack(psi_words)
         random_syllables = max_syllables + 3
         random_exponent = max_exponent + 3
-        streams = _chunk_ranges(random_trials, _RANDOM_STREAMS)
-        witnesses = _witnesses(kmax) if streams else ()
-        forced = _forced(HEXAGON_FORMULAS, witnesses)
+        forced = _forced(HEXAGON_FORMULAS, images)
         tasks = [
             (random_syllables, random_exponent, forced, witnesses, seed, index, stop - start)
-            for index, (start, stop) in enumerate(streams)
+            for index, (start, stop) in enumerate(_chunk_ranges(random_trials, _RANDOM_STREAMS))
         ]
         checked = _sweep(_hexagon_random_chunk, tasks, workers)
         return (
@@ -621,6 +674,16 @@ def verify_span_vanishing(
     workers: int = 1,
 ) -> Report:
     """psi(k) kills every admissible-pair generator; the solution table checks out."""
+    return _span_vanishing(_on_its_own(kmax), kmax, max_syllables, max_exponent, workers)
+
+
+def _span_vanishing(
+    psi_words: PsiWords | ValueError,
+    kmax: int,
+    max_syllables: int,
+    max_exponent: int,
+    workers: int,
+) -> Report:
     workers = min(workers, _usable_cpus())
     report = Report(
         "span-vanishing",
@@ -632,10 +695,10 @@ def verify_span_vanishing(
     )
 
     def generators() -> str:
+        witnesses, images = _unpack(psi_words)
         total_pairs = count_admissible(max_syllables, max_exponent)
         words, pieces = _words_and_pieces(max_syllables, max_exponent, False)
-        witnesses = _witnesses(kmax)
-        forced_a, forced_c = _forced(T_POLY_FORMULAS, witnesses)
+        forced_a, forced_c = _forced(T_POLY_FORMULAS, images)
         tasks = [
             (max_syllables, max_exponent, witnesses, words, pieces, forced_a, forced_c,
              start, stop)
@@ -687,12 +750,14 @@ def verify_main_theorem(
     workers: int = 1,
 ) -> Report:
     """Assemble the non-membership certificate for both disks, k = 1..kmax,
-    from the hexagon and span suites and the targets of ``_build_targets``."""
-    bounds = dict(kmax=kmax, max_syllables=max_syllables, max_exponent=max_exponent)
-    hexagon = verify_hexagon_vanishing(**bounds, random_trials=0, seed=0, workers=workers)
-    span = verify_span_vanishing(**bounds, workers=workers)
+    from the hexagon and span suites and the targets of ``_build_targets``,
+    all reading one build of psi's witness words."""
+    psi_words = _psi_witnesses(kmax)
+    bounds = (kmax, max_syllables, max_exponent)
+    hexagon = _hexagon_vanishing(psi_words, *bounds, random_trials=0, seed=0, workers=workers)
+    span = _span_vanishing(psi_words, *bounds, workers)
     targets = _build_targets(kmax)
-    return _main_theorem(hexagon, span, targets, _psi_matrix(kmax, targets))
+    return _main_theorem(hexagon, span, targets, _psi_matrix(kmax, targets, psi_words[0]))
 
 
 def _main_theorem(
@@ -827,17 +892,18 @@ def verify_all(
 
     The 2 * kmax targets are built once, and so is the sparse kmax x kmax
     psi matrix of each disk; both are shared by the psi-targets checks and
-    main-theorem's expansion, target and rank checks.  Main-theorem
-    cites the hexagon and span checks run just before it.
+    main-theorem's expansion, target and rank checks.  psi's witness words
+    and their projections are built once too, for the matrix and the three
+    sweeps.  Main-theorem cites the hexagon and span checks run just
+    before it.
     """
     targets = _build_targets(kmax)
-    matrix = _psi_matrix(kmax, targets)
+    psi_words = _psi_witnesses(kmax)
+    matrix = _psi_matrix(kmax, targets, psi_words[0])
     psi_targets = _psi_targets(kmax, targets, matrix)
-    bounds = dict(kmax=kmax, max_syllables=max_syllables, max_exponent=max_exponent)
-    hexagon = verify_hexagon_vanishing(
-        **bounds, random_trials=random_trials, seed=seed, workers=workers
-    )
-    span = verify_span_vanishing(**bounds, workers=workers)
+    bounds = (kmax, max_syllables, max_exponent)
+    hexagon = _hexagon_vanishing(psi_words, *bounds, random_trials, seed, workers)
+    span = _span_vanishing(psi_words, *bounds, workers)
     return [
         psi_targets,
         hexagon,

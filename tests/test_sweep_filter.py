@@ -111,12 +111,12 @@ def test_every_shape_has_a_single_factor_subscript():
 
 
 def test_forced_values_are_the_projected_witnesses():
-    nus, mus = verify._forced(HEXAGON_FORMULAS, verify._witnesses(1))
+    nus, mus = verify._forced(HEXAGON_FORMULAS, verify._images(verify._witnesses(1)))
     # m1(1) = t_1^-1 t_3 u_3^-1 t_3^-2 and m2(1) = t_1^2 u_1 t_1^-1 t_3.
     runs = lambda *texts: {parse_word(text).syllables for text in texts}
     assert nus == runs("t", "t u^-1 t^-2", "t^-1", "t^2 u t^-1")
     assert mus == runs("t", "t u^-1 t^-2")
-    assert verify._forced(HEXAGON_FORMULAS, ()) == (frozenset(), frozenset())
+    assert verify._forced(HEXAGON_FORMULAS, verify._images(())) == (frozenset(), frozenset())
 
 
 @pytest.mark.parametrize("shape", range(len(HEXAGON_FORMULAS.shapes)))

@@ -199,6 +199,65 @@ def test_verify_all_builds_each_target_once(monkeypatch):
     assert built == [(barbell.Disk.D1, K), (barbell.Disk.D2, K)]
 
 
+def test_verify_all_builds_psi_once(monkeypatch):
+    called = []
+    original = barbell.psi
+
+    def counted(k):
+        called.append(k)
+        return original(k)
+
+    # verify reads psi under its own name, so both names are counted.
+    for module in (barbell, verify):
+        monkeypatch.setattr(module, "psi", counted)
+    kmax = 3
+    reports = verify_all(
+        kmax=kmax, max_syllables=1, max_exponent=1, random_trials=10, seed=0, workers=1
+    )
+    assert all(report.overall == "pass" for report in reports)
+    # One witness build for the psi matrix and the three sweeps.
+    assert called == [1, 2, 3]
+
+
+def test_a_psi_plant_between_two_calls_reaches_the_second_call(monkeypatch):
+    # Nothing built from psi is kept across calls: a plant made after one
+    # call reaches the next call's psi matrix and each of its sweeps.
+    bounds = dict(kmax=2, max_syllables=1, max_exponent=1, random_trials=100, seed=0, workers=1)
+    assert all(report.overall == "pass" for report in verify_all(**bounds))
+    extra = [
+        "t_1 u_3",  # term 1 of H(t, u)
+        "u_1^-2 t_3^4",  # term 1 of H(u^-2, t^4), the first random pair
+        "t_1^-1 u_3 t_3^-1",  # T_1's first shape at (t^-1, u^-1)
+        "t_1 t_3 u_3^-2",  # a term of both targets at k = 2
+    ]
+    real = barbell.psi
+
+    def planted(k):
+        weights = real(k).weights
+        if k == 1:
+            weights.update({parse_word(text, QUAD): 1 for text in extra})
+        return barbell.Functional(weights)
+
+    monkeypatch.setattr(verify, "psi", planted)
+    psi_report, hexagon, span, main = verify_all(**bounds)
+    first = {
+        check.name: check.details.split("; ")[0]
+        for report in (psi_report, hexagon, span)
+        for check in report.checks
+        if not check.passed
+    }
+    off_diagonal = "psi_1 is nonzero off the diagonal: {2: Fraction(1, 1)}"
+    assert first == {
+        "psi_target_d1_k1": off_diagonal,
+        "psi_target_d2_k1": off_diagonal,
+        "hexagon_exhaustive": "psi_1(H(u^-1, t^-1)) = 1",
+        "hexagon_random": "psi_1(H(u^-2, t^4)) = 1",
+        "span_generators": "psi_1(t_poly(3, t^-1, u^-1)) = 1",
+    }
+    cited = {check.name for check in main.checks if not check.passed}
+    assert {"hexagon_exhaustive", "span_generators"} <= cited
+
+
 def _column(matrix, disk, j):
     """psi(1..kmax) on the disk's target j, as index k - 1 -> psi_k, read
     from the rows of ``verify._psi_matrix``."""
@@ -208,7 +267,7 @@ def _column(matrix, disk, j):
 def test_targets_built_at_K_match_the_concrete_build():
     kmax = 30
     targets = verify._build_targets(kmax)
-    matrix = verify._psi_matrix(kmax, targets)
+    matrix = verify._psi_matrix(kmax, targets, verify._witnesses(kmax))
     for disk in Disk:
         assert len(matrix[disk]) == kmax
         for k in range(1, kmax + 1):
@@ -232,7 +291,7 @@ def test_psi_columns_read_both_witness_monomials():
         (Disk.D1, 2): RingElement(QUAD, [(m[1][0], 1), (m[1][1], -3)]),
         (Disk.D2, 2): "construction failed",
     }
-    matrix = verify._psi_matrix(kmax, elements)
+    matrix = verify._psi_matrix(kmax, elements, verify._witnesses(kmax))
     # The failed target leaves no entry.
     assert _column(matrix, Disk.D2, 2) == {}
     for (disk, j), value in elements.items():
@@ -556,7 +615,7 @@ def test_serial_run_loads_neither_the_process_pool_nor_dataclasses():
     assert result.stderr == "[]\n"
 
 
-def test_no_witnesses_are_built_without_random_trials(monkeypatch):
+def test_witnesses_are_built_once_per_suite_call(monkeypatch):
     calls = []
     original = verify._witnesses
 
@@ -567,10 +626,15 @@ def test_no_witnesses_are_built_without_random_trials(monkeypatch):
     monkeypatch.setattr(verify, "_witnesses", counted)
     kwargs = dict(kmax=2, max_syllables=1, max_exponent=1, seed=0, workers=1)
     report = verify_hexagon_vanishing(**kwargs, random_trials=0)
-    assert calls == [2]  # the exhaustive sweep's
+    assert calls == [2]
     assert report.checks[1].details == "0 seeded random pairs at bounds (4, 4): all zero"
+    # One build shared by the exhaustive and the random sweep.
     verify_hexagon_vanishing(**kwargs, random_trials=10)
-    assert calls == [2, 2, 2]
+    assert calls == [2, 2]
+    verify_span_vanishing(kmax=2, max_syllables=1, max_exponent=1, workers=1)
+    verify_main_theorem(kmax=2, max_syllables=1, max_exponent=1, workers=1)
+    verify_psi_targets(kmax=2)
+    assert calls == [2, 2, 2, 2, 2]
 
 
 def test_one_failed_target_fails_only_the_checks_that_use_it(monkeypatch):
@@ -687,7 +751,8 @@ def _witness(k):
 
 
 def _psi_targets_report(kmax, targets):
-    return verify._psi_targets(kmax, targets, verify._psi_matrix(kmax, targets))
+    matrix = verify._psi_matrix(kmax, targets, verify._witnesses(kmax))
+    return verify._psi_targets(kmax, targets, matrix)
 
 
 def test_psi_matrix_off_diagonal_details_list_j_in_ascending_order():
