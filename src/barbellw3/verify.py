@@ -10,12 +10,12 @@ of a finite analysis.  Bounded enumeration is never presented as a
 proof of the unbounded statement.
 
 The main-theorem suite cites the hexagon and span checks its
-certificates rest on.  ``verify_all`` passes it the hexagon and span
-reports it has already built, so every check runs once per call;
-``verify_main_theorem`` on its own runs those two suites itself.  The
-target values, and each one's psi(1..kmax) values, are built once per
-call as well, and a target whose construction fails fails only the
-checks that use it.
+certificates rest on.  It is assembled in one place: ``verify_all``
+passes it the hexagon and span reports it has already built, so every
+check runs once per call, and ``verify_main_theorem`` is the last report
+of ``verify_all`` run with no random trials.  The target values, and
+each one's psi(1..kmax) values, are built once per call as well, and a
+target whose construction fails fails only the checks that use it.
 
 The per-k structural checks, ``solution_table_k*`` and
 ``hexagon_cases_k*``, rest on one analysis per suite call, run with k
@@ -37,13 +37,18 @@ The three sweeps, ``hexagon_exhaustive``, ``hexagon_random`` and
 signed formula at each of a stream of word pairs, and ``_sweep`` runs a
 sweep's chunk tasks and joins their violations in task order, cut to the
 cap.  Each suite call builds psi(1..kmax)'s witness words once, from
-``psi`` itself (``_witnesses``, which refuses a word that psi weighs at
-two k: every lookup by witness word assumes none is), with their
-subscript projections (``_images``), and shares them with the psi matrix
-and every sweep it runs; like the symbolic results they are not cached
-across calls.  The two exhaustive sweeps build their bounded words'
-``word_pieces`` once as well; all of it goes to the chunks in their
-tasks.
+``psi`` itself (``_witnesses``), and reads off their subscript
+projections (``_images``) the forced sets (below) of each sweep formula
+set it runs (``_psi_witnesses``), before any of its checks; it shares
+them with the psi matrix and every sweep.  Like the symbolic results
+they are not cached across calls.  The two exhaustive sweeps build their
+bounded words' ``word_pieces`` once as well; all of it goes to the
+chunks in their tasks.
+
+Bad inputs are refused there, in one way: a ValueError stops the suite
+call before any check runs.  ``_witnesses`` refuses a word that psi
+weighs at two k (every lookup by witness word assumes none is), and
+``_single_factor`` a shape that no projection forces.
 
 Only the pairs a subscript projection cannot rule out reach ``_scan``.
 Every shape has a subscript whose factors are one factor x or x^-1, and
@@ -54,7 +59,7 @@ taking none of its variables' forced values has no witness word among
 its shape values and no violation, so it is settled by projection.  At
 bounds (3, 3) and kmax 10 that leaves 6 172 of 267 289 hexagon pairs
 and 4 128 of 133 128 admissible pairs.
-A sweep refuses a shape with no such subscript: its check fails.  Each chunk
+A shape with no such subscript is refused, as above.  Each chunk
 counts its share from its bounds, so the reports read as if every pair
 were scanned; a span chunk refuses a walk that yields another count.
 A hexagon chunk takes a range of rows, row-major: a forced row takes
@@ -229,7 +234,8 @@ def _sweep(chunk: Callable[[tuple], tuple[int, list[str]]], tasks: list, workers
 Witnesses = tuple[tuple[Run, int, Fraction], ...]
 # Each subscript's projections of the witness words, and their inverses.
 Images = dict[tuple[int, bool], frozenset[Run]]
-PsiWords = tuple[Witnesses, Images]
+# Per variable of a sweep's formulas, the runs some witness word forces it to.
+Forced = tuple[frozenset[Run], ...]
 
 
 def _witnesses(kmax: int) -> Witnesses:
@@ -286,33 +292,23 @@ def _images(witnesses: Witnesses) -> Images:
     return images
 
 
-def _psi_witnesses(kmax: int) -> PsiWords:
-    """The witness words of psi(1..kmax) and their ``_images``."""
+def _psi_witnesses(
+    kmax: int, *formulas: CompiledFormulas
+) -> tuple[Witnesses, list[Forced]]:
+    """The witness words of psi(1..kmax), and the ``_forced`` sets of each
+    of ``formulas``: a suite call's sweep inputs, built, or refused with a
+    ValueError, before any of its checks runs."""
     witnesses = _witnesses(kmax)
-    return witnesses, _images(witnesses)
+    images = _images(witnesses)
+    return witnesses, [_forced(each, images) for each in formulas]
 
 
-def _on_its_own(kmax: int) -> PsiWords | ValueError:
-    """``_psi_witnesses(kmax)`` for a sweep suite run on its own, or the
-    ValueError that refused a repeated witness word: each of the suite's
-    sweep checks fails with it (``_unpack``), and its other checks run."""
-    try:
-        return _psi_witnesses(kmax)
-    except ValueError as error:
-        return error
-
-
-def _unpack(psi_words: PsiWords | ValueError) -> PsiWords:
-    if isinstance(psi_words, ValueError):
-        raise psi_words
-    return psi_words
-
-
-def _forced(formulas: CompiledFormulas, images: Images) -> tuple[frozenset[Run], ...]:
+def _forced(formulas: CompiledFormulas, images: Images) -> Forced:
     """The syllable runs each variable of ``formulas`` is forced to take
     where some shape is a witness word, in the order of ``variables``.
     A shape with no subscript whose factors are one factor raises a
-    ValueError (``_single_factor``), which fails the sweep's check.
+    ValueError (``_single_factor``), which stops the suite call before
+    any check runs.
 
     pi_s is a homomorphism, and pi_s(shape) is the product of the shape's
     subscript-s factors (``Pattern.projection``): the projection
@@ -571,13 +567,15 @@ def verify_hexagon_vanishing(
     workers: int = 1,
 ) -> Report:
     """psi(k) kills every hexagon relator, by enumeration and by structure."""
+    witnesses, [forced] = _psi_witnesses(kmax, HEXAGON_FORMULAS)
     return _hexagon_vanishing(
-        _on_its_own(kmax), kmax, max_syllables, max_exponent, random_trials, seed, workers
+        witnesses, forced, kmax, max_syllables, max_exponent, random_trials, seed, workers
     )
 
 
 def _hexagon_vanishing(
-    psi_words: PsiWords | ValueError,
+    witnesses: Witnesses,
+    forced: Forced,
     kmax: int,
     max_syllables: int,
     max_exponent: int,
@@ -598,9 +596,8 @@ def _hexagon_vanishing(
     )
 
     def exhaustive() -> str:
-        witnesses, images = _unpack(psi_words)
         words, pieces = _words_and_pieces(max_syllables, max_exponent, True)
-        nus, mus = _forced(HEXAGON_FORMULAS, images)
+        nus, mus = forced
         rows = frozenset(i for i, w in enumerate(words) if w.syllables in nus)
         columns = tuple(j for j, w in enumerate(words) if w.syllables in mus)
         tasks = [
@@ -622,10 +619,8 @@ def _hexagon_vanishing(
     )
 
     def randomized() -> str:
-        witnesses, images = _unpack(psi_words)
         random_syllables = max_syllables + 3
         random_exponent = max_exponent + 3
-        forced = _forced(HEXAGON_FORMULAS, images)
         tasks = [
             (random_syllables, random_exponent, forced, witnesses, seed, index, stop - start)
             for index, (start, stop) in enumerate(_chunk_ranges(random_trials, _RANDOM_STREAMS))
@@ -674,11 +669,13 @@ def verify_span_vanishing(
     workers: int = 1,
 ) -> Report:
     """psi(k) kills every admissible-pair generator; the solution table checks out."""
-    return _span_vanishing(_on_its_own(kmax), kmax, max_syllables, max_exponent, workers)
+    witnesses, [forced] = _psi_witnesses(kmax, T_POLY_FORMULAS)
+    return _span_vanishing(witnesses, forced, kmax, max_syllables, max_exponent, workers)
 
 
 def _span_vanishing(
-    psi_words: PsiWords | ValueError,
+    witnesses: Witnesses,
+    forced: Forced,
     kmax: int,
     max_syllables: int,
     max_exponent: int,
@@ -695,10 +692,9 @@ def _span_vanishing(
     )
 
     def generators() -> str:
-        witnesses, images = _unpack(psi_words)
         total_pairs = count_admissible(max_syllables, max_exponent)
         words, pieces = _words_and_pieces(max_syllables, max_exponent, False)
-        forced_a, forced_c = _forced(T_POLY_FORMULAS, images)
+        forced_a, forced_c = forced
         tasks = [
             (max_syllables, max_exponent, witnesses, words, pieces, forced_a, forced_c,
              start, stop)
@@ -749,15 +745,9 @@ def verify_main_theorem(
     max_exponent: int = 3,
     workers: int = 1,
 ) -> Report:
-    """Assemble the non-membership certificate for both disks, k = 1..kmax,
-    from the hexagon and span suites and the targets of ``_build_targets``,
-    all reading one build of psi's witness words."""
-    psi_words = _psi_witnesses(kmax)
-    bounds = (kmax, max_syllables, max_exponent)
-    hexagon = _hexagon_vanishing(psi_words, *bounds, random_trials=0, seed=0, workers=workers)
-    span = _span_vanishing(psi_words, *bounds, workers)
-    targets = _build_targets(kmax)
-    return _main_theorem(hexagon, span, targets, _psi_matrix(kmax, targets, psi_words[0]))
+    """Assemble the non-membership certificate for both disks, k = 1..kmax:
+    the last report of ``verify_all`` run with no random trials."""
+    return verify_all(kmax, max_syllables, max_exponent, 0, 0, workers)[-1]
 
 
 def _main_theorem(
@@ -893,17 +883,21 @@ def verify_all(
     The 2 * kmax targets are built once, and so is the sparse kmax x kmax
     psi matrix of each disk; both are shared by the psi-targets checks and
     main-theorem's expansion, target and rank checks.  psi's witness words
-    and their projections are built once too, for the matrix and the three
-    sweeps.  Main-theorem cites the hexagon and span checks run just
-    before it.
+    and both sweeps' forced sets are built first, once, for the matrix and
+    the three sweeps, so a refused input stops the call before any work.
+    Main-theorem cites the hexagon and span checks run just before it.
     """
+    witnesses, [hexagon_forced, span_forced] = _psi_witnesses(
+        kmax, HEXAGON_FORMULAS, T_POLY_FORMULAS
+    )
     targets = _build_targets(kmax)
-    psi_words = _psi_witnesses(kmax)
-    matrix = _psi_matrix(kmax, targets, psi_words[0])
+    matrix = _psi_matrix(kmax, targets, witnesses)
     psi_targets = _psi_targets(kmax, targets, matrix)
     bounds = (kmax, max_syllables, max_exponent)
-    hexagon = _hexagon_vanishing(psi_words, *bounds, random_trials, seed, workers)
-    span = _span_vanishing(psi_words, *bounds, workers)
+    hexagon = _hexagon_vanishing(
+        witnesses, hexagon_forced, *bounds, random_trials, seed, workers
+    )
+    span = _span_vanishing(witnesses, span_forced, *bounds, workers)
     return [
         psi_targets,
         hexagon,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -314,12 +315,22 @@ def test_help_and_missing_command(capsys):
     assert code == 2
 
 
-def test_installed_entry_point_runs():
+def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "barbellw3", "eval", "t u u^-1"],
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0 and result.stdout.strip() == "t"
+
+
+def test_console_script_target_is_launch():
+    # The installed barbellw3 script calls this target; tests run the
+    # package from source, so they read the target instead.
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(cli.__file__).resolve().parents[2] / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["barbellw3"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.launch
 
 
 def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:

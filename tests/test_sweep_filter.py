@@ -10,6 +10,7 @@ evaluates every pair letter by letter and skips none.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,12 @@ from barbellw3.barbell import (
     enumerate_admissible,
 )
 from barbellw3.patterns import CompiledFormulas, parse_pattern
-from barbellw3.verify import verify_hexagon_vanishing, verify_span_vanishing
+from barbellw3.cli import main
+from barbellw3.verify import (
+    verify_hexagon_vanishing,
+    verify_main_theorem,
+    verify_span_vanishing,
+)
 from barbellw3.words import bounded_words, parse_word
 
 from oracles import brute_force_violations, naive_eval_pattern, random_word
@@ -161,33 +167,47 @@ def test_unplanted_sweeps_match_the_brute_force_scan():
 
 
 # A shape none of whose subscripts is a single factor: no projection
-# forces a value, so the sweeps refuse it.
+# forces a value, so the suite refuses it before any check runs.
 UNFORCED = parse_pattern("nu_1 mu_1 nu_3 mu_3")
-REFUSAL = "ValueError: no subscript of shape {} has a single factor"
+REFUSAL = "no subscript of shape {} has a single factor"
 
 
-def test_an_unforced_hexagon_shape_is_refused(monkeypatch):
-    formulas = CompiledFormulas(("nu", "mu"), {"H": HEXAGON_TERMS + ((1, UNFORCED),)})
-    monkeypatch.setattr(verify, "HEXAGON_FORMULAS", formulas)
-    items = scanned(monkeypatch)
-    report = verify_hexagon_vanishing(
-        kmax=2, max_syllables=2, max_exponent=1, random_trials=100, workers=1
-    )
-    checks = {check.name: check for check in report.checks}
-    for name in ("hexagon_exhaustive", "hexagon_random"):
-        assert checks[name].status == "fail"
-        assert checks[name].details == REFUSAL.format(UNFORCED)
-    assert checks["hexagon_cases_k1"].passed
+def refused(capsys, items, shape, suites, commands):
+    """Each suite call, and each ``verify`` command, stops with the refusal
+    before it scans an item or writes a check."""
+    message = REFUSAL.format(shape)
+    for suite in suites:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            suite()
+    for suite in commands:
+        code = main(["verify", suite, "--kmax", "2", "--max-syllables", "2",
+                     "--max-exponent", "1", "--trials", "100", "--workers", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), suite
     assert items == []
 
 
-def test_an_unforced_t_poly_shape_is_refused(monkeypatch):
+def test_an_unforced_hexagon_shape_is_refused(monkeypatch, capsys):
+    formulas = CompiledFormulas(("nu", "mu"), {"H": HEXAGON_TERMS + ((1, UNFORCED),)})
+    monkeypatch.setattr(verify, "HEXAGON_FORMULAS", formulas)
+    items = scanned(monkeypatch)
+    refused(capsys, items, UNFORCED, (
+        lambda: verify_hexagon_vanishing(
+            kmax=2, max_syllables=2, max_exponent=1, random_trials=100, workers=1
+        ),
+        lambda: verify_main_theorem(kmax=2, max_syllables=2, max_exponent=1, workers=1),
+    ), ("hexagon", "all", "main"))
+
+
+def test_an_unforced_t_poly_shape_is_refused(monkeypatch, capsys):
     unforced = parse_pattern("a_1 c_1 a_3 c_3")
     kinds = {**T_FORMULAS, 1: T_FORMULAS[1] + ((1, unforced),)}
     monkeypatch.setattr(verify, "T_POLY_FORMULAS", CompiledFormulas(("a", "c"), kinds))
     items = scanned(monkeypatch)
-    assert span() == [REFUSAL.format(unforced)]
-    assert items == []
+    refused(capsys, items, unforced, (
+        span,
+        lambda: verify_main_theorem(kmax=2, max_syllables=2, max_exponent=1, workers=1),
+    ), ("span", "all", "main"))
 
 
 def test_sweeps_scan_only_the_candidates_and_count_every_pair(monkeypatch):

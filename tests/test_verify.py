@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
+import multiprocessing
 import os
 import pickle
 import re
@@ -437,6 +439,21 @@ def test_a_pool_gets_one_chunk_of_tasks_per_worker(pool_sizes):
     assert verify._run_tasks(abs, list(range(-32, 0)), 3) == list(range(32, 0, -1))
     assert verify._run_tasks(abs, list(range(-32, 0)), 10) == list(range(32, 0, -1))
     assert (pool_sizes, chunksizes) == ([3, 8], [11, 4])
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_pools_that_do_not_fork_write_the_same_report(monkeypatch, method):
+    # Workers that start afresh import the chunk functions and unpickle
+    # their tasks' words under another string hash seed.
+    if verify._usable_cpus() < 2 or method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"needs 2 processors and the {method} start method")
+    kwargs = dict(kmax=3, max_syllables=2, max_exponent=2, random_trials=200, seed=0)
+    serial = emit(verify_all(**kwargs, workers=1), "json")
+    pool = functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
+    )
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    assert emit(verify_all(**kwargs, workers=2), "json") == serial
 
 
 def flipped_hexagon_sign(monkeypatch):
@@ -912,16 +929,15 @@ def test_a_repeated_witness_word_is_refused(monkeypatch, capsys):
     for run in (
         lambda: verify_all(**bounds, random_trials=10, seed=0, workers=1),
         lambda: verify_psi_targets(kmax=2),
+        lambda: verify_hexagon_vanishing(**bounds, random_trials=10, seed=0, workers=1),
+        lambda: verify_span_vanishing(**bounds, workers=1),
         lambda: verify_main_theorem(**bounds, workers=1),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             run()
-    hexagon = verify_hexagon_vanishing(**bounds, random_trials=10, seed=0, workers=1)
-    span = verify_span_vanishing(**bounds, workers=1)
-    for check in (hexagon.checks[0], hexagon.checks[1], span.checks[0]):
-        assert (check.status, check.details) == ("fail", f"ValueError: {message}")
-    # The command line reports it as an error, not as a verdict.
-    code = main(["verify", "all", "--kmax", "2", "--max-syllables", "1",
-                 "--max-exponent", "1", "--workers", "1", "--format", "json"])
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+    # The command line reports it as an error, not as a verdict, in every suite.
+    for suite in ("all", "psi", "hexagon", "span", "main"):
+        code = main(["verify", suite, "--kmax", "2", "--max-syllables", "1",
+                     "--max-exponent", "1", "--workers", "1", "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), suite
