@@ -14,7 +14,6 @@ from .words import (
     parse_word,
     project,
     rename,
-    word_sort_key,
 )
 from .ring import (
     Functional,

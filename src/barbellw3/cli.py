@@ -3,7 +3,7 @@
 Commands either print canonical text forms (words, ring elements,
 rationals) or deterministic md/json documents (tables, verification
 reports).  Exit status: 0 on success, 1 when a verification fails, 2 on
-usage or configuration errors.
+usage or configuration errors, 141 when the reader closes stdout early.
 
 Both launch paths, ``python -m barbellw3`` and the ``barbellw3`` console
 script, start in ``launch``; in-process callers call ``main``.
@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
-from functools import lru_cache
 
 from .barbell import T_KINDS, Disk, hexagon, span_generator_records, t_poly, w3_target
 from .ring import RingElement
@@ -49,12 +49,13 @@ def _nonnegative_int(text: str) -> int:
 
 def _kinds(text: str) -> tuple[int, ...]:
     try:
-        kinds = tuple(sorted({int(piece) for piece in text.split(",") if piece.strip()}))
+        kinds = [int(piece) for piece in text.split(",") if piece.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot read kinds {text!r}")
-    if not kinds or any(i not in T_KINDS for i in kinds):
-        raise argparse.ArgumentTypeError(f"kinds must be a nonempty subset of {T_KINDS}")
-    return kinds
+    try:
+        return barbell._check_kinds(kinds)
+    except barbell.BarbellError as error:
+        raise argparse.ArgumentTypeError(str(error))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("c", help="nontrivial word over t, u")
 
     p = sub.add_parser("target", help="print a W3 family value")
-    p.add_argument("disk", choices=("d1", "d2"), help="which disk's family")
+    p.add_argument("disk", choices=[disk.value for disk in Disk], help="which disk's family")
     p.add_argument("--k", type=_positive_int, required=True, help="family parameter")
 
     p = sub.add_parser("psi", help="evaluate the functional psi(k) on an element")
@@ -133,18 +134,7 @@ def _report_markdown(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The keys of a check record, as sort_keys orders them.
-_CHECK_FIELDS = ("claim", "details", "method", "name", "status")
-_CHECK_KEYS = frozenset(_CHECK_FIELDS)
 _string = json.encoder.encode_basestring_ascii
-
-
-@lru_cache(maxsize=None)
-def _check_layout(indent: str) -> str:
-    """A check record laid out at ``indent``, with %s for each value."""
-    inner = indent + "  "
-    fields = ",\n".join(f'{inner}"{key}": %s' for key in _CHECK_FIELDS)
-    return "{\n" + fields + f"\n{indent}}}"
 
 
 def _layout(value, indent: str, out: list[str]) -> None:
@@ -154,13 +144,6 @@ def _layout(value, indent: str, out: list[str]) -> None:
     elif type(value) is dict:
         if not value:
             out.append("{}")
-            return
-        if value.keys() == _CHECK_KEYS:
-            out.append(_check_layout(indent) % (
-                _string(value["claim"]), _string(value["details"]),
-                _string(value["method"]), _string(value["name"]),
-                _string(value["status"]),
-            ))
             return
         inner = indent + "  "
         opening = "{\n"
@@ -192,8 +175,9 @@ def _json_text(value) -> str:
     With an indent, json.dumps runs the pure-Python encoder, so the
     strings, dicts with string keys, lists, ints, bools and None the
     documents are made of are laid out here, each string through the C
-    escaper, into one list of pieces joined once.  Any other value, or a
-    key or check field that is not a string, raises TypeError.
+    escaper and every dict the same way, into one list of pieces joined
+    once.  Any other value, or a key that is not a string, raises
+    TypeError.
     """
     out: list[str] = []
     _layout(value, "", out)
@@ -205,8 +189,7 @@ def emit(report: Report | list[Report], format: str = "md") -> str:
     """Render one report or a list of them as md or json text.
 
     The json text is ``json.dumps(document, indent=2, sort_keys=True)``
-    byte for byte, written by ``_json_text``: check records, most of a
-    report, take one format string each.
+    byte for byte, written by ``_json_text``.
     """
     if isinstance(report, Report):
         if format == "json":
@@ -332,8 +315,7 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
         print(t_poly(args.i, parse_word(args.a, BASE), parse_word(args.c, BASE)))
         return 0
     if args.command == "target":
-        disk = Disk.D1 if args.disk == "d1" else Disk.D2
-        print(w3_target(disk, args.k))
+        print(w3_target(Disk(args.disk), args.k))
         return 0
     if args.command == "psi":
         return _run_psi(args, parser)
@@ -372,9 +354,20 @@ def launch() -> int:
     as before, at shutdown too, so dev mode still reports their leaks.
     ``main`` itself does not freeze: in-process callers keep the
     collector as they set it.
+
+    A reader that closes stdout early ends the run with 141, as a shell
+    reports a filter that SIGPIPE stopped (128 + 13), not with the 1 of
+    a failed check.  fd 1 then points at the null device, so the
+    interpreter's last flush cannot raise again.
     """
     gc.freeze()
-    return main()
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from .words import (
     Word,
     at_k,
     parse_word,
-    word_sort_key,
 )
 
 
@@ -75,10 +74,6 @@ class RingElement:
         self._terms = acc
 
     @classmethod
-    def zero(cls, alphabet: Alphabet) -> "RingElement":
-        return cls(alphabet)
-
-    @classmethod
     def monomial(cls, word: Word, coeff=1) -> "RingElement":
         return cls(word.alphabet, [(word, coeff)])
 
@@ -95,7 +90,7 @@ class RingElement:
 
     def items(self) -> list[tuple[Word, Fraction]]:
         """Terms sorted by the deterministic word order."""
-        return sorted(self._terms.items(), key=lambda item: word_sort_key(item[0]))
+        return sorted(self._terms.items(), key=lambda item: item[0].sort_key())
 
     def terms(self) -> Iterable[tuple[Word, Fraction]]:
         """The terms in no fixed order, for lookups that need no sorting."""
@@ -120,10 +115,6 @@ class RingElement:
     @property
     def term_count(self) -> int:
         return len(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -158,7 +149,7 @@ class RingElement:
     def scale(self, scalar) -> "RingElement":
         q = as_fraction(scalar)
         if not q:
-            return RingElement.zero(self.alphabet)
+            return RingElement(self.alphabet)
         return RingElement._from_clean_dict(
             self.alphabet, {w: q * c for w, c in self._terms.items()}
         )

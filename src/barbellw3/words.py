@@ -299,10 +299,6 @@ def identity(alphabet: Alphabet) -> Word:
     return _IDENTITY[alphabet]
 
 
-def word_sort_key(w: Word) -> tuple:
-    return w.sort_key()
-
-
 def _seam(
     left: Sequence[Syllable], right: tuple[Syllable, ...]
 ) -> tuple[int, int, tuple[Syllable, ...]]:
@@ -539,5 +535,5 @@ def bounded_words(
                     next_level.append(prefix + ((letter, exp),))
         out.extend(Word._raw(BASE, syls) for syls in next_level)
         level = next_level
-    out.sort(key=word_sort_key)
+    out.sort(key=Word.sort_key)
     return out

@@ -133,7 +133,7 @@ def naive_eval_pattern(pattern: Pattern, assignment) -> Word:
 
 def naive_formula(formula, assignment) -> RingElement:
     """A signed sum of patterns, term by term through naive_eval_pattern."""
-    total = RingElement.zero(QUAD)
+    total = RingElement(QUAD)
     for sign, pattern in formula:
         total = total + RingElement.monomial(naive_eval_pattern(pattern, assignment), sign)
     return total

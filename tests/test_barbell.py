@@ -28,7 +28,7 @@ from barbellw3.barbell import (
     w3_target,
 )
 from barbellw3.ring import RingElement
-from barbellw3.words import BASE, K, identity, parse_word, word_sort_key
+from barbellw3.words import BASE, K, Word, identity, parse_word
 
 from oracles import all_base_words, naive_concat, naive_invert, naive_rename
 from test_words import rand_word
@@ -47,7 +47,7 @@ def test_hexagon_small_values():
     t, u = parse_word("t"), parse_word("u")
     e = identity(BASE)
     assert str(hexagon(t, u)) == "t_1 u_3 + u_1^-1 t_3^-1 - t_1^-1 u_3 t_3^-1 - t_1 u_1^-1 t_3"
-    assert hexagon(e, e).is_zero
+    assert not hexagon(e, e)
     assert str(hexagon(t, e)) == "t_1 + t_3^-1 - t_1^-1 t_3^-1 - t_1 t_3"
 
 
@@ -55,7 +55,7 @@ def test_hexagon_matches_letter_level_oracle():
     rng = random.Random(3)
     for _ in range(100):
         nu, mu = rand_word(rng, max_syllables=3), rand_word(rng, max_syllables=3)
-        expected = RingElement.zero(barbell.hexagon(nu, mu).alphabet)
+        expected = RingElement(barbell.hexagon(nu, mu).alphabet)
         for sign, factors in [
             (1, [(nu, 1, False), (mu, 3, False)]),
             (1, [(mu, 1, True), (nu, 3, True)]),
@@ -109,7 +109,7 @@ def test_t_poly_matches_pattern_evaluation():
         if a.is_identity or c.is_identity:
             continue
         for kind in T_KINDS:
-            expected = RingElement.zero(t_poly(kind, a, c).alphabet)
+            expected = RingElement(t_poly(kind, a, c).alphabet)
             for sign, pattern in T_FORMULAS[kind]:
                 word = eval_pattern(pattern, {"a": a, "c": c})
                 expected = expected + RingElement.monomial(word, sign)
@@ -199,7 +199,7 @@ def test_monomials_and_psi_values():
         for j in range(1, 6):
             assert psi(k)(w3_target(Disk.D1, j)) == (1 if k == j else 0)
             assert psi(k)(w3_target(Disk.D2, j)) == (3 if k == j else 0)
-    assert psi(1)(RingElement.zero(m1.alphabet)) == 0
+    assert psi(1)(RingElement(m1.alphabet)) == 0
 
 
 def test_is_admissible():
@@ -247,7 +247,7 @@ def test_admissible_enumeration_order_is_deterministic():
 
 def test_admissible_enumeration_order_matches_oracle():
     # total syllable count, then the word order of a, then that of c
-    words = sorted(all_base_words(2, 2), key=word_sort_key)
+    words = sorted(all_base_words(2, 2), key=Word.sort_key)
     expected = [
         (a, c)
         for total in range(2, 5)

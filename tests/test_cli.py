@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,11 @@ def test_target_matches_tpoly(capsys):
     assert code == 0 and target == direct
     code, d2, _ = run_cli(capsys, "target", "d2", "--k", "2")
     assert code == 0 and len(d2.strip()) > len(target.strip())
+    code, out, err = run_cli(capsys, "target", "d3", "--k", "1")
+    assert code == 2 and out == ""
+    # Newer Python versions print the choices without quotes.
+    assert re.search(r"target: error: argument disk: invalid choice: 'd3' "
+                     r"\(choose from '?d1'?, '?d2'?\)\n$", err)
 
 
 def test_psi_on_expression(capsys):
@@ -303,9 +309,14 @@ def test_span_dump(capsys):
     for record in records:
         assert sorted(record) == ["a", "c", "i", "value"]
         assert record["i"] in (1, 4)
-    code, _, err = run_cli(capsys, "span-dump", "--max-syllables", "1",
-                           "--max-exponent", "1", "--kinds", "1,5")
-    assert code == 2
+    for kinds, message in (
+        ("1,5", "argument --kinds: kinds must be a nonempty subset of (1, 3, 4, 6)"),
+        ("x", "argument --kinds: cannot read kinds 'x'"),
+        (",", "argument --kinds: kinds must be a nonempty subset of (1, 3, 4, 6)"),
+    ):
+        code, _, err = run_cli(capsys, "span-dump", "--max-syllables", "1",
+                               "--max-exponent", "1", "--kinds", kinds)
+        assert code == 2 and err.endswith(f"span-dump: error: {message}\n")
 
 
 def test_help_and_missing_command(capsys):
@@ -321,6 +332,20 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0 and result.stdout.strip() == "t"
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # The dump is far larger than a pipe holds, so the writer meets the
+    # closed pipe; exit 1 would read as a failed check.
+    process = subprocess.Popen(
+        [sys.executable, "-m", "barbellw3", "span-dump",
+         "--max-syllables", "3", "--max-exponent", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(process.stdout.read(1)) == 1
+    process.stdout.close()
+    _, err = process.communicate(timeout=60)
+    assert process.returncode == 141 and err == b""
 
 
 def test_console_script_target_is_launch():
@@ -481,6 +506,7 @@ def test_emit_matches_json_dumps_on_awkward_reports():
         0,
         [[], {}, [{}], (1, 2)],
         {"claim": "c", "details": "d", "method": "m", "name": "n", "status": "s", "x": 1},
+        {"claim": 1, "details": "d", "method": "m", "name": "n", "status": "s"},
     ],
 )
 def test_json_text_matches_json_dumps(value):
@@ -492,7 +518,6 @@ def test_json_text_matches_json_dumps(value):
     [
         {"a": 1.5},
         {2: "int keys"},
-        {"claim": 1, "details": "d", "method": "m", "name": "n", "status": "s"},
     ],
 )
 def test_json_text_refuses_what_no_document_holds(value):
