@@ -2,8 +2,12 @@
 
 Commands either print canonical text forms (words, ring elements,
 rationals) or deterministic md/json documents (tables, verification
-reports).  Exit status: 0 on success, 1 when a verification fails, 2 on
-usage or configuration errors, 141 when the reader closes stdout early.
+reports).  A document goes to stdout as it is laid out, json in batches
+of pieces and md one report at a time, so its size does not set the
+memory a command holds; ``emit`` returns the same text as a string.
+Exit status: 0 on success, 1 when a verification fails, 2 on usage or
+configuration errors, 141 when the reader closes stdout early, which
+may be part way through a document.
 
 Both launch paths, ``python -m barbellw3`` and the ``barbellw3`` console
 script, start in ``launch``; in-process callers call ``main``.
@@ -13,9 +17,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
+import io
 import os
 import sys
+from _json import encode_basestring_ascii as _string
 
 from .barbell import T_KINDS, Disk, hexagon, span_generator_records, t_poly, w3_target
 from .ring import RingElement
@@ -134,11 +139,17 @@ def _report_markdown(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-_string = json.encoder.encode_basestring_ascii
+# Once the writer holds this many pieces, at the end of a list item, it
+# hands them to the stream, so a document of any length holds one batch.
+_BATCH = 256
 
 
-def _layout(value, indent: str, out: list[str]) -> None:
-    """Append the text of ``value``, its nested lines at ``indent``, to out."""
+def _layout(value, indent: str, out: list[str], write) -> None:
+    """Append the text of ``value``, its nested lines at ``indent``, to out.
+
+    After each list item, a batch of pieces goes to ``write`` as one
+    string and out is emptied.
+    """
     if type(value) is str:
         out.append(_string(value))
     elif type(value) is dict:
@@ -149,7 +160,7 @@ def _layout(value, indent: str, out: list[str]) -> None:
         opening = "{\n"
         for key in sorted(value):
             out.append(f"{opening}{inner}{_string(key)}: ")
-            _layout(value[key], inner, out)
+            _layout(value[key], inner, out, write)
             opening = ",\n"
         out.append(f"\n{indent}}}")
     elif type(value) in (list, tuple):
@@ -160,41 +171,58 @@ def _layout(value, indent: str, out: list[str]) -> None:
         opening = "[\n"
         for item in value:
             out.append(opening + inner)
-            _layout(item, inner, out)
+            _layout(item, inner, out, write)
+            if len(out) >= _BATCH:
+                write("".join(out))
+                out.clear()
             opening = ",\n"
         out.append(f"\n{indent}]")
-    elif value is None or type(value) in (bool, int):
-        out.append(json.dumps(value))
+    elif value is None:
+        out.append("null")
+    elif type(value) is bool:
+        out.append("true" if value else "false")
+    elif type(value) is int:
+        out.append(repr(value))
     else:
         raise TypeError(f"{type(value).__name__} is not laid out as JSON here")
 
 
-def _json_text(value) -> str:
-    """Exactly ``json.dumps(value, indent=2, sort_keys=True)``, plus a newline.
+def _write_json(value, stream) -> None:
+    """Write exactly ``json.dumps(value, indent=2, sort_keys=True)``, plus
+    a newline, to stream as it is laid out.
 
     With an indent, json.dumps runs the pure-Python encoder, so the
     strings, dicts with string keys, lists, ints, bools and None the
     documents are made of are laid out here, each string through the C
-    escaper and every dict the same way, into one list of pieces joined
-    once.  Any other value, or a key that is not a string, raises
-    TypeError.
+    escaper json.dumps uses, and every dict the same way.  The writer
+    holds at most one batch of pieces, plus the pieces of one list item.
+    Any other value, or a key that is not a string, raises TypeError,
+    after the text laid out before it has been written.
     """
     out: list[str] = []
-    _layout(value, "", out)
+    _layout(value, "", out, stream.write)
     out.append("\n")
-    return "".join(out)
+    stream.write("".join(out))
 
 
-def emit(report: Report | list[Report], format: str = "md") -> str:
-    """Render one report or a list of them as md or json text.
+def _json_text(value) -> str:
+    """The text ``_write_json`` writes, as one string."""
+    stream = io.StringIO()
+    _write_json(value, stream)
+    return stream.getvalue()
 
-    The json text is ``json.dumps(document, indent=2, sort_keys=True)``
-    byte for byte, written by ``_json_text``.
+
+def _write_reports(report: Report | list[Report], format: str, stream) -> None:
+    """Write one report or a list of them to stream as md or json.
+
+    Markdown goes one report at a time; json through ``_write_json``.
     """
     if isinstance(report, Report):
         if format == "json":
-            return _json_text(report.to_json_dict())
-        return _report_markdown(report)
+            _write_json(report.to_json_dict(), stream)
+        else:
+            stream.write(_report_markdown(report))
+        return
     reports = list(report)
     overall = "pass" if all(r.overall == "pass" for r in reports) else "fail"
     if format == "json":
@@ -203,9 +231,25 @@ def emit(report: Report | list[Report], format: str = "md") -> str:
             "overall": overall,
             "suites": [r.to_json_dict() for r in reports],
         }
-        return _json_text(document)
-    sections = [_report_markdown(r) for r in reports]
-    return "\n".join(sections) + f"\n# all suites: {overall}\n"
+        _write_json(document, stream)
+        return
+    for position, r in enumerate(reports):
+        if position:
+            stream.write("\n")
+        stream.write(_report_markdown(r))
+    stream.write(f"\n# all suites: {overall}\n")
+
+
+def emit(report: Report | list[Report], format: str = "md") -> str:
+    """Render one report or a list of them as md or json text.
+
+    The text is what ``_write_reports`` writes to stdout for ``verify``.
+    The json text is ``json.dumps(document, indent=2, sort_keys=True)``
+    byte for byte.
+    """
+    stream = io.StringIO()
+    _write_reports(report, format, stream)
+    return stream.getvalue()
 
 
 def _pair_text(pair) -> str:
@@ -226,8 +270,8 @@ def _table_markdown(rows: list[TableRow], k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_json(rows: list[TableRow]) -> str:
-    documents = [
+def _table_documents(rows: list[TableRow]) -> list[dict]:
+    return [
         {
             "pattern": str(row.pattern),
             "appears_in": list(row.appears_in),
@@ -237,10 +281,15 @@ def _table_json(rows: list[TableRow]) -> str:
         }
         for row in rows
     ]
-    return _json_text(documents)
+
+
+def _table_json(rows: list[TableRow]) -> str:
+    return _json_text(_table_documents(rows))
 
 
 def _write_span_dump(args, out) -> int:
+    import json
+
     records = span_generator_records(args.max_syllables, args.max_exponent, args.kinds)
     out.write("[")
     first = True
@@ -280,7 +329,7 @@ def _run_verify(args) -> int:
     }
     result = suites[args.suite]()
     reports = result if isinstance(result, list) else [result]
-    sys.stdout.write(emit(result, args.format))
+    _write_reports(result, args.format, sys.stdout)
     return 0 if all(report.overall == "pass" for report in reports) else 1
 
 
@@ -288,6 +337,8 @@ def _run_psi(args, parser: argparse.ArgumentParser) -> int:
     if (args.in_path is None) == (args.expr is None):
         parser.error("psi needs exactly one of --in FILE or a word expression")
     if args.in_path is not None:
+        import json
+
         try:
             with open(args.in_path, "r", encoding="utf-8") as handle:
                 element = RingElement.from_json_dict(json.load(handle))
@@ -321,8 +372,10 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
         return _run_psi(args, parser)
     if args.command == "table":
         rows = regenerate_table(args.k)
-        text = _table_json(rows) if args.format == "json" else _table_markdown(rows, args.k)
-        sys.stdout.write(text)
+        if args.format == "json":
+            _write_json(_table_documents(rows), sys.stdout)
+        else:
+            sys.stdout.write(_table_markdown(rows, args.k))
         return 0
     if args.command == "verify":
         return _run_verify(args)

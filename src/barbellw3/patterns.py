@@ -117,6 +117,21 @@ def eval_pattern(pattern: Pattern, assignment: Mapping[str, Word]) -> Word:
 
 Run = tuple[Syllable, ...]
 
+# Each two-letter syllable's tagged forms s_1, (s^-1)_1, s_3 and (s^-1)_3,
+# made once, so every piece shares one tuple per (tagged letter, exponent).
+# The keys are the syllables of the values met so far and their inverses:
+# a few dozen at the sweep bounds.
+_TAGGED: dict[Syllable, tuple[Syllable, Syllable, Syllable, Syllable]] = {}
+
+
+def _tagged(syllable: Syllable) -> tuple[Syllable, Syllable, Syllable, Syllable]:
+    letter, exp = syllable
+    one, three = _RENAME[1][letter], _RENAME[3][letter]
+    forms = ((one, exp), (one, -exp), (three, exp), (three, -exp))
+    _TAGGED[letter, -exp] = (forms[1], forms[0], forms[3], forms[2])
+    _TAGGED[syllable] = forms
+    return forms
+
 
 def word_pieces(w: Word) -> tuple[Run, Run, Run, Run]:
     """The syllables of w_1, (w^-1)_1, w_3 and (w^-1)_3, in that order.
@@ -126,14 +141,14 @@ def word_pieces(w: Word) -> tuple[Run, Run, Run, Run]:
     """
     if w.alphabet is not BASE:
         raise PatternError("pattern values must be over the two-letter alphabet")
-    syllables = w.syllables
-    inverse = [(letter, -exp) for letter, exp in reversed(syllables)]
-    one, three = _RENAME[1], _RENAME[3]
+    table = _TAGGED
+    forms = [table.get(syllable) or _tagged(syllable) for syllable in w.syllables]
+    backwards = forms[::-1]
     return (
-        tuple([(one[letter], exp) for letter, exp in syllables]),
-        tuple([(one[letter], exp) for letter, exp in inverse]),
-        tuple([(three[letter], exp) for letter, exp in syllables]),
-        tuple([(three[letter], exp) for letter, exp in inverse]),
+        tuple([form[0] for form in forms]),
+        tuple([form[1] for form in backwards]),
+        tuple([form[2] for form in forms]),
+        tuple([form[3] for form in backwards]),
     )
 
 

@@ -522,17 +522,19 @@ def bounded_words(
     if max_syllables < 0 or max_exponent < 0:
         raise WordError("bounds must be nonnegative")
     exponents = [e for e in range(-max_exponent, max_exponent + 1) if e != 0]
+    # One syllable object per (letter, exponent), shared by every word.
+    syllables = {letter: [(letter, e) for e in exponents] for letter in BASE.letters}
     out: list[Word] = [identity(BASE)] if include_identity else []
     level: list[tuple[Syllable, ...]] = [()]
     for _ in range(max_syllables):
         next_level: list[tuple[Syllable, ...]] = []
         for prefix in level:
             last = prefix[-1][0] if prefix else None
-            for letter in BASE.letters:
+            for letter, choices in syllables.items():
                 if letter == last:
                     continue
-                for exp in exponents:
-                    next_level.append(prefix + ((letter, exp),))
+                for syllable in choices:
+                    next_level.append(prefix + (syllable,))
         out.extend(Word._raw(BASE, syls) for syls in next_level)
         level = next_level
     out.sort(key=Word.sort_key)

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -19,7 +20,7 @@ import barbellw3.cli as cli
 import barbellw3.solver as solver
 from barbellw3.cli import main
 from barbellw3.patterns import parse_pattern
-from barbellw3.verify import Check, Report
+from barbellw3.verify import Check, Report, verify_all
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -348,6 +349,27 @@ def test_a_closed_stdout_exits_141_without_a_traceback():
     assert process.returncode == 141 and err == b""
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_closing_stdout_mid_report_gets_141(unbuffered):
+    # The report is 372 KB, far more than a pipe holds, so the writer
+    # meets the closed pipe part way through the document.  Unbuffered,
+    # stdout drops the rest of a write the pipe took only part of, so a
+    # report written whole would end with exit 0.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    process = subprocess.Popen(
+        [sys.executable, "-m", "barbellw3", "verify", "all", "--kmax", "100",
+         "--max-syllables", "1", "--max-exponent", "1", "--trials", "0",
+         "--workers", "1", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(process.stdout.read(1)) == 1
+    process.stdout.close()
+    _, err = process.communicate(timeout=60)
+    assert process.returncode == 141 and err == b""
+
+
 def test_console_script_target_is_launch():
     # The installed barbellw3 script calls this target; tests run the
     # package from source, so they read the target instead.
@@ -380,6 +402,22 @@ def test_launch_freezes_the_heap_before_main():
     assert result.returncode == 0, result.stderr
     before, inside = map(int, result.stdout.split())
     assert before == 0 and inside > 0
+
+
+def test_a_serial_verify_all_never_imports_json():
+    # -S: no site hook may import json before the package runs.
+    probe = (
+        "import sys\n"
+        "import barbellw3.cli as cli\n"
+        "status = cli.main(['verify', 'all', '--kmax', '2', '--max-syllables', '1',\n"
+        "                   '--max-exponent', '1', '--trials', '20', '--workers', '1',\n"
+        "                   '--format', 'json'])\n"
+        "print('json' in sys.modules, status, file=sys.stderr)\n"
+    )
+    result = run_python(probe, "-S")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith('{\n  "overall": "pass"')
+    assert result.stderr == "False 0\n"
 
 
 def test_main_leaves_the_collector_as_it_was(capsys):
@@ -523,3 +561,60 @@ def test_json_text_matches_json_dumps(value):
 def test_json_text_refuses_what_no_document_holds(value):
     with pytest.raises(TypeError):
         cli._json_text(value)
+
+
+class Recorder:
+    """A text stream that keeps the length of each write and a digest."""
+
+    def __init__(self):
+        self.sizes: list[int] = []
+        self.digest = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sizes.append(len(text))
+        self.digest.update(text.encode())
+        return len(text)
+
+
+def test_the_deep_k_document_is_written_as_it_is_laid_out():
+    reports = verify_all(kmax=100, max_syllables=1, max_exponent=1,
+                         random_trials=0, seed=0, workers=1)
+    document = {"suite": "all", "overall": "pass",
+                "suites": [report.to_json_dict() for report in reports]}
+    sink = Recorder()
+    tracemalloc.start()
+    try:
+        cli._write_json(document, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.digest.hexdigest() == PINNED_DEEP_K_REPORT_SHA256
+    # The document is 372 KB; laid out whole, its pieces take 1.4 MB.
+    assert peak < 256 * 1024
+    assert len(sink.sizes) > 1 and max(sink.sizes) <= 64 * 1024
+
+
+SUITES = {
+    "all": "verify_all",
+    "psi": "verify_psi_targets",
+    "hexagon": "verify_hexagon_vanishing",
+    "span": "verify_span_vanishing",
+    "main": "verify_main_theorem",
+}
+
+
+@pytest.mark.parametrize("format", ["md", "json"])
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_verify_writes_to_stdout_what_emit_renders(monkeypatch, suite, format):
+    results = []
+    original = getattr(cli, SUITES[suite])
+    monkeypatch.setattr(cli, SUITES[suite],
+                        lambda **kwargs: results.append(original(**kwargs)) or results[-1])
+    stdout = Recorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["verify", suite, "--kmax", "3", "--max-syllables", "2", "--max-exponent", "2",
+                 "--trials", "50", "--seed", "2", "--workers", "1", "--format", format])
+    assert code == 0 and len(results) == 1
+    text = cli.emit(results[0], format)
+    assert sum(stdout.sizes) == len(text)
+    assert stdout.digest.hexdigest() == hashlib.sha256(text.encode()).hexdigest()

@@ -560,6 +560,14 @@ def test_a_planted_witness_fails_alike_at_one_and_two_workers(monkeypatch, suite
     assert one.details.startswith("psi_1(")
 
 
+def test_words_and_pieces_share_one_syllable_per_value():
+    # Two letters and four tagged letters, each at six exponents.
+    words, pieces = verify._words_and_pieces(3, 3, True)
+    assert len({id(s) for word in words for s in word.syllables}) <= 12
+    assert len({id(s) for four in pieces for run in four for s in run}) <= 24
+    assert len(pieces) == len(words) == 1 + 12 + 12 * 6 + 12 * 6 * 6
+
+
 def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
     check = [None]  # the check running when a call is made
     calls, tasks = [], []
