@@ -397,6 +397,21 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _retrying_stdout(stdout: io.TextIOWrapper) -> io.TextIOWrapper:
+    """A text stream on stdout's fd that writes the same bytes through a
+    BufferedWriter, which retries a short write until every byte is
+    written or the write fails.  It flushes at each newline, and closing
+    it leaves the fd open."""
+    raw = io.FileIO(stdout.fileno(), "w", closefd=False)
+    return io.TextIOWrapper(
+        io.BufferedWriter(raw),
+        encoding=stdout.encoding,
+        errors=stdout.errors,
+        newline="\n",
+        line_buffering=True,
+    )
+
+
 def launch() -> int:
     """Run ``main`` as a launched program, after freezing the heap.
 
@@ -411,9 +426,14 @@ def launch() -> int:
     A reader that closes stdout early ends the run with 141, as a shell
     reports a filter that SIGPIPE stopped (128 + 13), not with the 1 of
     a failed check.  fd 1 then points at the null device, so the
-    interpreter's last flush cannot raise again.
+    interpreter's last flush cannot raise again.  An unbuffered stdout
+    (``python -u``, ``PYTHONUNBUFFERED``) is first replaced by
+    ``_retrying_stdout``: its text layer would drop the rest of a write
+    the pipe took only part of, and the run would end with 0.
     """
     gc.freeze()
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        sys.stdout = _retrying_stdout(sys.stdout)
     try:
         status = main()
         sys.stdout.flush()

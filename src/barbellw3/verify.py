@@ -13,9 +13,12 @@ The main-theorem suite cites the hexagon and span checks its
 certificates rest on.  It is assembled in one place: ``verify_all``
 passes it the hexagon and span reports it has already built, so every
 check runs once per call, and ``verify_main_theorem`` is the last report
-of ``verify_all`` run with no random trials.  The target values, and
-each one's psi(1..kmax) values, are built once per call as well, and a
-target whose construction fails fails only the checks that use it.
+of ``verify_all`` run with no random trials.  The target values hold
+each word once for both disks, and each instantiated syllable once per
+k (``_build_targets``).  ``verify_all`` runs every check that reads
+them, or their psi(1..kmax) values, right after building them, and
+releases both before the sweeps.  A target whose construction fails
+fails only the checks that use it.
 
 The per-k structural checks, ``solution_table_k*`` and
 ``hexagon_cases_k*``, rest on one analysis per suite call, run with k
@@ -41,9 +44,10 @@ cap.  Each suite call builds psi(1..kmax)'s witness words once, from
 projections (``_images``) the forced sets (below) of each sweep formula
 set it runs (``_psi_witnesses``), before any of its checks; it shares
 them with the psi matrix and every sweep.  Like the symbolic results
-they are not cached across calls.  The two exhaustive sweeps build their
-bounded words' ``word_pieces`` once as well; all of it goes to the
-chunks in their tasks.
+they are not cached across calls.  ``verify_all`` builds the bounded
+words and their ``word_pieces`` once for both exhaustive sweeps, in the
+first check that needs them; all of it goes to the chunks in their
+tasks.
 
 Bad inputs are refused there, in one way: a ValueError stops the suite
 call before any check runs.  ``_witnesses`` refuses a word that psi
@@ -84,6 +88,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import count, islice
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple
@@ -257,12 +262,16 @@ def _witnesses(kmax: int) -> Witnesses:
     return tuple(witnesses)
 
 
+SweepWords = tuple[tuple[Word, ...], tuple[tuple[Run, ...], ...]]
+
+
 def _words_and_pieces(
     max_syllables: int, max_exponent: int, include_identity: bool
-) -> tuple[tuple[Word, ...], tuple[tuple[Run, ...], ...]]:
-    """The bounded words of a sweep and their word_pieces, built once per
-    sweep and passed to every chunk in its task.  A span chunk uses the
-    words only to look up the pieces of the pairs it enumerates."""
+) -> SweepWords:
+    """The bounded words of a sweep and their word_pieces, passed to every
+    chunk in its task.  A span chunk uses them only to look up the pieces
+    of the pairs it enumerates, which never hold the identity, so it can
+    take the hexagon sweep's: ``verify_all`` builds them once for both."""
     words = tuple(bounded_words(max_syllables, max_exponent, include_identity))
     return words, tuple([word_pieces(w) for w in words])
 
@@ -447,14 +456,27 @@ def _build_targets(kmax: int) -> Targets:
     comparing the two constructions as affine formal sums, and
     instantiated at each k outside E, since instantiation is linear; a
     failure reads as it would concretely.
+
+    Every disk-1 word is a disk-2 word too.  Equal words of the two
+    disks are made one object where they are built, so at each k each
+    word is instantiated once for both disks, and each instantiated
+    syllable value is one object (``RingElement.at_k``'s ``shared``).
     """
-    at = {disk: at_each_k(lambda k, d=disk: w3_target(d, k)) for disk in Disk}
+    forms: dict[Word, Word] = {}
+
+    def build(disk: Disk, k) -> RingElement:
+        value = w3_target(disk, k)
+        terms = {forms.setdefault(word, word): q for word, q in value.terms()}
+        return RingElement._from_clean_dict(value.alphabet, terms)
+
+    at = {disk: at_each_k(lambda k, d=disk: build(d, k)) for disk in Disk}
     targets: Targets = {}
     for k in range(1, kmax + 1):
+        shared: dict = {}
         for disk in Disk:
             try:
                 # at_k leaves a value built at a concrete k as it is.
-                targets[disk, k] = at[disk](k).at_k(k)
+                targets[disk, k] = at[disk](k).at_k(k, shared)
             except Exception as error:
                 targets[disk, k] = f"{type(error).__name__}: {error}"
     return targets
@@ -568,14 +590,17 @@ def verify_hexagon_vanishing(
 ) -> Report:
     """psi(k) kills every hexagon relator, by enumeration and by structure."""
     witnesses, [forced] = _psi_witnesses(kmax, HEXAGON_FORMULAS)
+    sweep_words = lambda: _words_and_pieces(max_syllables, max_exponent, True)
     return _hexagon_vanishing(
-        witnesses, forced, kmax, max_syllables, max_exponent, random_trials, seed, workers
+        witnesses, forced, sweep_words, kmax, max_syllables, max_exponent, random_trials,
+        seed, workers,
     )
 
 
 def _hexagon_vanishing(
     witnesses: Witnesses,
     forced: Forced,
+    sweep_words: Callable[[], SweepWords],
     kmax: int,
     max_syllables: int,
     max_exponent: int,
@@ -596,7 +621,7 @@ def _hexagon_vanishing(
     )
 
     def exhaustive() -> str:
-        words, pieces = _words_and_pieces(max_syllables, max_exponent, True)
+        words, pieces = sweep_words()
         nus, mus = forced
         rows = frozenset(i for i, w in enumerate(words) if w.syllables in nus)
         columns = tuple(j for j, w in enumerate(words) if w.syllables in mus)
@@ -670,12 +695,16 @@ def verify_span_vanishing(
 ) -> Report:
     """psi(k) kills every admissible-pair generator; the solution table checks out."""
     witnesses, [forced] = _psi_witnesses(kmax, T_POLY_FORMULAS)
-    return _span_vanishing(witnesses, forced, kmax, max_syllables, max_exponent, workers)
+    sweep_words = lambda: _words_and_pieces(max_syllables, max_exponent, False)
+    return _span_vanishing(
+        witnesses, forced, sweep_words, kmax, max_syllables, max_exponent, workers
+    )
 
 
 def _span_vanishing(
     witnesses: Witnesses,
     forced: Forced,
+    sweep_words: Callable[[], SweepWords],
     kmax: int,
     max_syllables: int,
     max_exponent: int,
@@ -693,7 +722,7 @@ def _span_vanishing(
 
     def generators() -> str:
         total_pairs = count_admissible(max_syllables, max_exponent)
-        words, pieces = _words_and_pieces(max_syllables, max_exponent, False)
+        words, pieces = sweep_words()
         forced_a, forced_c = forced
         tasks = [
             (max_syllables, max_exponent, witnesses, words, pieces, forced_a, forced_c,
@@ -750,21 +779,20 @@ def verify_main_theorem(
     return verify_all(kmax, max_syllables, max_exponent, 0, 0, workers)[-1]
 
 
-def _main_theorem(
-    hexagon: Report,
-    span: Report,
-    targets: Targets,
-    matrix: dict[Disk, list[dict[int, Fraction]]],
-) -> Report:
-    """The main-theorem report, citing the checks of the hexagon and span
-    reports, both built at one kmax and word bounds; their random trials
-    are not cited.  The report's parameters are the span report's.
+TargetChecks = tuple[Check, dict[tuple[Disk, int], Check], dict[Disk, Check]]
+
+
+def _target_checks(
+    kmax: int, targets: Targets, matrix: dict[Disk, list[dict[int, Fraction]]]
+) -> TargetChecks:
+    """Main-theorem's checks that read the targets: the expansion check,
+    then the target checks by (disk, k) and the rank checks by disk, in
+    report order.  They run before the sweeps, so the caller can release
+    the targets and ``matrix`` for the sweeps.
 
     ``targets`` holds the targets for k = 1..kmax, as ``_build_targets``
     gives them, and ``matrix`` psi(1..kmax) on each of them.
     """
-    kmax = span.parameters["kmax"]
-    report = Report("main-theorem", dict(span.parameters))
 
     def expansions() -> str:
         failures = [value for value in targets.values() if isinstance(value, str)]
@@ -781,9 +809,6 @@ def _main_theorem(
         "exact",
         expansions,
     )
-    exhaustive, _random, *hexagon_cases = hexagon.checks
-    span_generators, *solution_tables = span.checks
-    report.checks.extend([agree, exhaustive, *hexagon_cases, span_generators, *solution_tables])
 
     target_checks: dict[tuple[Disk, int], Check] = {}
     for k in range(1, kmax + 1):
@@ -806,7 +831,6 @@ def _main_theorem(
                 "exact",
                 nonvanishing,
             )
-            report.checks.append(target_checks[disk, k])
 
     rank_checks: dict[Disk, Check] = {}
     for disk in Disk:
@@ -834,8 +858,27 @@ def _main_theorem(
             "exact",
             ranks,
         )
-        report.checks.append(rank_checks[disk])
+    return agree, target_checks, rank_checks
 
+
+def _main_theorem(hexagon: Report, span: Report, checked: TargetChecks) -> Report:
+    """The main-theorem report, citing the checks of the hexagon and span
+    reports, both built at one kmax and word bounds; their random trials
+    are not cited.  The report's parameters are the span report's.
+
+    ``checked`` holds the checks ``_target_checks`` ran on the targets
+    at the same kmax; this adds the certificates.
+    """
+    kmax = span.parameters["kmax"]
+    agree, target_checks, rank_checks = checked
+    exhaustive, _random, *hexagon_cases = hexagon.checks
+    span_generators, *solution_tables = span.checks
+    report = Report(
+        "main-theorem",
+        dict(span.parameters),
+        [agree, exhaustive, *hexagon_cases, span_generators, *solution_tables,
+         *target_checks.values(), *rank_checks.values()],
+    )
     for k in range(1, kmax + 1):
         for disk in Disk:
             prerequisites = [
@@ -882,10 +925,13 @@ def verify_all(
 
     The 2 * kmax targets are built once, and so is the sparse kmax x kmax
     psi matrix of each disk; both are shared by the psi-targets checks and
-    main-theorem's expansion, target and rank checks.  psi's witness words
-    and both sweeps' forced sets are built first, once, for the matrix and
-    the three sweeps, so a refused input stops the call before any work.
-    Main-theorem cites the hexagon and span checks run just before it.
+    main-theorem's expansion, target and rank checks, which all run first
+    and are then released, before the sweeps.  psi's witness words and
+    both sweeps' forced sets are built first, once, for the matrix and the
+    three sweeps, so a refused input stops the call before any work.  The
+    bounded words and their pieces are built once too, by the first sweep
+    check that needs them, and shared by both exhaustive sweeps.
+    Main-theorem cites the hexagon and span checks run before it.
     """
     witnesses, [hexagon_forced, span_forced] = _psi_witnesses(
         kmax, HEXAGON_FORMULAS, T_POLY_FORMULAS
@@ -893,14 +939,13 @@ def verify_all(
     targets = _build_targets(kmax)
     matrix = _psi_matrix(kmax, targets, witnesses)
     psi_targets = _psi_targets(kmax, targets, matrix)
+    checked = _target_checks(kmax, targets, matrix)
+    del targets, matrix  # the sweeps read neither
+    # A build that raises is not kept: the next check builds again.
+    sweep_words = cache(lambda: _words_and_pieces(max_syllables, max_exponent, True))
     bounds = (kmax, max_syllables, max_exponent)
     hexagon = _hexagon_vanishing(
-        witnesses, hexagon_forced, *bounds, random_trials, seed, workers
+        witnesses, hexagon_forced, sweep_words, *bounds, random_trials, seed, workers
     )
-    span = _span_vanishing(witnesses, span_forced, *bounds, workers)
-    return [
-        psi_targets,
-        hexagon,
-        span,
-        _main_theorem(hexagon, span, targets, matrix),
-    ]
+    span = _span_vanishing(witnesses, span_forced, sweep_words, *bounds, workers)
+    return [psi_targets, hexagon, span, _main_theorem(hexagon, span, checked)]

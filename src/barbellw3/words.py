@@ -358,7 +358,7 @@ def equal_syllables(x: tuple[Syllable, ...], y: tuple[Syllable, ...]) -> bool:
     return not any(e - f for (_, e), (_, f) in zip(x, y))
 
 
-def at_k(w: Word, k: Exponent) -> Word:
+def at_k(w: Word, k: Exponent, memo: dict | None = None) -> Word:
     """A word with affine exponents at one k (a positive int, or an
     affine exponent for a sub-family), reduced.
 
@@ -366,6 +366,10 @@ def at_k(w: Word, k: Exponent) -> Word:
     an exponent that vanishes at k can bring equal letters together: the
     syllables are reduced again only then.  Each exponent is truth tested
     once either way, so ``recorded_roots`` sees the same roots.
+
+    ``memo``, a dict a caller keeps for one k, maps each instantiated
+    syllable to its first object, so the words it instantiates there hold
+    one object per syllable value.
     """
     if not (type(k) is int and k >= 1 or isinstance(k, Affine)):
         raise WordError(f"k must be a positive int or an affine exponent, got {k!r}")
@@ -377,6 +381,8 @@ def at_k(w: Word, k: Exponent) -> Word:
         if type(exp) is not int:
             exp = exp.at(k)
             s = (s[0], exp)
+            if memo is not None:
+                s = memo.setdefault(s, s)
         if exp:
             syllables.append(s)
         else:

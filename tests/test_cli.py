@@ -351,23 +351,27 @@ def test_a_closed_stdout_exits_141_without_a_traceback():
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_a_reader_closing_stdout_mid_report_gets_141(unbuffered):
-    # The report is 372 KB, far more than a pipe holds, so the writer
-    # meets the closed pipe part way through the document.  Unbuffered,
-    # stdout drops the rest of a write the pipe took only part of, so a
-    # report written whole would end with exit 0.
+    # Both reports are more than a pipe holds, so the writer meets the
+    # closed pipe part way through: the json one, 372 KB, part way
+    # through the document, and the markdown main-theorem report, 66 KB,
+    # part way through its one write.  An unbuffered stdout's text layer
+    # drops the rest of a write the pipe took only part of, which would
+    # end the run with exit 0.  The reader takes one byte, as head -c 1
+    # does: a buffered read takes up to 8 KB, room for the last 1 KB of
+    # the markdown report in a 64 KB pipe.
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    process = subprocess.Popen(
-        [sys.executable, "-m", "barbellw3", "verify", "all", "--kmax", "100",
-         "--max-syllables", "1", "--max-exponent", "1", "--trials", "0",
-         "--workers", "1", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert len(process.stdout.read(1)) == 1
-    process.stdout.close()
-    _, err = process.communicate(timeout=60)
-    assert process.returncode == 141 and err == b""
+    bounds = ["--kmax", "100", "--max-syllables", "1", "--max-exponent", "1", "--workers", "1"]
+    for args in (["all", *bounds, "--trials", "0", "--format", "json"], ["main", *bounds]):
+        process = subprocess.Popen(
+            [sys.executable, "-m", "barbellw3", "verify", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0,
+        )
+        assert len(process.stdout.read(1)) == 1
+        process.stdout.close()
+        _, err = process.communicate(timeout=60)
+        assert (args[0], process.returncode, err) == (args[0], 141, b"")
 
 
 def test_console_script_target_is_launch():

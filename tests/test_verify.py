@@ -11,6 +11,7 @@ import pickle
 import re
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -280,6 +281,95 @@ def test_targets_built_at_K_match_the_concrete_build():
                 j - 1: psi(j)(value) for j in range(1, kmax + 1) if psi(j)(value)
             }
             assert all(type(q) is Fraction for q in column.values())
+
+
+def test_both_disks_share_each_word_and_syllable_at_each_k():
+    targets = verify._build_targets(5)
+    for k in range(1, 6):
+        d2 = {word: word for word, _ in targets[Disk.D2, k].terms()}
+        for word, _ in targets[Disk.D1, k].terms():
+            assert d2[word] is word
+        # The k-dependent exponents are those of u_1 and u_3: u^k and u^-k.
+        syllables = {}
+        for disk in Disk:
+            for word, _ in targets[disk, k].terms():
+                for syllable in word.syllables:
+                    if syllable[0].startswith("u"):
+                        assert syllables.setdefault(syllable, syllable) is syllable
+        assert sorted(syllables) == [("u_1", -k), ("u_1", k), ("u_3", -k), ("u_3", k)]
+
+
+def test_verify_all_releases_the_targets_before_the_sweeps(monkeypatch):
+    class Held(dict):  # a dict that takes weak references
+        pass
+
+    held = []
+
+    def keep(build):
+        def kept(*args):
+            value = Held(build(*args))
+            held.append(weakref.ref(value))
+            return value
+        return kept
+
+    monkeypatch.setattr(verify, "_build_targets", keep(verify._build_targets))
+    monkeypatch.setattr(verify, "_psi_matrix", keep(verify._psi_matrix))
+    alive = []
+    sweep_build = verify._words_and_pieces
+
+    def words_and_pieces(*args):
+        alive.append([ref() is not None for ref in held])
+        return sweep_build(*args)
+
+    monkeypatch.setattr(verify, "_words_and_pieces", words_and_pieces)
+    reports = verify_all(kmax=3, max_syllables=1, max_exponent=1, random_trials=0, workers=1)
+    assert all(report.overall == "pass" for report in reports)
+    # The targets and the psi matrix are gone when the first sweep builds.
+    assert alive == [[False, False]]
+
+
+def test_verify_all_at_kmax_100_peaks_under_1_25_mb():
+    # The 200 targets are most of what a run at kmax 100 holds; the rank
+    # elimination, with the targets still held, now sets the peak.
+    probe = (
+        "import gc, tracemalloc\n"
+        "from barbellw3.verify import verify_all\n"
+        "gc.freeze()\n"
+        "tracemalloc.start()\n"
+        "verify_all(kmax=100, max_syllables=1, max_exponent=1, random_trials=0, workers=1)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = str(Path(verify.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert result.returncode == 0, result.stderr
+    # Targets held through the sweeps, until main-theorem's checks, peaked
+    # at 1.52 MB.
+    assert int(result.stdout) < 1.25 * 1024 * 1024
+
+
+def test_a_failed_bounded_words_build_fails_each_exhaustive_sweep(monkeypatch):
+    def failing(*args):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(verify, "bounded_words", failing)
+    psi_report, hexagon, span, main = verify_all(
+        kmax=2, max_syllables=2, max_exponent=1, random_trials=10, seed=0, workers=1
+    )
+    failed = {
+        check.name: check.details
+        for report in (psi_report, hexagon, span)
+        for check in report.checks
+        if not check.passed
+    }
+    assert failed == {
+        "hexagon_exhaustive": "RuntimeError: planted",
+        "span_generators": "RuntimeError: planted",
+    }
+    assert {"hexagon_exhaustive", "span_generators"} <= {
+        check.name for check in main.checks if not check.passed
+    }
 
 
 def test_psi_columns_read_both_witness_monomials():
@@ -596,11 +686,14 @@ def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
         kmax=2, max_syllables=2, max_exponent=2, random_trials=10, workers=1
     )
     assert all(report.overall == "pass" for report in reports)
+    # One build per verify_all, in the first check that needs it: the span
+    # sweep takes the hexagon sweep's words and pieces, identity included.
     bounded = Counter(sweep for sweep, name, _ in calls if name == "bounded_words")
-    assert bounded["hexagon_exhaustive"] == 1
-    for sweep in ("hexagon_exhaustive", "span_generators"):
-        pieced = [w for where, name, w in calls if where == sweep and name == "word_pieces"]
-        assert pieced and len(pieced) == len(set(pieced))
+    assert bounded == {"hexagon_exhaustive": 1}
+    assert "span_generators" not in {where for where, _, _ in calls}
+    pieced = [w for where, name, w in calls
+              if where == "hexagon_exhaustive" and name == "word_pieces"]
+    assert pieced and len(pieced) == len(set(pieced))
     for _, task in tasks:
         hash(task)
         assert pickle.loads(pickle.dumps(task)) == task
