@@ -3,8 +3,9 @@
 Commands either print canonical text forms (words, ring elements,
 rationals) or deterministic md/json documents (tables, verification
 reports).  A document goes to stdout as it is laid out, json in batches
-of pieces and md one report at a time, so its size does not set the
-memory a command holds; ``emit`` returns the same text as a string.
+of pieces and md a row at a time, each check's text made only when the
+writer reaches it, so its size does not set the memory a command holds;
+``emit`` returns the same text as a string.
 Exit status: 0 on success, 1 when a verification fails, 2 on usage or
 configuration errors, 141 when the reader closes stdout early, which
 may be part way through a document.
@@ -26,6 +27,7 @@ from .barbell import T_KINDS, Disk, hexagon, span_generator_records, t_poly, w3_
 from .ring import RingElement
 from .solver import TableError, TableRow, regenerate_table
 from .verify import (
+    Check,
     Report,
     verify_all,
     verify_hexagon_vanishing,
@@ -123,20 +125,17 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # Rendering.
 
-def _report_markdown(report: Report) -> str:
+def _write_markdown(report: Report, write) -> None:
+    """Write the report's markdown table to ``write``: the header, then
+    each check's row as it is laid out."""
     parameters = ", ".join(f"{key}={value}" for key, value in report.parameters.items())
-    lines = [
-        f"# suite: {report.suite}",
-        f"overall: {report.overall}",
-        f"parameters: {parameters}",
-        "",
-        "| check | method | status | details |",
-        "|---|---|---|---|",
-    ]
+    write(
+        f"# suite: {report.suite}\noverall: {report.overall}\nparameters: {parameters}\n\n"
+        "| check | method | status | details |\n|---|---|---|---|\n"
+    )
     for check in report.checks:
         details = check.details.replace("|", "\\|")
-        lines.append(f"| {check.name} | {check.method} | {check.status} | {details} |")
-    return "\n".join(lines) + "\n"
+        write(f"| {check.name} | {check.method} | {check.status} | {details} |\n")
 
 
 # Once the writer holds this many pieces, at the end of a list item, it
@@ -171,7 +170,8 @@ def _layout(value, indent: str, out: list[str], write) -> None:
         opening = "[\n"
         for item in value:
             out.append(opening + inner)
-            _layout(item, inner, out, write)
+            # A check's dict is made only when the writer reaches it.
+            _layout(item.to_json_dict() if type(item) is Check else item, inner, out, write)
             if len(out) >= _BATCH:
                 write("".join(out))
                 out.clear()
@@ -196,8 +196,10 @@ def _write_json(value, stream) -> None:
     documents are made of are laid out here, each string through the C
     escaper json.dumps uses, and every dict the same way.  The writer
     holds at most one batch of pieces, plus the pieces of one list item.
-    Any other value, or a key that is not a string, raises TypeError,
-    after the text laid out before it has been written.
+    A ``Check`` in a list is laid out as its ``to_json_dict()``, made
+    when the writer reaches it.  Any other value, or a key that is not a
+    string, raises TypeError, after the text laid out before it has been
+    written.
     """
     out: list[str] = []
     _layout(value, "", out, stream.write)
@@ -212,16 +214,27 @@ def _json_text(value) -> str:
     return stream.getvalue()
 
 
-def _write_reports(report: Report | list[Report], format: str, stream) -> None:
-    """Write one report or a list of them to stream as md or json.
+def _report_document(report: Report) -> dict:
+    """``report.to_json_dict()`` with the checks themselves in place of
+    their dicts, which ``_layout`` makes one at a time."""
+    return {
+        "suite": report.suite,
+        "parameters": report.parameters,
+        "checks": report.checks,
+        "overall": report.overall,
+    }
 
-    Markdown goes one report at a time; json through ``_write_json``.
+
+def _write_reports(report: Report | list[Report], format: str, stream) -> None:
+    """Write one report or a list of them to stream as md or json, each
+    check as the writer reaches it: markdown by ``_write_markdown``, json
+    by ``_write_json``.
     """
     if isinstance(report, Report):
         if format == "json":
-            _write_json(report.to_json_dict(), stream)
+            _write_json(_report_document(report), stream)
         else:
-            stream.write(_report_markdown(report))
+            _write_markdown(report, stream.write)
         return
     reports = list(report)
     overall = "pass" if all(r.overall == "pass" for r in reports) else "fail"
@@ -229,14 +242,14 @@ def _write_reports(report: Report | list[Report], format: str, stream) -> None:
         document = {
             "suite": "all",
             "overall": overall,
-            "suites": [r.to_json_dict() for r in reports],
+            "suites": [_report_document(r) for r in reports],
         }
         _write_json(document, stream)
         return
     for position, r in enumerate(reports):
         if position:
             stream.write("\n")
-        stream.write(_report_markdown(r))
+        _write_markdown(r, stream.write)
     stream.write(f"\n# all suites: {overall}\n")
 
 

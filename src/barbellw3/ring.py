@@ -264,29 +264,50 @@ class Functional:
     __call__ = evaluate
 
 
-def _eliminate(rows: Iterable[dict]) -> int:
-    """Rank of sparse rational rows, each a column -> nonzero Fraction map.
+def _reduce(pivots: dict, row: dict) -> None:
+    """Reduce one sparse rational row, a column -> nonzero Fraction map,
+    into ``pivots``, each pivot row kept under its least column.
 
-    Each pivot row is kept under its least column.  A new row is reduced
-    at its least column until it is zero or starts a column that no
-    pivot holds, where it becomes that column's pivot.
+    The row is reduced in place at its least column until it is zero or
+    starts a column that no pivot holds, where it becomes that column's
+    pivot.  The rank of the rows reduced so far is ``len(pivots)``.
     """
+    while row:
+        lead = min(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = row
+            return
+        factor = row[lead] / pivot[lead]
+        for column, value in pivot.items():
+            updated = row.get(column, _ZERO) - factor * value
+            if updated:
+                row[column] = updated
+            else:
+                del row[column]
+
+
+def _eliminate(rows: Iterable[dict]) -> int:
+    """Rank of sparse rational rows, each reduced in place by ``_reduce``
+    into one set of pivots, so a caller may hand them in one at a time."""
     pivots: dict = {}
     for row in rows:
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                break
-            factor = row[lead] / pivot[lead]
-            for column, value in pivot.items():
-                updated = row.get(column, _ZERO) - factor * value
-                if updated:
-                    row[column] = updated
-                else:
-                    del row[column]
+        _reduce(pivots, row)
     return len(pivots)
+
+
+def _row(element: RingElement, columns: dict[tuple, int]) -> dict[int, Fraction]:
+    """The element's terms as a sparse row for ``_reduce``.
+
+    ``columns`` numbers each word's syllable tuple as it is first seen;
+    rank does not depend on the column order.  It holds no word, so a
+    word dies with its element.  One ``columns`` serves elements over one
+    alphabet.
+    """
+    return {
+        columns.setdefault(word.syllables, len(columns)): q
+        for word, q in element._terms.items()
+    }
 
 
 def matrix_rank_exact(rows: Sequence[Sequence]) -> int:
@@ -303,10 +324,5 @@ def rank(vectors: Iterable[RingElement]) -> int:
     for element in elements:
         if element.alphabet is not elements[0].alphabet:
             raise AlphabetMismatchError("rank needs elements over one alphabet")
-    # Columns are numbered as their words are first seen: rank does not
-    # depend on the column order.
-    columns: dict[Word, int] = {}
-    return _eliminate(
-        {columns.setdefault(word, len(columns)): q for word, q in element._terms.items()}
-        for element in elements
-    )
+    columns: dict[tuple, int] = {}
+    return _eliminate(_row(element, columns) for element in elements)

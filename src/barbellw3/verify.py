@@ -15,10 +15,12 @@ passes it the hexagon and span reports it has already built, so every
 check runs once per call, and ``verify_main_theorem`` is the last report
 of ``verify_all`` run with no random trials.  The target values hold
 each word once for both disks, and each instantiated syllable once per
-k (``_build_targets``).  ``verify_all`` runs every check that reads
-them, or their psi(1..kmax) values, right after building them, and
-releases both before the sweeps.  A target whose construction fails
-fails only the checks that use it.
+k (``_build_targets``).  They are read in one pass as they are built,
+one at a time (``_target_family``): each adds its psi(1..kmax) values
+to its disk's psi matrix and its row to its disk's exact elimination,
+and is dropped.  ``verify_all`` runs every check that reads the pass
+right after it, and releases it before the sweeps.  A target whose
+construction fails fails only the checks that use it.
 
 The per-k structural checks, ``solution_table_k*`` and
 ``hexagon_cases_k*``, rest on one analysis per suite call, run with k
@@ -30,7 +32,7 @@ constructions as formal sums with affine exponents, then instantiated
 at each k outside E.  Instantiation
 reduces a word again only where an exponent vanishes (``words.at_k``),
 and psi(1..kmax) is read on the targets through one index from witness
-word to (k, weight) (``_psi_matrix``); each disk's psi matrix is held
+word to (k, weight) (``_psi_column``); each disk's psi matrix is held
 once, as rows of its nonzero entries only.  The symbolic results are not
 cached across calls: the planted-defect tests replace the tables
 between calls, and the per-call work counts must repeat from run to run.
@@ -91,7 +93,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import count, islice
 from time import perf_counter
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .barbell import (
     HEXAGON_FORMULAS,
@@ -104,7 +106,7 @@ from .barbell import (
     w3_target,
 )
 from .patterns import CompiledFormulas, Pattern, Run, word_pieces
-from .ring import RingElement, _eliminate, rank
+from .ring import RingElement, _eliminate, _reduce, _row
 from .solver import at_each_k, compare_with_reference, hexagon_case_analysis
 from .words import (
     BASE,
@@ -443,14 +445,13 @@ def _span_chunk(task: tuple) -> tuple[int, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# Target values, each one or the reason its construction failed.
+# Target values, each one or the reason its construction failed, read in
+# one pass as they are built.
 
-Targets = dict[tuple[Disk, int], RingElement | str]
-
-
-def _build_targets(kmax: int) -> Targets:
-    """Both disks' w3_target values for k = 1..kmax; where a construction
-    raised, its error as a string instead.
+def _build_targets(kmax: int) -> Iterator[tuple[tuple[Disk, int], RingElement | str]]:
+    """Both disks' w3_target values for k = 1..kmax, yielded as
+    ((disk, k), value) by k, then disk; where a construction raised, its
+    error as a string instead.
 
     Each disk's target is built through ``solver.at_each_k``: at K,
     comparing the two constructions as affine formal sums, and
@@ -461,6 +462,8 @@ def _build_targets(kmax: int) -> Targets:
     disks are made one object where they are built, so at each k each
     word is instantiated once for both disks, and each instantiated
     syllable value is one object (``RingElement.at_k``'s ``shared``).
+    The generator holds no value it has yielded, and drops k's shared
+    instances before it builds k + 1's targets.
     """
     forms: dict[Word, Word] = {}
 
@@ -470,60 +473,88 @@ def _build_targets(kmax: int) -> Targets:
         return RingElement._from_clean_dict(value.alphabet, terms)
 
     at = {disk: at_each_k(lambda k, d=disk: build(d, k)) for disk in Disk}
-    targets: Targets = {}
+
+    def instance(disk: Disk, k: int, shared: dict) -> RingElement | str:
+        try:
+            # at_k leaves a value built at a concrete k as it is.
+            return at[disk](k).at_k(k, shared)
+        except Exception as error:
+            return f"{type(error).__name__}: {error}"
+
     for k in range(1, kmax + 1):
         shared: dict = {}
         for disk in Disk:
-            try:
-                # at_k leaves a value built at a concrete k as it is.
-                targets[disk, k] = at[disk](k).at_k(k, shared)
-            except Exception as error:
-                targets[disk, k] = f"{type(error).__name__}: {error}"
-    return targets
+            yield (disk, k), instance(disk, k, shared)
 
 
-def _psi_matrix(
-    kmax: int, targets: Targets, witnesses: Witnesses
-) -> dict[Disk, list[dict[int, Fraction]]]:
-    """Each disk's psi matrix by rows: row k - 1 holds psi_k on the disk's
-    targets as index j - 1 -> value, nonzero values only.  A failed target
-    has no entries; why it failed stays in ``targets``.
+# (failures, matrix, ranks), as ``_target_family`` returns them.
+_Family = tuple[
+    dict[tuple[Disk, int], str], dict[Disk, list[dict[int, Fraction]]], dict[Disk, int]
+]
 
-    Each target is read through one index of psi(1..kmax)'s weighted
-    words (``_witnesses(kmax)``), so it costs its own terms only.
+
+def _psi_column(
+    value: RingElement, hits: dict[Run, tuple[int, Fraction]]
+) -> dict[int, Fraction]:
+    """psi(1..kmax) on one target, as index k - 1 -> value, nonzero values
+    only, read through ``hits``, the index from each witness word to its
+    (k - 1, weight), so it costs the target's own terms only."""
+    if value.alphabet is not QUAD:
+        raise AlphabetMismatchError(
+            "cannot evaluate a functional on an element over another alphabet"
+        )
+    # m1 and m2 of one k can both be terms, so a k's products are summed.
+    column: dict[int, Fraction] = {}
+    for word, coefficient in value.terms():
+        hit = hits.get(word.syllables)
+        if hit:
+            index, weight = hit
+            product = weight * coefficient
+            column[index] = column[index] + product if index in column else product
+    return {index: q for index, q in column.items() if q}
+
+
+def _target_family(kmax: int, witnesses: Witnesses) -> _Family:
+    """One pass over ``_build_targets(kmax)``: each target, as it is built,
+    adds its psi column to its disk's matrix (``_psi_column``) and reduces
+    its row into its disk's pivots (``ring._reduce``), and is then
+    dropped, so the pass holds one target at a time.
+
+    It returns (failures, matrix, ranks).  ``failures`` holds, by (disk,
+    k) in build order, why a construction failed.  ``matrix`` holds each
+    disk's psi matrix by rows: row k - 1 holds psi_k on the disk's
+    targets as index j - 1 -> value, nonzero values only; a failed target
+    has no entries.  ``ranks`` holds the rank of each disk's built
+    targets by exact elimination.
     """
     hits = {run: (k - 1, weight) for run, k, weight in witnesses}
-    matrix = {disk: [{} for _ in range(kmax)] for disk in Disk}
-    for (disk, j), value in targets.items():
+    matrix: dict[Disk, list[dict[int, Fraction]]] = {
+        disk: [{} for _ in range(kmax)] for disk in Disk
+    }
+    pivots: dict[Disk, dict] = {disk: {} for disk in Disk}
+    # One numbering for both disks: every target is over QUAD.
+    columns: dict[tuple, int] = {}
+    failures: dict[tuple[Disk, int], str] = {}
+    for (disk, j), value in _build_targets(kmax):
         if isinstance(value, str):
-            continue
-        if value.alphabet is not QUAD:
-            raise AlphabetMismatchError(
-                "cannot evaluate a functional on an element over another alphabet"
-            )
-        # m1 and m2 of one k can both be terms, so a k's products are summed.
-        column: dict[int, Fraction] = {}
-        for word, coefficient in value.terms():
-            hit = hits.get(word.syllables)
-            if hit:
-                index, weight = hit
-                product = weight * coefficient
-                column[index] = column[index] + product if index in column else product
-        for index, q in column.items():
-            if q:
+            failures[disk, j] = value
+        else:
+            for index, q in _psi_column(value, hits).items():
                 matrix[disk][index][j - 1] = q
-    return matrix
+            _reduce(pivots[disk], _row(value, columns))
+        del value  # dropped before the next target is built
+    return failures, matrix, {disk: len(p) for disk, p in pivots.items()}
 
 
 # The value of psi(k) on each disk's target at k.
 _PSI_ON_TARGET = {Disk.D1: 1, Disk.D2: 3}
 
 
-def _target(targets: Targets, disk: Disk, k: int) -> RingElement:
-    value = targets[disk, k]
-    if isinstance(value, str):
-        raise CheckFailure(f"target construction failed for {disk.value} at k={k}: {value}")
-    return value
+def _require_built(failures: dict[tuple[Disk, int], str], disk: Disk, k: int) -> None:
+    """Fail the calling check if the disk's target at k failed to build."""
+    reason = failures.get((disk, k))
+    if reason is not None:
+        raise CheckFailure(f"target construction failed for {disk.value} at k={k}: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +562,16 @@ def _target(targets: Targets, disk: Disk, k: int) -> RingElement:
 
 def verify_psi_targets(kmax: int = 10) -> Report:
     """psi(k) takes value 1 on disk-1 targets, 3 on disk-2 targets, 0 across."""
-    targets = _build_targets(kmax)
-    return _psi_targets(kmax, targets, _psi_matrix(kmax, targets, _witnesses(kmax)))
+    return _psi_targets(kmax, _target_family(kmax, _witnesses(kmax)))
 
 
-def _psi_targets(
-    kmax: int, targets: Targets, matrix: dict[Disk, list[dict[int, Fraction]]]
-) -> Report:
+def _psi_targets(kmax: int, family: _Family) -> Report:
     report = Report("psi-targets", {"kmax": kmax})
+    failures, matrix, _ = family
     # A disk's first failed target fails each of its checks: row k reads
     # psi_k on all of the disk's targets.
     failed = {
-        disk: next((j for j in range(1, kmax + 1) if isinstance(targets[disk, j], str)), None)
+        disk: next((j for j in range(1, kmax + 1) if (disk, j) in failures), None)
         for disk in Disk
     }
     for k in range(1, kmax + 1):
@@ -551,7 +580,7 @@ def _psi_targets(
 
             def body(disk=disk, k=k, value=value) -> str:
                 if failed[disk] is not None:
-                    _target(targets, disk, failed[disk])  # raises its CheckFailure
+                    _require_built(failures, disk, failed[disk])  # raises
                 row = matrix[disk][k - 1]
                 diagonal = row.get(k - 1, 0)
                 if diagonal != value:
@@ -782,23 +811,20 @@ def verify_main_theorem(
 TargetChecks = tuple[Check, dict[tuple[Disk, int], Check], dict[Disk, Check]]
 
 
-def _target_checks(
-    kmax: int, targets: Targets, matrix: dict[Disk, list[dict[int, Fraction]]]
-) -> TargetChecks:
-    """Main-theorem's checks that read the targets: the expansion check,
-    then the target checks by (disk, k) and the rank checks by disk, in
-    report order.  They run before the sweeps, so the caller can release
-    the targets and ``matrix`` for the sweeps.
-
-    ``targets`` holds the targets for k = 1..kmax, as ``_build_targets``
-    gives them, and ``matrix`` psi(1..kmax) on each of them.
+def _target_checks(kmax: int, family: _Family) -> TargetChecks:
+    """Main-theorem's checks that read the target family: the expansion
+    check, then the target checks by (disk, k) and the rank checks by
+    disk, in report order.  They run before the sweeps, so the caller can
+    release ``family``, which ``_target_family`` read at the same kmax,
+    for the sweeps.
     """
+    failures, matrix, ranks = family
 
     def expansions() -> str:
-        failures = [value for value in targets.values() if isinstance(value, str)]
         if failures:
             raise CheckFailure(
-                f"{len(failures)} of {len(targets)} targets failed, first: {failures[0]}"
+                f"{len(failures)} of {len(Disk) * kmax} targets failed, "
+                f"first: {next(iter(failures.values()))}"
             )
         return f"both disks, k = 1..{kmax}: formula and expansion constructions agree"
 
@@ -815,7 +841,7 @@ def _target_checks(
         for disk in Disk:
 
             def nonvanishing(disk=disk, k=k) -> str:
-                _target(targets, disk, k)  # a failed target fails the check
+                _require_built(failures, disk, k)
                 value = matrix[disk][k - 1].get(k - 1, 0)
                 if value != _PSI_ON_TARGET[disk]:
                     raise CheckFailure(
@@ -835,9 +861,10 @@ def _target_checks(
     rank_checks: dict[Disk, Check] = {}
     for disk in Disk:
 
-        def ranks(disk=disk) -> str:
-            family = [_target(targets, disk, k) for k in range(1, kmax + 1)]
-            elimination_rank = rank(family)
+        def independent(disk=disk) -> str:
+            for k in range(1, kmax + 1):
+                _require_built(failures, disk, k)
+            elimination_rank = ranks[disk]
             # _eliminate reduces the rows it is given in place.
             matrix_rank = _eliminate(dict(row) for row in matrix[disk])
             if elimination_rank != kmax or matrix_rank != kmax:
@@ -856,7 +883,7 @@ def _target_checks(
             f"the {disk.value} family values for k = 1..{kmax} are linearly "
             "independent, by exact elimination and by the psi functional matrix",
             "exact",
-            ranks,
+            independent,
         )
     return agree, target_checks, rank_checks
 
@@ -923,12 +950,14 @@ def verify_all(
 ) -> list[Report]:
     """Run the four suites in a fixed order, each check once.
 
-    The 2 * kmax targets are built once, and so is the sparse kmax x kmax
-    psi matrix of each disk; both are shared by the psi-targets checks and
-    main-theorem's expansion, target and rank checks, which all run first
-    and are then released, before the sweeps.  psi's witness words and
-    both sweeps' forced sets are built first, once, for the matrix and the
-    three sweeps, so a refused input stops the call before any work.  The
+    The 2 * kmax targets are built once, one at a time, and each is read
+    as it is built and then dropped (``_target_family``): into the sparse
+    kmax x kmax psi matrix of each disk, each disk's elimination rank and
+    the failures.  The psi-targets checks and main-theorem's expansion,
+    target and rank checks read that, all first, and it is then released,
+    before the sweeps.  psi's witness words and both sweeps' forced sets
+    are built first, once, for the matrix and the three sweeps, so a
+    refused input stops the call before any work.  The
     bounded words and their pieces are built once too, by the first sweep
     check that needs them, and shared by both exhaustive sweeps.
     Main-theorem cites the hexagon and span checks run before it.
@@ -936,11 +965,10 @@ def verify_all(
     witnesses, [hexagon_forced, span_forced] = _psi_witnesses(
         kmax, HEXAGON_FORMULAS, T_POLY_FORMULAS
     )
-    targets = _build_targets(kmax)
-    matrix = _psi_matrix(kmax, targets, witnesses)
-    psi_targets = _psi_targets(kmax, targets, matrix)
-    checked = _target_checks(kmax, targets, matrix)
-    del targets, matrix  # the sweeps read neither
+    family = _target_family(kmax, witnesses)
+    psi_targets = _psi_targets(kmax, family)
+    checked = _target_checks(kmax, family)
+    del family  # the sweeps read none of it
     # A build that raises is not kept: the next check builds again.
     sweep_words = cache(lambda: _words_and_pieces(max_syllables, max_exponent, True))
     bounds = (kmax, max_syllables, max_exponent)

@@ -172,7 +172,7 @@ def test_criterion_8_negative_control(monkeypatch):
     started = time.perf_counter()
     fake = t_poly(4, parse_word("t"), parse_word("u"))
     targets = {(disk, k): fake for k in range(1, 4) for disk in Disk}
-    monkeypatch.setattr(verify, "_build_targets", lambda kmax: targets)
+    monkeypatch.setattr(verify, "_build_targets", lambda kmax: targets.items())
     report = verify_main_theorem(kmax=3, max_syllables=1, max_exponent=1, workers=1)
     assert report.overall == "fail"
     status = {check.name: check.status for check in report.checks}

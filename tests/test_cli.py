@@ -598,6 +598,32 @@ def test_the_deep_k_document_is_written_as_it_is_laid_out():
     assert len(sink.sizes) > 1 and max(sink.sizes) <= 64 * 1024
 
 
+# The markdown of the kmax-100 `verify all` report.
+PINNED_DEEP_K_MARKDOWN_SHA256 = "2c5288447c2d953eef7a5952316afc682d084aa96dfd90e13ee3bbcc41faece2"
+
+
+@pytest.mark.parametrize("format, digest, bound_kb", [
+    ("json", PINNED_DEEP_K_REPORT_SHA256, 64),
+    ("md", PINNED_DEEP_K_MARKDOWN_SHA256, 16),
+], ids=["json", "md"])
+def test_the_deep_k_reports_are_written_a_check_at_a_time(format, digest, bound_kb):
+    reports = verify_all(kmax=100, max_syllables=1, max_exponent=1,
+                         random_trials=0, seed=0, workers=1)
+    sink = Recorder()
+    tracemalloc.start()
+    try:
+        cli._write_reports(reports, format, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.digest.hexdigest() == digest
+    # Each check's dict, or its row, is made when the writer reaches it:
+    # 45-56 KB in json and 10 KB in md on Python 3.10-3.13, this sink's
+    # copies included.  Built for all 1 008 checks first, the json dicts
+    # took 226-281 KB, and the md reports, each joined whole, 168-234 KB.
+    assert peak < bound_kb * 1024
+
+
 SUITES = {
     "all": "verify_all",
     "psi": "verify_psi_targets",

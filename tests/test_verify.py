@@ -263,14 +263,17 @@ def test_a_psi_plant_between_two_calls_reaches_the_second_call(monkeypatch):
 
 def _column(matrix, disk, j):
     """psi(1..kmax) on the disk's target j, as index k - 1 -> psi_k, read
-    from the rows of ``verify._psi_matrix``."""
+    from the rows of ``verify._target_family``'s psi matrix."""
     return {k - 1: row[j - 1] for k, row in enumerate(matrix[disk], 1) if j - 1 in row}
 
 
 def test_targets_built_at_K_match_the_concrete_build():
     kmax = 30
-    targets = verify._build_targets(kmax)
-    matrix = verify._psi_matrix(kmax, targets, verify._witnesses(kmax))
+    targets = dict(verify._build_targets(kmax))
+    assert list(targets) == [(disk, k) for k in range(1, kmax + 1) for disk in Disk]
+    failures, matrix, ranks = verify._target_family(kmax, verify._witnesses(kmax))
+    assert failures == {}
+    assert ranks == {disk: kmax for disk in Disk}
     for disk in Disk:
         assert len(matrix[disk]) == kmax
         for k in range(1, kmax + 1):
@@ -284,7 +287,7 @@ def test_targets_built_at_K_match_the_concrete_build():
 
 
 def test_both_disks_share_each_word_and_syllable_at_each_k():
-    targets = verify._build_targets(5)
+    targets = dict(verify._build_targets(5))
     for k in range(1, 6):
         d2 = {word: word for word, _ in targets[Disk.D2, k].terms()}
         for word, _ in targets[Disk.D1, k].terms():
@@ -299,38 +302,66 @@ def test_both_disks_share_each_word_and_syllable_at_each_k():
         assert sorted(syllables) == [("u_1", -k), ("u_1", k), ("u_3", -k), ("u_3", k)]
 
 
-def test_verify_all_releases_the_targets_before_the_sweeps(monkeypatch):
-    class Held(dict):  # a dict that takes weak references
+def test_verify_all_holds_one_k_of_targets_and_none_at_the_sweeps(monkeypatch):
+    kmax = 4
+    refs = []  # (k, weak reference) of every value the build yields
+    build_targets = verify._build_targets
+
+    def kept(kmax):
+        for item in build_targets(kmax):
+            refs.append((item[0][1], weakref.ref(item[1])))
+            yield item
+            del item  # not held while the next one is built
+
+    class Held(RingElement):  # an element that takes weak references
+        __slots__ = ("__weakref__",)
+
+    alive = {}  # k -> the k of the targets alive when k's first target is built
+    at_k = RingElement.at_k
+
+    def instantiate(self, k, shared=None):
+        if k not in alive:
+            alive[k] = sorted({j for j, ref in refs if ref() is not None})
+        value = at_k(self, k, shared)
+        return Held._from_clean_dict(value.alphabet, value._terms)
+
+    class Matrix(dict):  # a dict that takes weak references
         pass
 
-    held = []
+    matrices = []
+    target_family = verify._target_family
 
-    def keep(build):
-        def kept(*args):
-            value = Held(build(*args))
-            held.append(weakref.ref(value))
-            return value
-        return kept
+    def family(*args):
+        failures, matrix, ranks = target_family(*args)
+        matrix = Matrix(matrix)
+        matrices.append(weakref.ref(matrix))
+        return failures, matrix, ranks
 
-    monkeypatch.setattr(verify, "_build_targets", keep(verify._build_targets))
-    monkeypatch.setattr(verify, "_psi_matrix", keep(verify._psi_matrix))
-    alive = []
+    monkeypatch.setattr(verify, "_build_targets", kept)
+    monkeypatch.setattr(verify, "_target_family", family)
+    monkeypatch.setattr(RingElement, "at_k", instantiate)
+    sweeps = []
     sweep_build = verify._words_and_pieces
 
     def words_and_pieces(*args):
-        alive.append([ref() is not None for ref in held])
+        sweeps.append((sorted({j for j, ref in refs if ref() is not None}),
+                       [ref() is not None for ref in matrices]))
         return sweep_build(*args)
 
     monkeypatch.setattr(verify, "_words_and_pieces", words_and_pieces)
-    reports = verify_all(kmax=3, max_syllables=1, max_exponent=1, random_trials=0, workers=1)
+    reports = verify_all(kmax=kmax, max_syllables=1, max_exponent=1, random_trials=0,
+                         workers=1)
     assert all(report.overall == "pass" for report in reports)
-    # The targets and the psi matrix are gone when the first sweep builds.
-    assert alive == [[False, False]]
+    assert [k for k, _ in refs] == [k for k in range(1, kmax + 1) for _ in Disk]
+    # No target of k is alive when k + 1's targets are built, and neither
+    # a target nor the psi matrix when the first sweep builds.
+    assert alive == {k: [] for k in range(1, kmax + 1)}
+    assert sweeps == [([], [False])]
 
 
-def test_verify_all_at_kmax_100_peaks_under_1_25_mb():
-    # The 200 targets are most of what a run at kmax 100 holds; the rank
-    # elimination, with the targets still held, now sets the peak.
+def test_verify_all_at_kmax_100_peaks_under_900_kb():
+    # The target pass holds one target at a time; its psi matrices,
+    # elimination pivots and column numbering now set the peak.
     probe = (
         "import gc, tracemalloc\n"
         "from barbellw3.verify import verify_all\n"
@@ -344,9 +375,9 @@ def test_verify_all_at_kmax_100_peaks_under_1_25_mb():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert result.returncode == 0, result.stderr
-    # Targets held through the sweeps, until main-theorem's checks, peaked
-    # at 1.52 MB.
-    assert int(result.stdout) < 1.25 * 1024 * 1024
+    # 673-843 KB on Python 3.10-3.13, the most on 3.10; with all 200
+    # targets held through the rank elimination it was 993-1 117 KB.
+    assert int(result.stdout) < 900 * 1024
 
 
 def test_a_failed_bounded_words_build_fails_each_exhaustive_sweep(monkeypatch):
@@ -372,7 +403,7 @@ def test_a_failed_bounded_words_build_fails_each_exhaustive_sweep(monkeypatch):
     }
 
 
-def test_psi_columns_read_both_witness_monomials():
+def test_psi_columns_read_both_witness_monomials(monkeypatch):
     # The targets hold no m2 term; these elements do, and they hit
     # m1 and m2 of one k together, so the two weights must sum.
     kmax = 4
@@ -383,7 +414,8 @@ def test_psi_columns_read_both_witness_monomials():
         (Disk.D1, 2): RingElement(QUAD, [(m[1][0], 1), (m[1][1], -3)]),
         (Disk.D2, 2): "construction failed",
     }
-    matrix = verify._psi_matrix(kmax, elements, verify._witnesses(kmax))
+    monkeypatch.setattr(verify, "_build_targets", lambda kmax: elements.items())
+    _, matrix, _ = verify._target_family(kmax, verify._witnesses(kmax))
     # The failed target leaves no entry.
     assert _column(matrix, Disk.D2, 2) == {}
     for (disk, j), value in elements.items():
@@ -422,7 +454,7 @@ def test_k_specific_expansion_defect_fails_only_where_it_shows(monkeypatch):
     sign, _ = barbell.T4_EXPANSION_ROWS[0]
     row = (sign, parse_word("t_1^-1 t_3 u_3^-2 t_3^-2", QUAD))
     monkeypatch.setattr(barbell, "T4_EXPANSION_ROWS", (row,) + barbell.T4_EXPANSION_ROWS[1:])
-    targets = verify._build_targets(3)
+    targets = dict(verify._build_targets(3))
     for disk in Disk:
         assert targets[disk, 2] == w3_target(disk, 2)
         for k in (1, 3):
@@ -826,7 +858,7 @@ def _main_theorem_on(monkeypatch, kmax, value):
     """verify_main_theorem at word bounds (1, 1), with value(disk, k) for
     the target of each disk at each k = 1..kmax."""
     targets = {(disk, k): value(disk, k) for k in range(1, kmax + 1) for disk in Disk}
-    monkeypatch.setattr(verify, "_build_targets", lambda kmax: targets)
+    monkeypatch.setattr(verify, "_build_targets", lambda kmax: targets.items())
     return verify_main_theorem(kmax=kmax, max_syllables=1, max_exponent=1, workers=1)
 
 
@@ -868,17 +900,17 @@ def _witness(k):
     return word
 
 
-def _psi_targets_report(kmax, targets):
-    matrix = verify._psi_matrix(kmax, targets, verify._witnesses(kmax))
-    return verify._psi_targets(kmax, targets, matrix)
+def _psi_targets_report(monkeypatch, kmax, targets):
+    monkeypatch.setattr(verify, "_build_targets", lambda kmax: targets.items())
+    return verify_psi_targets(kmax)
 
 
-def test_psi_matrix_off_diagonal_details_list_j_in_ascending_order():
+def test_psi_matrix_off_diagonal_details_list_j_in_ascending_order(monkeypatch):
     kmax = 3
-    targets = verify._build_targets(kmax)
+    targets = dict(verify._build_targets(kmax))
     targets[Disk.D1, 3] += RingElement.monomial(_witness(1), Fraction(-1, 2))
     targets[Disk.D1, 2] += RingElement.monomial(_witness(1), Fraction(2, 3))
-    report = _psi_targets_report(kmax, targets)
+    report = _psi_targets_report(monkeypatch, kmax, targets)
     failed = {check.name: check.details for check in report.checks if not check.passed}
     assert failed == {
         "psi_target_d1_k1": (
@@ -892,12 +924,12 @@ def test_psi_matrix_zero_diagonal_details(monkeypatch):
     # Each plant cancels psi(k) on its target at k: the diagonal entry is 0.
     plants = {(Disk.D1, 2): RingElement.monomial(_witness(2), -1),
               (Disk.D2, 1): RingElement.monomial(_witness(1), -3)}
-    targets = verify._build_targets(kmax)
+    targets = dict(verify._build_targets(kmax))
     for key, plant in plants.items():
         targets[key] += plant
     failed = {
         check.name: check.details
-        for check in _psi_targets_report(kmax, targets).checks
+        for check in _psi_targets_report(monkeypatch, kmax, targets).checks
         if not check.passed
     }
     assert failed == {
