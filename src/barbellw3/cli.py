@@ -207,13 +207,6 @@ def _write_json(value, stream) -> None:
     stream.write("".join(out))
 
 
-def _json_text(value) -> str:
-    """The text ``_write_json`` writes, as one string."""
-    stream = io.StringIO()
-    _write_json(value, stream)
-    return stream.getvalue()
-
-
 def _report_document(report: Report) -> dict:
     """``report.to_json_dict()`` with the checks themselves in place of
     their dicts, which ``_layout`` makes one at a time."""
@@ -294,10 +287,6 @@ def _table_documents(rows: list[TableRow]) -> list[dict]:
         }
         for row in rows
     ]
-
-
-def _table_json(rows: list[TableRow]) -> str:
-    return _json_text(_table_documents(rows))
 
 
 def _write_span_dump(args, out) -> int:
@@ -410,21 +399,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _retrying_stdout(stdout: io.TextIOWrapper) -> io.TextIOWrapper:
-    """A text stream on stdout's fd that writes the same bytes through a
-    BufferedWriter, which retries a short write until every byte is
-    written or the write fails.  It flushes at each newline, and closing
-    it leaves the fd open."""
-    raw = io.FileIO(stdout.fileno(), "w", closefd=False)
-    return io.TextIOWrapper(
-        io.BufferedWriter(raw),
-        encoding=stdout.encoding,
-        errors=stdout.errors,
-        newline="\n",
-        line_buffering=True,
-    )
-
-
 def launch() -> int:
     """Run ``main`` as a launched program, after freezing the heap.
 
@@ -440,13 +414,18 @@ def launch() -> int:
     reports a filter that SIGPIPE stopped (128 + 13), not with the 1 of
     a failed check.  fd 1 then points at the null device, so the
     interpreter's last flush cannot raise again.  An unbuffered stdout
-    (``python -u``, ``PYTHONUNBUFFERED``) is first replaced by
-    ``_retrying_stdout``: its text layer would drop the rest of a write
-    the pipe took only part of, and the run would end with 0.
+    (``python -u``, ``PYTHONUNBUFFERED``) is first replaced by a line
+    buffered one on the same fd.
     """
     gc.freeze()
     if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
-        sys.stdout = _retrying_stdout(sys.stdout)
+        # The unbuffered text layer would drop the rest of a write the pipe
+        # took only part of, and the run would end with 0; a BufferedWriter
+        # retries a short write until every byte is written or it fails.
+        sys.stdout = open(
+            sys.stdout.fileno(), "w", buffering=1, encoding=sys.stdout.encoding,
+            errors=sys.stdout.errors, newline="\n", closefd=False,
+        )
     try:
         status = main()
         sys.stdout.flush()

@@ -96,29 +96,19 @@ class RingElement:
         """The terms in no fixed order, for lookups that need no sorting."""
         return self._terms.items()
 
-    def at_k(self, k: Exponent, shared: dict | None = None) -> "RingElement":
+    def at_k(self, k: Exponent, memo: dict | None = None) -> "RingElement":
         """An element with affine exponents at one k: each word through
         ``words.at_k``, and words that coincide there merged.
 
-        ``shared``, a dict a caller keeps for one k, lets elements share
-        their instances: each word object is instantiated once, and each
-        instantiated syllable value is one object (``words.at_k``).
+        ``memo``, a dict a caller keeps for one k, is passed on to
+        ``words.at_k``, so the elements instantiated with it hold one
+        object per instantiated syllable value.
         """
-        if shared is None:
-            shared = {}
-        # Instances are keyed by the identity of their word, since a Word's
-        # hash and equality run in Python; each entry holds its word, so the
-        # id is not reused while ``shared`` lives.
-        instances = shared.setdefault("instances", {})
-        syllables = shared.setdefault("syllables", {})
         # The coefficients are already nonzero Fractions: only words that
         # coincide at k are added, and a sum that vanishes is dropped.
         terms: dict[Word, Fraction] = {}
         for word, coeff in self._terms.items():
-            entry = instances.get(id(word))
-            if entry is None:
-                entry = instances[id(word)] = (word, at_k(word, k, syllables))
-            word = entry[1]
+            word = at_k(word, k, memo)
             if word in terms:
                 coeff += terms[word]
                 if not coeff:

@@ -14,13 +14,13 @@ certificates rest on.  It is assembled in one place: ``verify_all``
 passes it the hexagon and span reports it has already built, so every
 check runs once per call, and ``verify_main_theorem`` is the last report
 of ``verify_all`` run with no random trials.  The target values hold
-each word once for both disks, and each instantiated syllable once per
-k (``_build_targets``).  They are read in one pass as they are built,
-one at a time (``_target_family``): each adds its psi(1..kmax) values
-to its disk's psi matrix and its row to its disk's exact elimination,
-and is dropped.  ``verify_all`` runs every check that reads the pass
-right after it, and releases it before the sweeps.  A target whose
-construction fails fails only the checks that use it.
+each instantiated syllable value once per k (``_build_targets``).  They
+are read in one pass as they are built, one at a time
+(``_target_family``): each adds its psi(1..kmax) values to its disk's
+psi matrix and its row to its disk's exact elimination, and is dropped.
+``verify_all`` runs every check that reads the pass right after it, and
+releases it before the sweeps.  A target whose construction fails fails
+only the checks that use it.
 
 The per-k structural checks, ``solution_table_k*`` and
 ``hexagon_cases_k*``, rest on one analysis per suite call, run with k
@@ -458,33 +458,24 @@ def _build_targets(kmax: int) -> Iterator[tuple[tuple[Disk, int], RingElement | 
     instantiated at each k outside E, since instantiation is linear; a
     failure reads as it would concretely.
 
-    Every disk-1 word is a disk-2 word too.  Equal words of the two
-    disks are made one object where they are built, so at each k each
-    word is instantiated once for both disks, and each instantiated
-    syllable value is one object (``RingElement.at_k``'s ``shared``).
-    The generator holds no value it has yielded, and drops k's shared
-    instances before it builds k + 1's targets.
+    At each k both disks' targets are instantiated with one syllable
+    memo (``RingElement.at_k``), so each instantiated syllable value is
+    one object.  The generator holds no value it has yielded, and drops
+    k's memo before it builds k + 1's targets.
     """
-    forms: dict[Word, Word] = {}
+    at = {disk: at_each_k(lambda k, d=disk: w3_target(d, k)) for disk in Disk}
 
-    def build(disk: Disk, k) -> RingElement:
-        value = w3_target(disk, k)
-        terms = {forms.setdefault(word, word): q for word, q in value.terms()}
-        return RingElement._from_clean_dict(value.alphabet, terms)
-
-    at = {disk: at_each_k(lambda k, d=disk: build(d, k)) for disk in Disk}
-
-    def instance(disk: Disk, k: int, shared: dict) -> RingElement | str:
+    def instance(disk: Disk, k: int, memo: dict) -> RingElement | str:
         try:
             # at_k leaves a value built at a concrete k as it is.
-            return at[disk](k).at_k(k, shared)
+            return at[disk](k).at_k(k, memo)
         except Exception as error:
             return f"{type(error).__name__}: {error}"
 
     for k in range(1, kmax + 1):
-        shared: dict = {}
+        memo: dict = {}
         for disk in Disk:
-            yield (disk, k), instance(disk, k, shared)
+            yield (disk, k), instance(disk, k, memo)
 
 
 # (failures, matrix, ranks), as ``_target_family`` returns them.

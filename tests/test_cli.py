@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import importlib
+import io
 import json
 import os
 import re
@@ -260,6 +261,22 @@ def test_deep_k_report_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEEP_K_REPORT_SHA256
 
 
+# The same for the benchmark's sweep-serial report, at (2, 3), at one
+# worker and split over two.
+PINNED_SWEEP_REPORT_SHA256 = "120da6a6d170bec214ab90b24fd3d0b0ff55705dbdd8c1196b1f056a6087e509"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_serial_report_bytes_are_pinned(capsys, workers):
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "all", "--kmax", "10", "--max-syllables", "2", "--max-exponent", "3",
+        "--trials", "2000", "--seed", "0", "--workers", workers, "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP_REPORT_SHA256
+
+
 # The same for outputs built from the admissible pairs, the solution
 # table and the hexagon case analysis.
 PINNED_OUTPUT_SHA256 = {
@@ -501,6 +518,13 @@ def dumped(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+def json_text(value) -> str:
+    """The text ``cli._write_json`` writes, as one string."""
+    stream = io.StringIO()
+    cli._write_json(value, stream)
+    return stream.getvalue()
+
+
 @pytest.mark.parametrize("suite", ["all", "psi", "hexagon", "span", "main"])
 def test_verify_json_is_the_json_dumps_layout(capsys, suite):
     code, out, _ = run_cli(
@@ -517,7 +541,7 @@ def test_table_json_is_the_json_dumps_layout(capsys):
     assert code == 0
     assert out == dumped(json.loads(out))
     rows = cli.regenerate_table(3)
-    assert out == cli._table_json(rows)
+    assert out == json_text(cli._table_documents(rows))
 
 
 def test_emit_matches_json_dumps_on_awkward_reports():
@@ -552,7 +576,7 @@ def test_emit_matches_json_dumps_on_awkward_reports():
     ],
 )
 def test_json_text_matches_json_dumps(value):
-    assert cli._json_text(value) == dumped(value)
+    assert json_text(value) == dumped(value)
 
 
 @pytest.mark.parametrize(
@@ -564,7 +588,7 @@ def test_json_text_matches_json_dumps(value):
 )
 def test_json_text_refuses_what_no_document_holds(value):
     with pytest.raises(TypeError):
-        cli._json_text(value)
+        json_text(value)
 
 
 class Recorder:

@@ -286,12 +286,9 @@ def test_targets_built_at_K_match_the_concrete_build():
             assert all(type(q) is Fraction for q in column.values())
 
 
-def test_both_disks_share_each_word_and_syllable_at_each_k():
+def test_both_disks_share_each_syllable_at_each_k():
     targets = dict(verify._build_targets(5))
     for k in range(1, 6):
-        d2 = {word: word for word, _ in targets[Disk.D2, k].terms()}
-        for word, _ in targets[Disk.D1, k].terms():
-            assert d2[word] is word
         # The k-dependent exponents are those of u_1 and u_3: u^k and u^-k.
         syllables = {}
         for disk in Disk:
@@ -319,10 +316,10 @@ def test_verify_all_holds_one_k_of_targets_and_none_at_the_sweeps(monkeypatch):
     alive = {}  # k -> the k of the targets alive when k's first target is built
     at_k = RingElement.at_k
 
-    def instantiate(self, k, shared=None):
+    def instantiate(self, k, memo=None):
         if k not in alive:
             alive[k] = sorted({j for j, ref in refs if ref() is not None})
-        value = at_k(self, k, shared)
+        value = at_k(self, k, memo)
         return Held._from_clean_dict(value.alphabet, value._terms)
 
     class Matrix(dict):  # a dict that takes weak references
