@@ -45,11 +45,12 @@ cap.  Each suite call builds psi(1..kmax)'s witness words once, from
 ``psi`` itself (``_witnesses``), and reads off their subscript
 projections (``_images``) the forced sets (below) of each sweep formula
 set it runs (``_psi_witnesses``), before any of its checks; it shares
-them with the psi matrix and every sweep.  Like the symbolic results
-they are not cached across calls.  ``verify_all`` builds the bounded
-words and their ``word_pieces`` once for both exhaustive sweeps, in the
-first check that needs them; all of it goes to the chunks in their
-tasks.
+them with the psi matrix and every sweep, and the chunks get them in
+their tasks.  Like the symbolic results they are not cached across
+calls.  The hexagon sweep builds the bounded words and their
+``word_pieces`` and passes them in its tasks; a span chunk walks its
+range of admissible pairs itself and pieces only the words of its
+candidate pairs, each once.
 
 Bad inputs are refused there, in one way: a ValueError stops the suite
 call before any check runs.  ``_witnesses`` refuses a word that psi
@@ -264,20 +265,6 @@ def _witnesses(kmax: int) -> Witnesses:
     return tuple(witnesses)
 
 
-SweepWords = tuple[tuple[Word, ...], tuple[tuple[Run, ...], ...]]
-
-
-def _words_and_pieces(
-    max_syllables: int, max_exponent: int, include_identity: bool
-) -> SweepWords:
-    """The bounded words of a sweep and their word_pieces, passed to every
-    chunk in its task.  A span chunk uses them only to look up the pieces
-    of the pairs it enumerates, which never hold the identity, so it can
-    take the hexagon sweep's: ``verify_all`` builds them once for both."""
-    words = tuple(bounded_words(max_syllables, max_exponent, include_identity))
-    return words, tuple([word_pieces(w) for w in words])
-
-
 def _single_factor(shape: Pattern) -> tuple[str, int, bool]:
     """(variable, subscript, inverted) of the first subscript whose factors
     in ``shape`` (``Pattern.projection``) are one factor.  A shape with no
@@ -426,14 +413,14 @@ def _hexagon_random_chunk(task: tuple) -> tuple[int, list[str]]:
 
 
 def _span_chunk(task: tuple) -> tuple[int, list[str]]:
-    (max_syllables, max_exponent, witnesses, words, pieces, forced_a, forced_c,
-     start, stop) = task
-    lookup = dict(zip(words, pieces))
+    max_syllables, max_exponent, witnesses, forced_a, forced_c, start, stop = task
+    # Only the candidate pairs' words are pieced, each once per chunk.
+    pieced = cache(word_pieces)
     # zip takes a pair before its count, so ``walked`` ends at the pairs taken.
     walked = count()
     pairs = zip(islice(enumerate_admissible(max_syllables, max_exponent), start, stop), walked)
     items = (
-        (a, c, lookup[a] + lookup[c])
+        (a, c, pieced(a) + pieced(c))
         for (a, c), _ in pairs if a.syllables in forced_a or c.syllables in forced_c
     )
     violations = _scan(T_POLY_FORMULAS, T_KINDS, "t_poly({0}, {1}, {2})", items, witnesses)
@@ -610,17 +597,14 @@ def verify_hexagon_vanishing(
 ) -> Report:
     """psi(k) kills every hexagon relator, by enumeration and by structure."""
     witnesses, [forced] = _psi_witnesses(kmax, HEXAGON_FORMULAS)
-    sweep_words = lambda: _words_and_pieces(max_syllables, max_exponent, True)
     return _hexagon_vanishing(
-        witnesses, forced, sweep_words, kmax, max_syllables, max_exponent, random_trials,
-        seed, workers,
+        witnesses, forced, kmax, max_syllables, max_exponent, random_trials, seed, workers
     )
 
 
 def _hexagon_vanishing(
     witnesses: Witnesses,
     forced: Forced,
-    sweep_words: Callable[[], SweepWords],
     kmax: int,
     max_syllables: int,
     max_exponent: int,
@@ -641,7 +625,8 @@ def _hexagon_vanishing(
     )
 
     def exhaustive() -> str:
-        words, pieces = sweep_words()
+        words = tuple(bounded_words(max_syllables, max_exponent, include_identity=True))
+        pieces = tuple([word_pieces(w) for w in words])
         nus, mus = forced
         rows = frozenset(i for i, w in enumerate(words) if w.syllables in nus)
         columns = tuple(j for j, w in enumerate(words) if w.syllables in mus)
@@ -715,16 +700,12 @@ def verify_span_vanishing(
 ) -> Report:
     """psi(k) kills every admissible-pair generator; the solution table checks out."""
     witnesses, [forced] = _psi_witnesses(kmax, T_POLY_FORMULAS)
-    sweep_words = lambda: _words_and_pieces(max_syllables, max_exponent, False)
-    return _span_vanishing(
-        witnesses, forced, sweep_words, kmax, max_syllables, max_exponent, workers
-    )
+    return _span_vanishing(witnesses, forced, kmax, max_syllables, max_exponent, workers)
 
 
 def _span_vanishing(
     witnesses: Witnesses,
     forced: Forced,
-    sweep_words: Callable[[], SweepWords],
     kmax: int,
     max_syllables: int,
     max_exponent: int,
@@ -742,11 +723,9 @@ def _span_vanishing(
 
     def generators() -> str:
         total_pairs = count_admissible(max_syllables, max_exponent)
-        words, pieces = sweep_words()
         forced_a, forced_c = forced
         tasks = [
-            (max_syllables, max_exponent, witnesses, words, pieces, forced_a, forced_c,
-             start, stop)
+            (max_syllables, max_exponent, witnesses, forced_a, forced_c, start, stop)
             for start, stop in _chunk_ranges(total_pairs, workers)
         ]
         checked = _sweep(_span_chunk, tasks, workers)
@@ -948,10 +927,8 @@ def verify_all(
     target and rank checks read that, all first, and it is then released,
     before the sweeps.  psi's witness words and both sweeps' forced sets
     are built first, once, for the matrix and the three sweeps, so a
-    refused input stops the call before any work.  The
-    bounded words and their pieces are built once too, by the first sweep
-    check that needs them, and shared by both exhaustive sweeps.
-    Main-theorem cites the hexagon and span checks run before it.
+    refused input stops the call before any work.  Main-theorem cites
+    the hexagon and span checks run before it.
     """
     witnesses, [hexagon_forced, span_forced] = _psi_witnesses(
         kmax, HEXAGON_FORMULAS, T_POLY_FORMULAS
@@ -960,11 +937,7 @@ def verify_all(
     psi_targets = _psi_targets(kmax, family)
     checked = _target_checks(kmax, family)
     del family  # the sweeps read none of it
-    # A build that raises is not kept: the next check builds again.
-    sweep_words = cache(lambda: _words_and_pieces(max_syllables, max_exponent, True))
     bounds = (kmax, max_syllables, max_exponent)
-    hexagon = _hexagon_vanishing(
-        witnesses, hexagon_forced, sweep_words, *bounds, random_trials, seed, workers
-    )
-    span = _span_vanishing(witnesses, span_forced, sweep_words, *bounds, workers)
+    hexagon = _hexagon_vanishing(witnesses, hexagon_forced, *bounds, random_trials, seed, workers)
+    span = _span_vanishing(witnesses, span_forced, *bounds, workers)
     return [psi_targets, hexagon, span, _main_theorem(hexagon, span, checked)]

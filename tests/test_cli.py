@@ -277,6 +277,26 @@ def test_sweep_serial_report_bytes_are_pinned(capsys, workers):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP_REPORT_SHA256
 
 
+# The same for the standalone sweep suites at (3, 3), each at one worker
+# and split over two.
+PINNED_SWEEP_SUITE_SHA256 = {
+    "span": "421fc373620076fe2d1e5e8f426d2de22533d90f9c74b4b8cd96edc01ae6843a",
+    "hexagon": "dfb8b7bd855e3308cc4d9de55f7bf3806906a6e126eb908aa46320ba666f4941",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("suite", list(PINNED_SWEEP_SUITE_SHA256))
+def test_sweep_suite_report_bytes_are_pinned(capsys, suite, workers):
+    code, out, _ = run_cli(
+        capsys,
+        "verify", suite, "--kmax", "10", "--max-syllables", "3", "--max-exponent", "3",
+        "--workers", workers, "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP_SUITE_SHA256[suite]
+
+
 # The same for outputs built from the admissible pairs, the solution
 # table and the hexagon case analysis.
 PINNED_OUTPUT_SHA256 = {
@@ -423,6 +443,31 @@ def test_launch_freezes_the_heap_before_main():
     assert result.returncode == 0, result.stderr
     before, inside = map(int, result.stdout.split())
     assert before == 0 and inside > 0
+
+
+def test_an_unbuffered_stdout_writes_the_whole_report_through_short_writes(capsys, tmp_path):
+    # A raw stdout that takes at most 7 bytes a write, as a pipe may take
+    # part of one: the unbuffered text layer would drop the rest of each
+    # write and still exit 0.
+    path = tmp_path / "report.json"
+    probe = (
+        "import io, os, sys\n"
+        "import barbellw3.cli as cli\n"
+        "class Short(io.RawIOBase):\n"
+        "    def __init__(self, fd): self.fd = fd\n"
+        "    def writable(self): return True\n"
+        "    def fileno(self): return self.fd\n"
+        "    def write(self, data): return os.write(self.fd, bytes(data[:7]))\n"
+        f"fd = os.open({str(path)!r}, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)\n"
+        "sys.stdout = io.TextIOWrapper(Short(fd), write_through=True)\n"
+        "sys.argv = ['barbellw3', 'verify', 'psi', '--kmax', '3', '--format', 'json']\n"
+        "sys.exit(cli.launch())\n"
+    )
+    result = run_python(probe)
+    assert result.returncode == 0, result.stderr
+    code, out, _ = run_cli(capsys, "verify", "psi", "--kmax", "3", "--format", "json")
+    assert code == 0
+    assert path.read_text() == out
 
 
 def test_a_serial_verify_all_never_imports_json():

@@ -35,7 +35,7 @@ from barbellw3.verify import (
     verify_span_vanishing,
 )
 from barbellw3.ring import RingElement
-from barbellw3.words import QUAD, K, concat_words, parse_word
+from barbellw3.words import QUAD, K, Word, concat_words, parse_word
 
 
 def report_json(report):
@@ -338,20 +338,20 @@ def test_verify_all_holds_one_k_of_targets_and_none_at_the_sweeps(monkeypatch):
     monkeypatch.setattr(verify, "_target_family", family)
     monkeypatch.setattr(RingElement, "at_k", instantiate)
     sweeps = []
-    sweep_build = verify._words_and_pieces
+    build_words = verify.bounded_words
 
-    def words_and_pieces(*args):
+    def bounded_words(*args, **kwargs):
         sweeps.append((sorted({j for j, ref in refs if ref() is not None}),
                        [ref() is not None for ref in matrices]))
-        return sweep_build(*args)
+        return build_words(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "_words_and_pieces", words_and_pieces)
+    monkeypatch.setattr(verify, "bounded_words", bounded_words)
     reports = verify_all(kmax=kmax, max_syllables=1, max_exponent=1, random_trials=0,
                          workers=1)
     assert all(report.overall == "pass" for report in reports)
     assert [k for k, _ in refs] == [k for k in range(1, kmax + 1) for _ in Disk]
     # No target of k is alive when k + 1's targets are built, and neither
-    # a target nor the psi matrix when the first sweep builds.
+    # a target nor the psi matrix when the hexagon sweep builds its words.
     assert alive == {k: [] for k in range(1, kmax + 1)}
     assert sweeps == [([], [False])]
 
@@ -377,11 +377,21 @@ def test_verify_all_at_kmax_100_peaks_under_900_kb():
     assert int(result.stdout) < 900 * 1024
 
 
-def test_a_failed_bounded_words_build_fails_each_exhaustive_sweep(monkeypatch):
-    def failing(*args):
+@pytest.mark.parametrize(
+    "build, sweeps",
+    [
+        # Only the hexagon sweep builds the bounded words; both exhaustive
+        # sweeps piece words (the 10 random pairs hold no candidate to piece).
+        ("bounded_words", {"hexagon_exhaustive"}),
+        ("word_pieces", {"hexagon_exhaustive", "span_generators"}),
+    ],
+    ids=["bounded_words", "word_pieces"],
+)
+def test_a_failed_word_build_fails_each_sweep_that_makes_it(monkeypatch, build, sweeps):
+    def failing(*args, **kwargs):
         raise RuntimeError("planted")
 
-    monkeypatch.setattr(verify, "bounded_words", failing)
+    monkeypatch.setattr(verify, build, failing)
     psi_report, hexagon, span, main = verify_all(
         kmax=2, max_syllables=2, max_exponent=1, random_trials=10, seed=0, workers=1
     )
@@ -391,13 +401,8 @@ def test_a_failed_bounded_words_build_fails_each_exhaustive_sweep(monkeypatch):
         for check in report.checks
         if not check.passed
     }
-    assert failed == {
-        "hexagon_exhaustive": "RuntimeError: planted",
-        "span_generators": "RuntimeError: planted",
-    }
-    assert {"hexagon_exhaustive", "span_generators"} <= {
-        check.name for check in main.checks if not check.passed
-    }
+    assert failed == dict.fromkeys(sweeps, "RuntimeError: planted")
+    assert sweeps <= {check.name for check in main.checks if not check.passed}
 
 
 def test_psi_columns_read_both_witness_monomials(monkeypatch):
@@ -679,9 +684,12 @@ def test_a_planted_witness_fails_alike_at_one_and_two_workers(monkeypatch, suite
     assert one.details.startswith("psi_1(")
 
 
-def test_words_and_pieces_share_one_syllable_per_value():
+def test_words_and_pieces_share_one_syllable_per_value(monkeypatch):
+    tasks = []
+    monkeypatch.setattr(verify, "_hexagon_chunk", lambda task: tasks.append(task) or (0, []))
+    verify_hexagon_vanishing(kmax=1, max_syllables=3, max_exponent=3, random_trials=0)
+    [(words, pieces, *_)] = tasks
     # Two letters and four tagged letters, each at six exponents.
-    words, pieces = verify._words_and_pieces(3, 3, True)
     assert len({id(s) for word in words for s in word.syllables}) <= 12
     assert len({id(s) for four in pieces for run in four for s in run}) <= 24
     assert len(pieces) == len(words) == 1 + 12 + 12 * 6 + 12 * 6 * 6
@@ -715,17 +723,37 @@ def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
         kmax=2, max_syllables=2, max_exponent=2, random_trials=10, workers=1
     )
     assert all(report.overall == "pass" for report in reports)
-    # One build per verify_all, in the first check that needs it: the span
-    # sweep takes the hexagon sweep's words and pieces, identity included.
+    # The hexagon sweep builds the bounded words once and pieces each once.
     bounded = Counter(sweep for sweep, name, _ in calls if name == "bounded_words")
     assert bounded == {"hexagon_exhaustive": 1}
-    assert "span_generators" not in {where for where, _, _ in calls}
     pieced = [w for where, name, w in calls
               if where == "hexagon_exhaustive" and name == "word_pieces"]
     assert pieced and len(pieced) == len(set(pieced))
-    for _, task in tasks:
+    # The span chunk pieces each word of its candidate pairs once, and no other.
+    _, [(forced_a, forced_c)] = verify._psi_witnesses(2, barbell.T_POLY_FORMULAS)
+    candidates = {
+        w
+        for a, c in barbell.enumerate_admissible(2, 2)
+        if a.syllables in forced_a or c.syllables in forced_c
+        for w in (a, c)
+    }
+    pieced = [w for where, name, w in calls
+              if where == "span_generators" and name == "word_pieces"]
+    assert candidates and len(pieced) == len(set(pieced)) and set(pieced) == candidates
+
+    def fields(value):
+        if isinstance(value, (tuple, frozenset)):
+            for item in value:
+                yield from fields(item)
+        else:
+            yield value
+
+    for name, task in tasks:
         hash(task)
         assert pickle.loads(pickle.dumps(task)) == task
+        if name == "_span_chunk":
+            assert len(task) == 7
+            assert not any(isinstance(field, Word) for field in fields(task))
     ends = {
         name: [task[-2:] for chunk, task in tasks if chunk == name]
         for name in ("_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk")
