@@ -9,6 +9,7 @@ from .words import (
     WordSyntaxError,
     bounded_words,
     concat_words,
+    count_words,
     identity,
     invert,
     parse_word,

@@ -29,6 +29,7 @@ from .words import (
     Word,
     at_k,
     bounded_words,
+    count_words,
     parse_word,
 )
 
@@ -304,15 +305,14 @@ def enumerate_admissible(
 
 
 def count_admissible(max_syllables: int, max_exponent: int) -> int:
-    """Number of pairs enumerate_admissible yields, from the bounds: 2 * E^2.
+    """Number of pairs enumerate_admissible yields, from the bounds: W^2 / 2.
 
-    For each letter, E = sum of (2e)^n over n = 1..S words end in it and as
-    many begin with it; a pair picks a's last letter, a, then c beginning
-    with the other letter."""
+    Of the W = ``count_words`` nonidentity words, half end in each letter
+    and half begin with each; a pair picks a, then c beginning with the
+    letter a does not end in."""
     if max_syllables < 1 or max_exponent < 1:
         raise BarbellError("enumeration bounds must be at least 1")
-    ending = sum((2 * max_exponent) ** n for n in range(1, max_syllables + 1))
-    return 2 * ending * ending
+    return count_words(max_syllables, max_exponent) ** 2 // 2
 
 
 class SpanRecord(NamedTuple):

@@ -45,17 +45,17 @@ cap.  Each suite call builds psi(1..kmax)'s witness words once, from
 ``psi`` itself (``_witnesses``), and reads off their subscript
 projections (``_images``) the forced sets (below) of each sweep formula
 set it runs (``_psi_witnesses``), before any of its checks; it shares
-them with the psi matrix and every sweep, and the chunks get them in
-their tasks.  Like the symbolic results they are not cached across
-calls.  The hexagon sweep builds the bounded words and their
-``word_pieces`` and passes them in its tasks; a span chunk walks its
-range of admissible pairs itself and pieces only the words of its
-candidate pairs, each once.
+them with the psi matrix and every sweep.  Like the symbolic results
+they are not cached across calls.  A chunk task holds no word: it is
+the sweep's bounds, witnesses and forced sets, then the chunk's range.
+A hexagon chunk builds and pieces the bounded words, a span chunk walks
+its range of admissible pairs and pieces only its candidates' words.
 
 Bad inputs are refused there, in one way: a ValueError stops the suite
-call before any check runs.  ``_witnesses`` refuses a word that psi
-weighs at two k (every lookup by witness word assumes none is), and
-``_single_factor`` a shape that no projection forces.
+call before any check runs.  ``_require_bounds`` refuses a bound out of
+range, ``_witnesses`` a word that psi weighs at two k (every lookup by
+witness word assumes none is), and ``_single_factor`` a shape that no
+projection forces.
 
 Only the pairs a subscript projection cannot rule out reach ``_scan``.
 Every shape has a subscript whose factors are one factor x or x^-1, and
@@ -68,11 +68,12 @@ bounds (3, 3) and kmax 10 that leaves 6 172 of 267 289 hexagon pairs
 and 4 128 of 133 128 admissible pairs.
 A shape with no such subscript is refused, as above.  Each chunk
 counts its share from its bounds, so the reports read as if every pair
-were scanned; a span chunk refuses a walk that yields another count.
-A hexagon chunk takes a range of rows, row-major: a forced row takes
-every column, any other row the forced columns.  The random sweep draws
-runs from ``getrandbits`` as randint and choice would, and makes words
-and pieces only for candidate pairs.
+were scanned, and refuses a build that yields another count: a word
+list (``count_words``) or an admissible walk.  A hexagon chunk takes a
+range of rows, row-major: a forced row takes every column, any other
+row the forced columns.  The random sweep draws runs from
+``getrandbits`` as randint and choice would, and makes words and pieces
+only for candidate pairs.
 
 Reports serialize byte-identically from run to run: wall-clock timings
 stay in memory only.  A suite runs at most one worker per processor the
@@ -115,6 +116,7 @@ from .words import (
     AlphabetMismatchError,
     Word,
     bounded_words,
+    count_words,
     invert,
     project,
 )
@@ -226,11 +228,13 @@ def _run_tasks(fn: Callable, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
-def _sweep(chunk: Callable[[tuple], tuple[int, list[str]]], tasks: list, workers: int) -> int:
-    """The pairs a sweep's chunks checked; their violations, joined in task
-    order and cut to the cap, raise a CheckFailure."""
+def _sweep(chunk: Callable, head: tuple, ranges: Iterable[tuple], workers: int) -> int:
+    """The pairs a sweep's chunks checked, one chunk per task: the sweep's
+    ``head`` followed by one of ``ranges``.  Their violations, joined in
+    task order and cut to the cap, raise a CheckFailure."""
     checked = 0
     violations: list[str] = []
+    tasks = [(*head, *bounds) for bounds in ranges]
     for pairs, found in _run_tasks(chunk, tasks, workers):
         checked += pairs
         violations.extend(found)
@@ -244,6 +248,19 @@ Witnesses = tuple[tuple[Run, int, Fraction], ...]
 Images = dict[tuple[int, bool], frozenset[Run]]
 # Per variable of a sweep's formulas, the runs some witness word forces it to.
 Forced = tuple[frozenset[Run], ...]
+
+
+def _require_bounds(
+    kmax: int, max_syllables: int = 1, max_exponent: int = 1, random_trials: int = 0
+) -> None:
+    """Raise a ValueError naming the first bound out of range, before a
+    suite call builds anything: each bound must be at least 1, and
+    ``random_trials`` at least 0."""
+    bounds = (("kmax", kmax, 1), ("max_syllables", max_syllables, 1),
+              ("max_exponent", max_exponent, 1), ("random_trials", random_trials, 0))
+    for name, value, least in bounds:
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, not {value}")
 
 
 def _witnesses(kmax: int) -> Witnesses:
@@ -371,13 +388,18 @@ def _scan(
 
 
 def _hexagon_chunk(task: tuple) -> tuple[int, list[str]]:
+    max_syllables, max_exponent, witnesses, nus, mus, start, stop = task
+    words = bounded_words(max_syllables, max_exponent, include_identity=True)
+    if len(words) != (expected := count_words(max_syllables, max_exponent) + 1):
+        raise ValueError(f"the bounded words number {len(words)}, not {expected}")
+    pieces = [word_pieces(w) for w in words]
     # Rows [start, stop), row-major: a forced row takes every column, any other the forced ones.
-    words, pieces, rows, columns, witnesses, start, stop = task
     every = range(len(words))
+    columns = [j for j in every if words[j].syllables in mus]
     items = (
         (words[i], words[j], pieces[i] + pieces[j])
         for i in range(start, stop)
-        for j in (every if i in rows else columns)
+        for j in (every if words[i].syllables in nus else columns)
     )
     violations = _scan(HEXAGON_FORMULAS, ("H",), "H({1}, {2})", items, witnesses)
     return (stop - start) * len(words), violations
@@ -540,6 +562,7 @@ def _require_built(failures: dict[tuple[Disk, int], str], disk: Disk, k: int) ->
 
 def verify_psi_targets(kmax: int = 10) -> Report:
     """psi(k) takes value 1 on disk-1 targets, 3 on disk-2 targets, 0 across."""
+    _require_bounds(kmax)
     return _psi_targets(kmax, _target_family(kmax, _witnesses(kmax)))
 
 
@@ -596,6 +619,7 @@ def verify_hexagon_vanishing(
     workers: int = 1,
 ) -> Report:
     """psi(k) kills every hexagon relator, by enumeration and by structure."""
+    _require_bounds(kmax, max_syllables, max_exponent, random_trials)
     witnesses, [forced] = _psi_witnesses(kmax, HEXAGON_FORMULAS)
     return _hexagon_vanishing(
         witnesses, forced, kmax, max_syllables, max_exponent, random_trials, seed, workers
@@ -625,16 +649,9 @@ def _hexagon_vanishing(
     )
 
     def exhaustive() -> str:
-        words = tuple(bounded_words(max_syllables, max_exponent, include_identity=True))
-        pieces = tuple([word_pieces(w) for w in words])
-        nus, mus = forced
-        rows = frozenset(i for i, w in enumerate(words) if w.syllables in nus)
-        columns = tuple(j for j, w in enumerate(words) if w.syllables in mus)
-        tasks = [
-            (words, pieces, rows, columns, witnesses, start, stop)
-            for start, stop in _chunk_ranges(len(words), workers)
-        ]
-        checked = _sweep(_hexagon_chunk, tasks, workers)
+        rows = _chunk_ranges(count_words(max_syllables, max_exponent) + 1, workers)
+        checked = _sweep(_hexagon_chunk, (max_syllables, max_exponent, witnesses, *forced),
+                         rows, workers)
         return f"{checked} pairs (identity included) x k = 1..{kmax}: all zero"
 
     report.checks.append(
@@ -651,11 +668,9 @@ def _hexagon_vanishing(
     def randomized() -> str:
         random_syllables = max_syllables + 3
         random_exponent = max_exponent + 3
-        tasks = [
-            (random_syllables, random_exponent, forced, witnesses, seed, index, stop - start)
-            for index, (start, stop) in enumerate(_chunk_ranges(random_trials, _RANDOM_STREAMS))
-        ]
-        checked = _sweep(_hexagon_random_chunk, tasks, workers)
+        trials = (stop - start for start, stop in _chunk_ranges(random_trials, _RANDOM_STREAMS))
+        head = (random_syllables, random_exponent, forced, witnesses, seed)
+        checked = _sweep(_hexagon_random_chunk, head, enumerate(trials), workers)
         return (
             f"{checked} seeded random pairs at bounds "
             f"({random_syllables}, {random_exponent}): all zero"
@@ -699,6 +714,7 @@ def verify_span_vanishing(
     workers: int = 1,
 ) -> Report:
     """psi(k) kills every admissible-pair generator; the solution table checks out."""
+    _require_bounds(kmax, max_syllables, max_exponent)
     witnesses, [forced] = _psi_witnesses(kmax, T_POLY_FORMULAS)
     return _span_vanishing(witnesses, forced, kmax, max_syllables, max_exponent, workers)
 
@@ -714,21 +730,13 @@ def _span_vanishing(
     workers = min(workers, _usable_cpus())
     report = Report(
         "span-vanishing",
-        {
-            "kmax": kmax,
-            "max_syllables": max_syllables,
-            "max_exponent": max_exponent,
-        },
+        {"kmax": kmax, "max_syllables": max_syllables, "max_exponent": max_exponent},
     )
 
     def generators() -> str:
         total_pairs = count_admissible(max_syllables, max_exponent)
-        forced_a, forced_c = forced
-        tasks = [
-            (max_syllables, max_exponent, witnesses, forced_a, forced_c, start, stop)
-            for start, stop in _chunk_ranges(total_pairs, workers)
-        ]
-        checked = _sweep(_span_chunk, tasks, workers)
+        checked = _sweep(_span_chunk, (max_syllables, max_exponent, witnesses, *forced),
+                         _chunk_ranges(total_pairs, workers), workers)
         return (
             f"{total_pairs} admissible pairs, {checked} generators "
             f"(kinds {list(T_KINDS)}) x k = 1..{kmax}: all zero"
@@ -930,6 +938,7 @@ def verify_all(
     refused input stops the call before any work.  Main-theorem cites
     the hexagon and span checks run before it.
     """
+    _require_bounds(kmax, max_syllables, max_exponent, random_trials)
     witnesses, [hexagon_forced, span_forced] = _psi_witnesses(
         kmax, HEXAGON_FORMULAS, T_POLY_FORMULAS
     )

@@ -545,3 +545,11 @@ def bounded_words(
         level = next_level
     out.sort(key=Word.sort_key)
     return out
+
+
+def count_words(max_syllables: int, max_exponent: int) -> int:
+    """Number of the nonidentity words ``bounded_words`` returns: a word of n
+    syllables picks its first letter and n exponents, of 2 * max_exponent each."""
+    if max_syllables < 0 or max_exponent < 0:
+        raise WordError("bounds must be nonnegative")
+    return 2 * sum((2 * max_exponent) ** n for n in range(1, max_syllables + 1))

@@ -67,6 +67,19 @@ def test_admissible_count_is_the_enumeration_and_the_gate_closed_form(bench):
             assert count == closed_form(*bounds)
 
 
+def test_word_count_is_the_enumeration_and_the_gate_closed_form(bench):
+    closed_form = importlib.import_module("gate").bounded_word_count
+    for max_syllables in range(5):
+        for max_exponent in range(4):
+            bounds = max_syllables, max_exponent
+            count = words.count_words(*bounds)
+            assert count == len(words.bounded_words(*bounds))
+            assert count == closed_form(*bounds) - 1
+    for bounds in ((-1, 1), (1, -1)):
+        with pytest.raises(words.WordError):
+            words.count_words(*bounds)
+
+
 def test_the_traced_fallback_is_reachable(bench):
     # A wrapped name that resolves but is never called would read 0
     # forever.  solver.fallback times the solver's refusal, which a

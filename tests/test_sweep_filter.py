@@ -26,14 +26,14 @@ from barbellw3.barbell import (
     T_POLY_FORMULAS,
     enumerate_admissible,
 )
-from barbellw3.patterns import CompiledFormulas, parse_pattern
+from barbellw3.patterns import CompiledFormulas, parse_pattern, word_pieces
 from barbellw3.cli import main
 from barbellw3.verify import (
     verify_hexagon_vanishing,
     verify_main_theorem,
     verify_span_vanishing,
 )
-from barbellw3.words import bounded_words, parse_word
+from barbellw3.words import bounded_words, count_words, parse_word
 
 from oracles import brute_force_violations, naive_eval_pattern, random_word
 
@@ -223,33 +223,39 @@ def test_sweeps_scan_only_the_candidates_and_count_every_pair(monkeypatch):
     assert len(items) == 168
 
 
-@settings(max_examples=200, deadline=None)
+_FORCED_AT_2 = verify._psi_witnesses(2, HEXAGON_FORMULAS)[1][0]
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    st.integers(1, 9).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.frozensets(st.integers(0, n - 1)),
-            st.frozensets(st.integers(0, n - 1)),
+    st.sampled_from([(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)]).flatmap(
+        lambda bounds: st.tuples(
+            st.just(bounds),
+            st.frozensets(st.integers(0, count_words(*bounds))),
+            st.frozensets(st.integers(0, count_words(*bounds))),
             st.integers(1, 12),
         )
     )
 )
 def test_hexagon_rows_are_the_filtered_flat_grid(case):
-    # Word i stands for itself, and its pieces are (i,).
-    n, rows, columns, parts = case
+    # psi(1..2)'s forced sets, widened by random words, so rows of both kinds occur.
+    bounds, rows, columns, parts = case
+    words = bounded_words(*bounds, include_identity=True)
+    nus, mus = _FORCED_AT_2
+    nus = nus | {words[i].syllables for i in rows}
+    mus = mus | {words[j].syllables for j in columns}
     items, counts = [], []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "_scan", lambda *args: items.extend(args[3]) or [])
-        for start, stop in verify._chunk_ranges(n, parts):
-            task = (tuple(range(n)), tuple((i,) for i in range(n)), rows,
-                    tuple(sorted(columns)), (), start, stop)
-            counts.append(verify._hexagon_chunk(task)[0])
+        for start, stop in verify._chunk_ranges(len(words), parts):
+            counts.append(verify._hexagon_chunk((*bounds, (), nus, mus, start, stop))[0])
     expected = [
-        (i, j, (i, j)) for i, j in map(divmod, range(n * n), [n] * (n * n))
-        if i in rows or j in columns
+        (x, y, word_pieces(x) + word_pieces(y))
+        for x in words for y in words
+        if x.syllables in nus or y.syllables in mus
     ]
     assert items == expected
-    assert sum(counts) == n * n
+    assert sum(counts) == len(words) ** 2
 
 
 def test_random_words_are_the_randint_choice_draws():

@@ -35,7 +35,7 @@ from barbellw3.verify import (
     verify_span_vanishing,
 )
 from barbellw3.ring import RingElement
-from barbellw3.words import QUAD, K, Word, concat_words, parse_word
+from barbellw3.words import QUAD, K, Word, bounded_words, concat_words, parse_word
 
 
 def report_json(report):
@@ -655,6 +655,47 @@ def test_a_short_admissible_walk_fails_the_span_sweep(monkeypatch, pool_sizes, w
     )
 
 
+@pytest.mark.parametrize("workers, chunks", [(1, []), (3, [3])])
+def test_a_short_word_list_fails_the_hexagon_sweep(monkeypatch, pool_sizes, workers, chunks):
+    monkeypatch.setattr(verify, "bounded_words", lambda *bounds, **options: (
+        bounded_words(*bounds, **options)[:-1]
+    ))
+    report = verify_hexagon_vanishing(
+        kmax=2, max_syllables=2, max_exponent=2, random_trials=0, workers=workers
+    )
+    assert report.checks[0].status == "fail"
+    assert report.checks[0].details == "ValueError: the bounded words number 40, not 41"
+    assert pool_sizes == chunks
+
+
+@pytest.mark.parametrize("suite, bounds, refused", [
+    (verify_psi_targets, dict(kmax=0), "kmax must be at least 1, not 0"),
+    (verify_hexagon_vanishing, dict(kmax=1, max_syllables=0, max_exponent=1),
+     "max_syllables must be at least 1, not 0"),
+    (verify_hexagon_vanishing, dict(kmax=1, max_syllables=1, max_exponent=1, random_trials=-5),
+     "random_trials must be at least 0, not -5"),
+    (verify_span_vanishing, dict(kmax=1, max_syllables=1, max_exponent=0),
+     "max_exponent must be at least 1, not 0"),
+    (verify_main_theorem, dict(kmax=0, max_syllables=1, max_exponent=1),
+     "kmax must be at least 1, not 0"),
+    (verify_all, dict(kmax=0, max_syllables=1, max_exponent=1, random_trials=1),
+     "kmax must be at least 1, not 0"),
+    (verify_all, dict(kmax=1, max_syllables=0, max_exponent=1, random_trials=1),
+     "max_syllables must be at least 1, not 0"),
+    (verify_all, dict(kmax=1, max_syllables=1, max_exponent=-1, random_trials=1),
+     "max_exponent must be at least 1, not -1"),
+    (verify_all, dict(kmax=1, max_syllables=1, max_exponent=1, random_trials=-5),
+     "random_trials must be at least 0, not -5"),
+])
+def test_out_of_range_bounds_are_refused_before_any_check(monkeypatch, suite, bounds, refused):
+    ran = []
+    monkeypatch.setattr(verify, "_run_check", lambda name, *args: ran.append(name))
+    with pytest.raises(ValueError) as refusal:
+        suite(**bounds)
+    assert str(refusal.value) == refused
+    assert ran == []
+
+
 def planted_at(monkeypatch, word):
     """Make ``word`` the first witness monomial at k = 1."""
     real = barbell.monomials_m
@@ -685,10 +726,16 @@ def test_a_planted_witness_fails_alike_at_one_and_two_workers(monkeypatch, suite
 
 
 def test_words_and_pieces_share_one_syllable_per_value(monkeypatch):
-    tasks = []
-    monkeypatch.setattr(verify, "_hexagon_chunk", lambda task: tasks.append(task) or (0, []))
+    built = {"bounded_words": [], "word_pieces": []}  # what the hexagon chunk builds
+    for name, results in built.items():
+
+        def recorded(*args, original=getattr(verify, name), results=results, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(verify, name, recorded)
     verify_hexagon_vanishing(kmax=1, max_syllables=3, max_exponent=3, random_trials=0)
-    [(words, pieces, *_)] = tasks
+    [words], pieces = built["bounded_words"], built["word_pieces"]
     # Two letters and four tagged letters, each at six exponents.
     assert len({id(s) for word in words for s in word.syllables}) <= 12
     assert len({id(s) for four in pieces for run in four for s in run}) <= 24
@@ -723,7 +770,7 @@ def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
         kmax=2, max_syllables=2, max_exponent=2, random_trials=10, workers=1
     )
     assert all(report.overall == "pass" for report in reports)
-    # The hexagon sweep builds the bounded words once and pieces each once.
+    # At one worker the hexagon chunk builds the bounded words once and pieces each once.
     bounded = Counter(sweep for sweep, name, _ in calls if name == "bounded_words")
     assert bounded == {"hexagon_exhaustive": 1}
     pieced = [w for where, name, w in calls
@@ -748,12 +795,14 @@ def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
         else:
             yield value
 
-    for name, task in tasks:
+    # Every task is its sweep's one head, then its range, and holds no word.
+    for _, task in tasks:
         hash(task)
         assert pickle.loads(pickle.dumps(task)) == task
-        if name == "_span_chunk":
-            assert len(task) == 7
-            assert not any(isinstance(field, Word) for field in fields(task))
+        assert len(task) == 7
+        assert not any(isinstance(field, Word) for field in fields(task))
+    for name in ("_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk"):
+        assert len({task[:-2] for chunk, task in tasks if chunk == name}) == 1
     ends = {
         name: [task[-2:] for chunk, task in tasks if chunk == name]
         for name in ("_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk")
