@@ -39,17 +39,19 @@ between calls, and the per-call work counts must repeat from run to run.
 
 The three sweeps, ``hexagon_exhaustive``, ``hexagon_random`` and
 ``span_generators``, are one computation: ``_scan`` takes psi of a
-signed formula at each of a stream of word pairs, and ``_sweep`` runs a
-sweep's chunk tasks and joins their violations in task order, cut to the
-cap.  Each suite call builds psi(1..kmax)'s witness words once, from
+signed formula at each of a stream of word pairs, and ``_sweep`` cuts a
+sweep into chunk tasks, runs them and joins their violations in order,
+cut to the cap.  Each suite call builds psi(1..kmax)'s witness words once, from
 ``psi`` itself (``_witnesses``), and reads off their subscript
 projections (``_images``) the forced sets (below) of each sweep formula
 set it runs (``_psi_witnesses``), before any of its checks; it shares
 them with the psi matrix and every sweep.  Like the symbolic results
 they are not cached across calls.  A chunk task holds no word: it is
-the sweep's bounds, witnesses and forced sets, then the chunk's range.
-A hexagon chunk builds and pieces the bounded words, a span chunk walks
-its range of admissible pairs and pieces only its candidates' words.
+the sweep's bounds, witnesses and forced sets, the random sweep's seed
+and trial count, then the chunk's range.  A hexagon chunk builds and
+pieces the bounded words, a span chunk walks its range of admissible
+pairs and pieces its candidates' words, a random chunk draws its range
+of seeded streams.
 
 Bad inputs are refused there, in one way: a ValueError stops the suite
 call before any check runs.  ``_require_bounds`` refuses a bound out of
@@ -76,15 +78,14 @@ row the forced columns.  The random sweep draws runs from
 only for candidate pairs.
 
 Reports serialize byte-identically from run to run: wall-clock timings
-stay in memory only.  A suite runs at most one worker per processor the
-process may use (``_usable_cpus``).  Each exhaustive sweep is split into
-one contiguous range per worker, and each chunk keeps its first
-violations up to the cap, so the chunks joined in order give the whole
-scan's first ones for any split.  The random sweep draws from
-``_RANDOM_STREAMS`` seeded streams at any worker count, one task per
-stream.  The process pool, and the modules it needs, load only when a
-sweep runs with more than one worker and more than one task; it gets the
-tasks in one contiguous chunk per worker.
+stay in memory only.  ``_sweep`` runs at most one worker per processor
+the process may use (``_usable_cpus``) and cuts each sweep into one
+contiguous range per worker: of rows, of admissible pairs, or of the
+random sweep's ``_RANDOM_STREAMS`` seeded streams, whose number is fixed
+at any worker count.  Each chunk keeps its first violations up to the
+cap, so the chunks joined in order give the whole scan's first ones for
+any split.  The process pool, and the modules it needs, load only when a
+sweep has more than one task, one per worker.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ from .words import (
 )
 
 _VIOLATION_CAP = 10
-# The random sweep's seeded streams, one per chunk.  They decide which pairs
-# it draws: part of the report's definition, not a parallelism setting.
+# The random sweep's seeded streams.  They decide which pairs it draws:
+# part of the report's definition, not a parallelism setting.
 _RANDOM_STREAMS = 32
 
 
@@ -210,37 +211,26 @@ def _chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:]))
 
 
-def _run_tasks(fn: Callable, tasks: list, workers: int) -> list:
-    """fn on each task, in order, at up to ``workers`` processes.
+def _sweep(chunk: Callable, head: tuple, total: int, workers: int) -> int:
+    """The items a sweep's chunks checked.  [0, total) is cut into one
+    contiguous range per worker, at most one per usable processor, and
+    each chunk gets the sweep's ``head`` followed by its (start, stop).
+    The chunks' violations, joined in range order and cut to the cap,
+    raise a CheckFailure."""
+    ranges = _chunk_ranges(total, min(workers, _usable_cpus()))
+    tasks = [(*head, start, stop) for start, stop in ranges]
+    if len(tasks) > 1:
+        # Imported here, so that a serial run never loads the pool's modules.
+        from concurrent.futures import ProcessPoolExecutor
 
-    The pool gets the tasks in contiguous chunks, one per worker, so a
-    sweep with more tasks than workers (the random sweep's streams)
-    ships and collects one message per worker, not one per task.
-    """
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    # Imported here, so that a serial run never loads the pool's modules.
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunksize = -(-len(tasks) // workers)
-    # A forked pool starts all its workers at once: one per chunk.
-    with ProcessPoolExecutor(max_workers=-(-len(tasks) // chunksize)) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunksize))
-
-
-def _sweep(chunk: Callable, head: tuple, ranges: Iterable[tuple], workers: int) -> int:
-    """The pairs a sweep's chunks checked, one chunk per task: the sweep's
-    ``head`` followed by one of ``ranges``.  Their violations, joined in
-    task order and cut to the cap, raise a CheckFailure."""
-    checked = 0
-    violations: list[str] = []
-    tasks = [(*head, *bounds) for bounds in ranges]
-    for pairs, found in _run_tasks(chunk, tasks, workers):
-        checked += pairs
-        violations.extend(found)
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            results = list(pool.map(chunk, tasks))
+    else:
+        results = [chunk(task) for task in tasks]
+    violations = [line for _, found in results for line in found]
     if violations:
         raise CheckFailure("; ".join(violations[:_VIOLATION_CAP]))
-    return checked
+    return sum(checked for checked, _ in results)
 
 
 Witnesses = tuple[tuple[Run, int, Fraction], ...]
@@ -424,14 +414,17 @@ def _random_word(rng: random.Random, max_syllables: int, max_exponent: int) -> R
 
 
 def _hexagon_random_chunk(task: tuple) -> tuple[int, list[str]]:
-    max_syllables, max_exponent, (nus, mus), witnesses, seed, chunk_index, trials = task
-    rng = random.Random(f"{seed}:{chunk_index}")
-    # nu, then mu, from one stream of draws.
-    draws = (_random_word(rng, max_syllables, max_exponent) for _ in range(2 * trials))
+    max_syllables, max_exponent, witnesses, nus, mus, seed, trials, start, stop = task
+    # Streams [start, stop), in order, each drawing its share of the trials,
+    # nu then mu: an even number of words, so no pair spans two streams.
+    quotas = [last - first for first, last in _chunk_ranges(trials, _RANDOM_STREAMS)[start:stop]]
+    rngs = (random.Random(f"{seed}:{index}") for index in range(start, stop))
+    draws = (_random_word(rng, max_syllables, max_exponent)
+             for rng, quota in zip(rngs, quotas) for _ in range(2 * quota))
     pairs = ((nu, mu) for nu, mu in zip(draws, draws) if nu in nus or mu in mus)
     words = ((Word._raw(BASE, nu), Word._raw(BASE, mu)) for nu, mu in pairs)
     items = ((nu, mu, word_pieces(nu) + word_pieces(mu)) for nu, mu in words)
-    return trials, _scan(HEXAGON_FORMULAS, ("H",), "H({1}, {2})", items, witnesses)
+    return sum(quotas), _scan(HEXAGON_FORMULAS, ("H",), "H({1}, {2})", items, witnesses)
 
 
 def _span_chunk(task: tuple) -> tuple[int, list[str]]:
@@ -636,7 +629,6 @@ def _hexagon_vanishing(
     seed: int,
     workers: int,
 ) -> Report:
-    workers = min(workers, _usable_cpus())
     report = Report(
         "hexagon-vanishing",
         {
@@ -649,7 +641,7 @@ def _hexagon_vanishing(
     )
 
     def exhaustive() -> str:
-        rows = _chunk_ranges(count_words(max_syllables, max_exponent) + 1, workers)
+        rows = count_words(max_syllables, max_exponent) + 1
         checked = _sweep(_hexagon_chunk, (max_syllables, max_exponent, witnesses, *forced),
                          rows, workers)
         return f"{checked} pairs (identity included) x k = 1..{kmax}: all zero"
@@ -668,9 +660,8 @@ def _hexagon_vanishing(
     def randomized() -> str:
         random_syllables = max_syllables + 3
         random_exponent = max_exponent + 3
-        trials = (stop - start for start, stop in _chunk_ranges(random_trials, _RANDOM_STREAMS))
-        head = (random_syllables, random_exponent, forced, witnesses, seed)
-        checked = _sweep(_hexagon_random_chunk, head, enumerate(trials), workers)
+        head = (random_syllables, random_exponent, witnesses, *forced, seed, random_trials)
+        checked = _sweep(_hexagon_random_chunk, head, min(random_trials, _RANDOM_STREAMS), workers)
         return (
             f"{checked} seeded random pairs at bounds "
             f"({random_syllables}, {random_exponent}): all zero"
@@ -727,7 +718,6 @@ def _span_vanishing(
     max_exponent: int,
     workers: int,
 ) -> Report:
-    workers = min(workers, _usable_cpus())
     report = Report(
         "span-vanishing",
         {"kmax": kmax, "max_syllables": max_syllables, "max_exponent": max_exponent},
@@ -736,7 +726,7 @@ def _span_vanishing(
     def generators() -> str:
         total_pairs = count_admissible(max_syllables, max_exponent)
         checked = _sweep(_span_chunk, (max_syllables, max_exponent, witnesses, *forced),
-                         _chunk_ranges(total_pairs, workers), workers)
+                         total_pairs, workers)
         return (
             f"{total_pairs} admissible pairs, {checked} generators "
             f"(kinds {list(T_KINDS)}) x k = 1..{kmax}: all zero"

@@ -166,6 +166,9 @@ class Affine:
     def __hash__(self) -> int:
         return hash((self.a, self.b))
 
+    def __reduce__(self):  # __slots__ alone does not pickle at protocols 0 and 1
+        return (Affine, (self.a, self.b))
+
     def at(self, k: "Exponent") -> "Exponent":
         """The value at k, a positive int or another affine exponent."""
         return self.a + self.b * k
@@ -188,7 +191,7 @@ K = Affine(0, 1)
 class Word:
     """A reduced word.  Immutable; safe as a dict key."""
 
-    __slots__ = ("alphabet", "syllables", "_hash")
+    __slots__ = ("alphabet", "syllables")
 
     def __init__(self, alphabet: Alphabet, syllables: Iterable[Syllable] = ()):
         syls = tuple((letter, exp) for letter, exp in syllables)
@@ -208,9 +211,6 @@ class Word:
             previous = letter
         self.alphabet = alphabet
         self.syllables = syls
-        # The alphabets share no letter, so the syllables alone hash well;
-        # __eq__ still compares the alphabet (the two identities differ).
-        self._hash = hash(syls)
 
     @classmethod
     def _raw(cls, alphabet: Alphabet, syllables: tuple[Syllable, ...]) -> "Word":
@@ -218,12 +218,11 @@ class Word:
         w = object.__new__(cls)
         w.alphabet = alphabet
         w.syllables = syllables
-        w._hash = hash(syllables)
         return w
 
     def __reduce__(self):
-        # Pickled without its hash, which a process with another string
-        # hash seed, such as a spawned worker, computes afresh.
+        # A class with __slots__ and no __getstate__ does not pickle at
+        # protocols 0 and 1 without it.
         return (Word._raw, (self.alphabet, self.syllables))
 
     @property
@@ -249,14 +248,12 @@ class Word:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.alphabet is other.alphabet
-            and self.syllables == other.syllables
-        )
+        return self.alphabet is other.alphabet and self.syllables == other.syllables
 
     def __hash__(self) -> int:
-        return self._hash
+        # The alphabets share no letter, so the syllables alone hash well;
+        # __eq__ still compares the alphabet (the two identities differ).
+        return hash(self.syllables)
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
@@ -348,8 +345,8 @@ def equal_syllables(x: tuple[Syllable, ...], y: tuple[Syllable, ...]) -> bool:
     Runs equal syllable for syllable are equal at every k.  Otherwise
     they can be equal only at a k where their letters agree and every
     exponent difference vanishes, so the first difference is truth
-    tested, which records its root.  ``Word.__eq__`` compares hashes
-    first and would record nothing.
+    tested, which records its root.  ``Word.__eq__`` compares the runs
+    with ``==``, which tests no difference and would record nothing.
     """
     if x == y:
         return True

@@ -89,7 +89,7 @@ def randomized(trials=100, seed=0):
 
 
 def drawn_pairs(trials=100, seed=0, bounds=(4, 4)):
-    """The random sweep's pairs, redrawn chunk by chunk with the oracle's words."""
+    """The random sweep's pairs, redrawn stream by stream with the oracle's words."""
     pairs = []
     streams = verify._chunk_ranges(trials, verify._RANDOM_STREAMS)
     for index, (start, stop) in enumerate(streams):
@@ -256,6 +256,26 @@ def test_hexagon_rows_are_the_filtered_flat_grid(case):
     ]
     assert items == expected
     assert sum(counts) == len(words) ** 2
+
+
+@pytest.mark.parametrize("trials", [0, 1, 31, 32, 33, 1000])
+def test_random_chunks_joined_draw_each_stream_in_order(monkeypatch, trials):
+    drawn = []
+
+    def recorded(rng, *bounds, original=verify._random_word):
+        drawn.append(original(rng, *bounds))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "_random_word", recorded)
+    expected = [w.syllables for pair in drawn_pairs(trials, seed=7) for w in pair]
+    streams = min(trials, verify._RANDOM_STREAMS)
+    for parts in range(1, 7):
+        drawn.clear()
+        checked = [
+            verify._hexagon_random_chunk((4, 4, (), frozenset(), frozenset(), 7, trials, *cut))[0]
+            for cut in verify._chunk_ranges(streams, parts)
+        ]
+        assert (sum(checked), drawn) == (trials, expected), parts
 
 
 def test_random_words_are_the_randint_choice_draws():

@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -36,6 +37,8 @@ from barbellw3.verify import (
 )
 from barbellw3.ring import RingElement
 from barbellw3.words import QUAD, K, Word, bounded_words, concat_words, parse_word
+
+from oracles import brute_force_violations, naive_eval_pattern, random_word
 
 
 def report_json(report):
@@ -483,8 +486,8 @@ def test_k_specific_expansion_defect_fails_only_where_it_shows(monkeypatch):
     )
 
 
-# The chunksize of each map the pool_sizes fixture's pools ran.
-chunksizes: list[int] = []
+# The tasks of each map the pool_sizes fixture's pools ran.
+mapped: list[list[tuple]] = []
 
 
 @pytest.fixture
@@ -496,7 +499,7 @@ def pool_sizes(monkeypatch):
     """
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 1000)
     sizes = []
-    chunksizes.clear()
+    mapped.clear()
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -508,11 +511,11 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            chunksizes.append(chunksize)
-            return map(fn, tasks)
+        def map(self, fn, tasks):  # no chunksize: one task per worker
+            mapped.append(list(tasks))
+            return map(fn, mapped[-1])
 
-    # _run_tasks imports the pool where it opens one.
+    # _sweep imports the pool where it opens one.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
@@ -520,15 +523,14 @@ def pool_sizes(monkeypatch):
 def test_process_pool_is_no_larger_than_its_task_list(pool_sizes):
     kwargs = dict(kmax=1, max_syllables=1, max_exponent=1, random_trials=10, seed=0)
     pooled = verify_all(**kwargs, workers=500)
-    # 5 hexagon rows, 10 random trials and 8 admissible pairs, one per chunk.
+    # 5 hexagon rows, 10 random streams of one trial and 8 admissible pairs,
+    # one per chunk.
     assert pool_sizes == [5, 10, 8]
     serial = [report_json(r) for r in verify_all(**kwargs, workers=1)]
     assert [report_json(r) for r in pooled] == serial
     # A worker count below 1 runs serially: the same reports, no pool.
     assert [report_json(r) for r in verify_all(**kwargs, workers=0)] == serial
     assert pool_sizes == [5, 10, 8]
-    assert verify._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
-    assert pool_sizes[-1] == 2
 
 
 def test_workers_are_capped_at_the_usable_processors(monkeypatch, pool_sizes):
@@ -552,23 +554,22 @@ def test_workers_are_capped_at_the_usable_processors(monkeypatch, pool_sizes):
 
 def test_a_pool_gets_one_chunk_of_tasks_per_worker(pool_sizes):
     kwargs = dict(kmax=2, max_syllables=1, max_exponent=1, random_trials=100, seed=3)
-    pooled = verify_hexagon_vanishing(**kwargs, workers=2)
-    # 5 hexagon rows in two ranges, one task each; the 32 random streams
-    # in two chunks of 16.
-    assert pool_sizes == [2, 2]
-    assert chunksizes == [1, 16]
-    assert report_json(pooled) == report_json(verify_hexagon_vanishing(**kwargs, workers=1))
-    # Three workers take 11 + 11 + 10 tasks; ten take eight chunks of 4.
-    del pool_sizes[:], chunksizes[:]
-    assert verify._run_tasks(abs, list(range(-32, 0)), 3) == list(range(32, 0, -1))
-    assert verify._run_tasks(abs, list(range(-32, 0)), 10) == list(range(32, 0, -1))
-    assert (pool_sizes, chunksizes) == ([3, 8], [11, 4])
+    serial = [report_json(r) for r in verify_all(**kwargs, workers=1)]
+    assert pool_sizes == []
+    for workers, streams in ((2, [(0, 16), (16, 32)]), (3, [(0, 11), (11, 22), (22, 32)])):
+        del pool_sizes[:], mapped[:]
+        assert [report_json(r) for r in verify_all(**kwargs, workers=workers)] == serial
+        # The hexagon rows, the 32 random streams and the admissible pairs,
+        # each sweep in one task per worker.
+        assert pool_sizes == [len(tasks) for tasks in mapped] == [workers] * 3
+        assert [task[-2:] for task in mapped[1]] == streams
 
 
 @pytest.mark.parametrize("method", ["forkserver", "spawn"])
 def test_pools_that_do_not_fork_write_the_same_report(monkeypatch, method):
-    # Workers that start afresh import the chunk functions and unpickle
-    # their tasks' words under another string hash seed.
+    # Workers that start afresh import the chunk functions, and unpickle
+    # their tasks' witness runs and forced frozensets under another string
+    # hash seed.
     if verify._usable_cpus() < 2 or method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"needs 2 processors and the {method} start method")
     kwargs = dict(kmax=3, max_syllables=2, max_exponent=2, random_trials=200, seed=0)
@@ -623,6 +624,40 @@ def test_failing_reports_do_not_depend_on_the_split(monkeypatch, pool_sizes, pla
     assert len(found) == 1 + 2 + 3 and sum(map(bool, found[3:])) == 2
     assert sum(found[3:]) > verify._VIOLATION_CAP
     assert pool_sizes == [2, 3]
+
+
+def test_a_failing_random_sweep_reports_alike_at_any_worker_count(monkeypatch, pool_sizes):
+    # Twelve witness words, two per k, each the first hexagon term at a pair
+    # the random sweep draws, the pairs spread over its 32 streams.
+    trials, seed = 64, 5
+    pairs = []
+    for index, (start, stop) in enumerate(verify._chunk_ranges(trials, verify._RANDOM_STREAMS)):
+        rng = random.Random(f"{seed}:{index}")
+        pairs += [(random_word(rng, 4, 4), random_word(rng, 4, 4)) for _ in range(start, stop)]
+    shape = barbell.HEXAGON_FORMULAS.shapes[0]
+    planted = [naive_eval_pattern(shape, {"nu": nu, "mu": mu}) for nu, mu in pairs[::5]][:12]
+    assert len(set(planted)) == 12
+    monkeypatch.setattr(barbell, "monomials_m", lambda k: tuple(planted[2 * k - 2:2 * k]))
+    found = []  # violations per chunk, in task order
+
+    def counted(task, original=verify._hexagon_random_chunk):
+        checked, violations = original(task)
+        found.append(len(violations))
+        return checked, violations
+
+    monkeypatch.setattr(verify, "_hexagon_random_chunk", counted)
+    kwargs = dict(kmax=6, max_syllables=1, max_exponent=1, random_trials=trials, seed=seed)
+    details = {
+        workers: verify_hexagon_vanishing(**kwargs, workers=workers).checks[1].details
+        for workers in (1, 2, 3, 5)
+    }
+    assert len(set(details.values())) == 1
+    assert details[1].split("; ") == brute_force_violations(
+        barbell.HEXAGON_FORMULAS, ("H",), "H({1}, {2})", pairs, 6
+    )
+    # At five workers, two or more chunks find violations, more than the cap.
+    assert len(found) == 1 + 2 + 3 + 5 and sum(map(bool, found[6:])) >= 2
+    assert sum(found[6:]) > verify._VIOLATION_CAP
 
 
 def test_one_worker_enumerates_the_admissible_pairs_once(monkeypatch):
@@ -796,10 +831,10 @@ def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
             yield value
 
     # Every task is its sweep's one head, then its range, and holds no word.
-    for _, task in tasks:
+    for name, task in tasks:
         hash(task)
         assert pickle.loads(pickle.dumps(task)) == task
-        assert len(task) == 7
+        assert len(task) == (9 if name == "_hexagon_random_chunk" else 7)
         assert not any(isinstance(field, Word) for field in fields(task))
     for name in ("_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk"):
         assert len({task[:-2] for chunk, task in tasks if chunk == name}) == 1
@@ -807,14 +842,11 @@ def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
         name: [task[-2:] for chunk, task in tasks if chunk == name]
         for name in ("_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk")
     }
-    # One worker: one chunk per exhaustive sweep, and one per random stream.
-    # The hexagon sweep is cut into ranges of its 41 rows.
+    # One worker: one chunk per sweep, over its 41 hexagon rows, its
+    # admissible pairs, or the 10 streams that draw one pair each.
     assert ends["_hexagon_chunk"] == [(0, 41)]
     assert ends["_span_chunk"] == [(0, barbell.count_admissible(2, 2))]
-    streams = verify._chunk_ranges(10, verify._RANDOM_STREAMS)
-    assert ends["_hexagon_random_chunk"] == [
-        (index, stop - start) for index, (start, stop) in enumerate(streams)
-    ]
+    assert ends["_hexagon_random_chunk"] == [(0, 10)]
 
 
 def test_serial_run_loads_neither_the_process_pool_nor_dataclasses():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -332,10 +333,22 @@ def test_bounded_words_identity_flag_and_counts():
     assert len(without) == 4 + 8
 
 
+def test_a_word_pickles_at_every_protocol():
+    # Word and Affine define __slots__, which pickles at protocols 0 and 1
+    # only through their __reduce__.
+    words = (parse_word("t u^-2 t^3"), Word(QUAD, [("t_1", K), ("u_3", Affine(1, -2))]),
+             identity(QUAD))
+    for word in words:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            loaded = pickle.loads(pickle.dumps(word, protocol))
+            assert loaded == word and hash(loaded) == hash(word), protocol
+            assert loaded.alphabet is word.alphabet
+
+
 def test_a_pickled_word_hashes_afresh_where_it_is_loaded():
-    # Sweep tasks carry words to worker processes, whose string hash seed
-    # can differ (a spawned worker): a word loaded there must still equal,
-    # and find, the same word built there.
+    # A process that loads a pickled word can have another string hash seed
+    # (a spawned worker): the word loaded there must still equal, and find,
+    # the same word built there.
     src = str(Path(barbellw3.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
