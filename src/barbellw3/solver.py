@@ -101,9 +101,7 @@ def _product(
     return concat_words(pieces, BASE)
 
 
-def _solve_system(
-    equations: list[tuple[Factors, Word]], known: dict[str, Word]
-) -> dict[str, Word] | None:
+def _solve_system(equations: list[tuple[Factors, Word]]) -> dict[str, Word] | None:
     """The one assignment satisfying every equation, or None when an
     equation with no unknowns fails.
 
@@ -113,7 +111,7 @@ def _solve_system(
     unknown occurrence.
     """
     pending = list(equations)
-    known = dict(known)
+    known: dict[str, Word] = {}
     while pending:
         remaining = []
         for factors, rhs in pending:
@@ -167,7 +165,7 @@ def solve(pattern: Pattern, target: Word) -> tuple[Solution, ...]:
     if target.alphabet is not QUAD:
         raise SolveError("the target must be a word over the four-letter alphabet")
     equations = [(pattern.projection(tag), project(target, tag)) for tag in (1, 3)]
-    assignment = _solve_system(equations, {})
+    assignment = _solve_system(equations)
     if (
         assignment is None
         or any(word.is_identity for word in assignment.values())

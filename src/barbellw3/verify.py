@@ -47,11 +47,11 @@ projections (``_images``) the forced sets (below) of each sweep formula
 set it runs (``_psi_witnesses``), before any of its checks; it shares
 them with the psi matrix and every sweep.  Like the symbolic results
 they are not cached across calls.  A chunk task holds no word: it is
-the sweep's bounds, witnesses and forced sets, the random sweep's seed
-and trial count, then the chunk's range.  A hexagon chunk builds and
-pieces the bounded words, a span chunk walks its range of admissible
-pairs and pieces its candidates' words, a random chunk draws its range
-of seeded streams.
+the sweep's bounds, witnesses and forced sets, the random sweep's seed,
+then the chunk's range.  A hexagon chunk builds and pieces the bounded
+words, a span chunk walks its range of admissible pairs and pieces its
+candidates' words, and the random sweep's one chunk draws its pairs
+from one seeded stream.
 
 Bad inputs are refused there, in one way: a ValueError stops the suite
 call before any check runs.  ``_require_bounds`` refuses a bound out of
@@ -79,13 +79,15 @@ only for candidate pairs.
 
 Reports serialize byte-identically from run to run: wall-clock timings
 stay in memory only.  ``_sweep`` runs at most one worker per processor
-the process may use (``_usable_cpus``) and cuts each sweep into one
-contiguous range per worker: of rows, of admissible pairs, or of the
-random sweep's ``_RANDOM_STREAMS`` seeded streams, whose number is fixed
-at any worker count.  Each chunk keeps its first violations up to the
-cap, so the chunks joined in order give the whole scan's first ones for
-any split.  The process pool, and the modules it needs, load only when a
-sweep has more than one task, one per worker.
+the process may use (``_usable_cpus``) and cuts each exhaustive sweep
+into one contiguous range per worker, of rows or of admissible pairs.
+Each chunk keeps its first violations up to the cap, so the chunks
+joined in order give the whole scan's first ones for any split.  The
+random sweep is drawn in process at any worker count, as one chunk of
+all its trials from one stream, ``random.Random(f"{seed}:0")``: the
+pairs it draws are part of the report's definition.  The process pool,
+and the modules it needs, load only when a sweep has more than one
+task, one per worker.
 """
 
 from __future__ import annotations
@@ -123,9 +125,6 @@ from .words import (
 )
 
 _VIOLATION_CAP = 10
-# The random sweep's seeded streams.  They decide which pairs it draws:
-# part of the report's definition, not a parallelism setting.
-_RANDOM_STREAMS = 32
 
 
 class CheckFailure(Exception):
@@ -333,7 +332,6 @@ def _forced(formulas: CompiledFormulas, images: Images) -> Forced:
 
 def _scan(
     formulas: CompiledFormulas,
-    keys: tuple,
     label: str,
     items: Iterable[tuple[Word, Word, tuple[Run, ...]]],
     witnesses: Witnesses,
@@ -345,20 +343,19 @@ def _scan(
     settled by projection, with no violation, so each chunk counts its
     pairs from its bounds.  Every shape is evaluated once per item, and
     only where some shape is a witness word are the signed weights of
-    each formula in ``keys`` summed, per k.  A nonzero sum is reported as
+    each formula summed, per k.  A nonzero sum is reported as
     psi_k(label) = sum, ``label`` formatted with (key, x, y), in item, key
     and k order.
     """
     weights = {run: (k, weight) for run, k, weight in witnesses}
     misses = weights.keys().isdisjoint
     evaluate = formulas.evaluate
-    terms = [(key, formulas.terms[key]) for key in keys]
     violations: list[str] = []
     for x, y, pieces in items:
         values = evaluate(pieces)
         if misses(values):
             continue
-        for key, signed in terms:
+        for key, signed in formulas.terms.items():
             sums: dict[int, Fraction] = {}
             for sign, shape in signed:
                 hit = weights.get(values[shape])
@@ -391,7 +388,7 @@ def _hexagon_chunk(task: tuple) -> tuple[int, list[str]]:
         for i in range(start, stop)
         for j in (every if words[i].syllables in nus else columns)
     )
-    violations = _scan(HEXAGON_FORMULAS, ("H",), "H({1}, {2})", items, witnesses)
+    violations = _scan(HEXAGON_FORMULAS, "H({1}, {2})", items, witnesses)
     return (stop - start) * len(words), violations
 
 
@@ -414,17 +411,14 @@ def _random_word(rng: random.Random, max_syllables: int, max_exponent: int) -> R
 
 
 def _hexagon_random_chunk(task: tuple) -> tuple[int, list[str]]:
-    max_syllables, max_exponent, witnesses, nus, mus, seed, trials, start, stop = task
-    # Streams [start, stop), in order, each drawing its share of the trials,
-    # nu then mu: an even number of words, so no pair spans two streams.
-    quotas = [last - first for first, last in _chunk_ranges(trials, _RANDOM_STREAMS)[start:stop]]
-    rngs = (random.Random(f"{seed}:{index}") for index in range(start, stop))
-    draws = (_random_word(rng, max_syllables, max_exponent)
-             for rng, quota in zip(rngs, quotas) for _ in range(2 * quota))
+    max_syllables, max_exponent, witnesses, nus, mus, seed, start, stop = task
+    # stop - start pairs, nu then mu, from the start of the one stream.
+    rng = random.Random(f"{seed}:0")
+    draws = (_random_word(rng, max_syllables, max_exponent) for _ in range(2 * (stop - start)))
     pairs = ((nu, mu) for nu, mu in zip(draws, draws) if nu in nus or mu in mus)
     words = ((Word._raw(BASE, nu), Word._raw(BASE, mu)) for nu, mu in pairs)
     items = ((nu, mu, word_pieces(nu) + word_pieces(mu)) for nu, mu in words)
-    return sum(quotas), _scan(HEXAGON_FORMULAS, ("H",), "H({1}, {2})", items, witnesses)
+    return stop - start, _scan(HEXAGON_FORMULAS, "H({1}, {2})", items, witnesses)
 
 
 def _span_chunk(task: tuple) -> tuple[int, list[str]]:
@@ -438,7 +432,7 @@ def _span_chunk(task: tuple) -> tuple[int, list[str]]:
         (a, c, pieced(a) + pieced(c))
         for (a, c), _ in pairs if a.syllables in forced_a or c.syllables in forced_c
     )
-    violations = _scan(T_POLY_FORMULAS, T_KINDS, "t_poly({0}, {1}, {2})", items, witnesses)
+    violations = _scan(T_POLY_FORMULAS, "t_poly({0}, {1}, {2})", items, witnesses)
     taken = next(walked)
     if taken != stop - start:
         raise ValueError(f"the admissible enumeration yielded {taken} pairs in "
@@ -660,8 +654,9 @@ def _hexagon_vanishing(
     def randomized() -> str:
         random_syllables = max_syllables + 3
         random_exponent = max_exponent + 3
-        head = (random_syllables, random_exponent, witnesses, *forced, seed, random_trials)
-        checked = _sweep(_hexagon_random_chunk, head, min(random_trials, _RANDOM_STREAMS), workers)
+        head = (random_syllables, random_exponent, witnesses, *forced, seed)
+        # One worker: one task, in process; a split stream would draw other pairs.
+        checked = _sweep(_hexagon_random_chunk, head, random_trials, 1)
         return (
             f"{checked} seeded random pairs at bounds "
             f"({random_syllables}, {random_exponent}): all zero"

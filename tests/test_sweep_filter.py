@@ -54,10 +54,10 @@ def scanned(monkeypatch) -> list:
     items = []
     original = verify._scan
 
-    def recording(formulas, keys, label, chunk_items, witnesses):
+    def recording(formulas, label, chunk_items, witnesses):
         chunk_items = list(chunk_items)
         items.extend(chunk_items)
-        return original(formulas, keys, label, chunk_items, witnesses)
+        return original(formulas, label, chunk_items, witnesses)
 
     monkeypatch.setattr(verify, "_scan", recording)
     return items
@@ -89,14 +89,9 @@ def randomized(trials=100, seed=0):
 
 
 def drawn_pairs(trials=100, seed=0, bounds=(4, 4)):
-    """The random sweep's pairs, redrawn stream by stream with the oracle's words."""
-    pairs = []
-    streams = verify._chunk_ranges(trials, verify._RANDOM_STREAMS)
-    for index, (start, stop) in enumerate(streams):
-        rng = random.Random(f"{seed}:{index}")
-        for _ in range(stop - start):
-            pairs.append((random_word(rng, *bounds), random_word(rng, *bounds)))
-    return pairs
+    """The random sweep's pairs, redrawn from its one stream with the oracle's words."""
+    rng = random.Random(f"{seed}:0")
+    return [(random_word(rng, *bounds), random_word(rng, *bounds)) for _ in range(trials)]
 
 
 def span(kmax=2, max_syllables=2, max_exponent=1):
@@ -246,7 +241,7 @@ def test_hexagon_rows_are_the_filtered_flat_grid(case):
     mus = mus | {words[j].syllables for j in columns}
     items, counts = [], []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "_scan", lambda *args: items.extend(args[3]) or [])
+        patch.setattr(verify, "_scan", lambda *args: items.extend(args[2]) or [])
         for start, stop in verify._chunk_ranges(len(words), parts):
             counts.append(verify._hexagon_chunk((*bounds, (), nus, mus, start, stop))[0])
     expected = [
@@ -259,7 +254,7 @@ def test_hexagon_rows_are_the_filtered_flat_grid(case):
 
 
 @pytest.mark.parametrize("trials", [0, 1, 31, 32, 33, 1000])
-def test_random_chunks_joined_draw_each_stream_in_order(monkeypatch, trials):
+def test_the_random_chunk_draws_its_pairs_from_one_stream(monkeypatch, trials):
     drawn = []
 
     def recorded(rng, *bounds, original=verify._random_word):
@@ -267,15 +262,10 @@ def test_random_chunks_joined_draw_each_stream_in_order(monkeypatch, trials):
         return drawn[-1]
 
     monkeypatch.setattr(verify, "_random_word", recorded)
-    expected = [w.syllables for pair in drawn_pairs(trials, seed=7) for w in pair]
-    streams = min(trials, verify._RANDOM_STREAMS)
-    for parts in range(1, 7):
-        drawn.clear()
-        checked = [
-            verify._hexagon_random_chunk((4, 4, (), frozenset(), frozenset(), 7, trials, *cut))[0]
-            for cut in verify._chunk_ranges(streams, parts)
-        ]
-        assert (sum(checked), drawn) == (trials, expected), parts
+    checked, _ = verify._hexagon_random_chunk((4, 4, (), frozenset(), frozenset(), 7, 0, trials))
+    expected = [(nu.syllables, mu.syllables) for nu, mu in drawn_pairs(trials, seed=7)]
+    assert (checked, list(zip(drawn[::2], drawn[1::2]))) == (trials, expected)
+    assert len(drawn) == 2 * trials
 
 
 def test_random_words_are_the_randint_choice_draws():

@@ -383,10 +383,10 @@ def test_verify_all_at_kmax_100_peaks_under_900_kb():
 @pytest.mark.parametrize(
     "build, sweeps",
     [
-        # Only the hexagon sweep builds the bounded words; both exhaustive
-        # sweeps piece words (the 10 random pairs hold no candidate to piece).
+        # Only the hexagon sweep builds the bounded words; every sweep
+        # pieces words (the 10 random pairs hold a candidate to piece).
         ("bounded_words", {"hexagon_exhaustive"}),
-        ("word_pieces", {"hexagon_exhaustive", "span_generators"}),
+        ("word_pieces", {"hexagon_exhaustive", "hexagon_random", "span_generators"}),
     ],
     ids=["bounded_words", "word_pieces"],
 )
@@ -405,7 +405,8 @@ def test_a_failed_word_build_fails_each_sweep_that_makes_it(monkeypatch, build, 
         if not check.passed
     }
     assert failed == dict.fromkeys(sweeps, "RuntimeError: planted")
-    assert sweeps <= {check.name for check in main.checks if not check.passed}
+    # Main-theorem cites the exhaustive sweeps, not the random one.
+    assert sweeps - {"hexagon_random"} <= {check.name for check in main.checks if not check.passed}
 
 
 def test_psi_columns_read_both_witness_monomials(monkeypatch):
@@ -523,14 +524,14 @@ def pool_sizes(monkeypatch):
 def test_process_pool_is_no_larger_than_its_task_list(pool_sizes):
     kwargs = dict(kmax=1, max_syllables=1, max_exponent=1, random_trials=10, seed=0)
     pooled = verify_all(**kwargs, workers=500)
-    # 5 hexagon rows, 10 random streams of one trial and 8 admissible pairs,
-    # one per chunk.
-    assert pool_sizes == [5, 10, 8]
+    # 5 hexagon rows and 8 admissible pairs, one per chunk; the random
+    # sweep is drawn in process.
+    assert pool_sizes == [5, 8]
     serial = [report_json(r) for r in verify_all(**kwargs, workers=1)]
     assert [report_json(r) for r in pooled] == serial
     # A worker count below 1 runs serially: the same reports, no pool.
     assert [report_json(r) for r in verify_all(**kwargs, workers=0)] == serial
-    assert pool_sizes == [5, 10, 8]
+    assert pool_sizes == [5, 8]
 
 
 def test_workers_are_capped_at_the_usable_processors(monkeypatch, pool_sizes):
@@ -544,25 +545,34 @@ def test_workers_are_capped_at_the_usable_processors(monkeypatch, pool_sizes):
     monkeypatch.setattr(verify, "_span_chunk", counted)
     kwargs = dict(kmax=1, max_syllables=1, max_exponent=1, random_trials=10, seed=0)
     capped = verify_all(**kwargs, workers=10**6)
-    # Hexagon rows, random streams and the 8 admissible pairs, each in
-    # two: one range per processor, not per worker asked for.
-    assert pool_sizes == [2, 2, 2]
+    # Hexagon rows and the 8 admissible pairs, each in two: one range per
+    # processor, not per worker asked for.
+    assert pool_sizes == [2, 2]
     assert ranges == [(0, 4), (4, 8)]
     serial = verify_all(**kwargs, workers=1)
     assert [report_json(r) for r in capped] == [report_json(r) for r in serial]
 
 
-def test_a_pool_gets_one_chunk_of_tasks_per_worker(pool_sizes):
+def test_a_pool_gets_one_chunk_of_tasks_per_worker(monkeypatch, pool_sizes):
+    random_tasks = []
+
+    def counted(task, original=verify._hexagon_random_chunk):
+        random_tasks.append(task)
+        return original(task)
+
+    monkeypatch.setattr(verify, "_hexagon_random_chunk", counted)
     kwargs = dict(kmax=2, max_syllables=1, max_exponent=1, random_trials=100, seed=3)
     serial = [report_json(r) for r in verify_all(**kwargs, workers=1)]
     assert pool_sizes == []
-    for workers, streams in ((2, [(0, 16), (16, 32)]), (3, [(0, 11), (11, 22), (22, 32)])):
-        del pool_sizes[:], mapped[:]
+    for workers in (2, 3):
+        del pool_sizes[:], mapped[:], random_tasks[:]
         assert [report_json(r) for r in verify_all(**kwargs, workers=workers)] == serial
-        # The hexagon rows, the 32 random streams and the admissible pairs,
-        # each sweep in one task per worker.
-        assert pool_sizes == [len(tasks) for tasks in mapped] == [workers] * 3
-        assert [task[-2:] for task in mapped[1]] == streams
+        # Two pools, each sweep in one task per worker: the 5 hexagon rows,
+        # then the 8 admissible pairs.
+        assert pool_sizes == [len(tasks) for tasks in mapped] == [workers] * 2
+        assert [tasks[-1][-1] for tasks in mapped] == [5, 8]
+        # The random sweep is one task, drawn in process, of all its trials.
+        assert [task[-2:] for task in random_tasks] == [(0, 100)]
 
 
 @pytest.mark.parametrize("method", ["forkserver", "spawn"])
@@ -628,12 +638,10 @@ def test_failing_reports_do_not_depend_on_the_split(monkeypatch, pool_sizes, pla
 
 def test_a_failing_random_sweep_reports_alike_at_any_worker_count(monkeypatch, pool_sizes):
     # Twelve witness words, two per k, each the first hexagon term at a pair
-    # the random sweep draws, the pairs spread over its 32 streams.
+    # the random sweep draws from its one stream.
     trials, seed = 64, 5
-    pairs = []
-    for index, (start, stop) in enumerate(verify._chunk_ranges(trials, verify._RANDOM_STREAMS)):
-        rng = random.Random(f"{seed}:{index}")
-        pairs += [(random_word(rng, 4, 4), random_word(rng, 4, 4)) for _ in range(start, stop)]
+    rng = random.Random(f"{seed}:0")
+    pairs = [(random_word(rng, 4, 4), random_word(rng, 4, 4)) for _ in range(trials)]
     shape = barbell.HEXAGON_FORMULAS.shapes[0]
     planted = [naive_eval_pattern(shape, {"nu": nu, "mu": mu}) for nu, mu in pairs[::5]][:12]
     assert len(set(planted)) == 12
@@ -655,9 +663,10 @@ def test_a_failing_random_sweep_reports_alike_at_any_worker_count(monkeypatch, p
     assert details[1].split("; ") == brute_force_violations(
         barbell.HEXAGON_FORMULAS, ("H",), "H({1}, {2})", pairs, 6
     )
-    # At five workers, two or more chunks find violations, more than the cap.
-    assert len(found) == 1 + 2 + 3 + 5 and sum(map(bool, found[6:])) >= 2
-    assert sum(found[6:]) > verify._VIOLATION_CAP
+    # At every worker count the sweep is one chunk, which stops at the cap,
+    # and only the exhaustive sweep opens a pool.
+    assert found == [verify._VIOLATION_CAP] * 4
+    assert pool_sizes == [2, 3, 5]
 
 
 def test_one_worker_enumerates_the_admissible_pairs_once(monkeypatch):
@@ -834,7 +843,7 @@ def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
     for name, task in tasks:
         hash(task)
         assert pickle.loads(pickle.dumps(task)) == task
-        assert len(task) == (9 if name == "_hexagon_random_chunk" else 7)
+        assert len(task) == (8 if name == "_hexagon_random_chunk" else 7)
         assert not any(isinstance(field, Word) for field in fields(task))
     for name in ("_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk"):
         assert len({task[:-2] for chunk, task in tasks if chunk == name}) == 1
@@ -843,7 +852,7 @@ def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
         for name in ("_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk")
     }
     # One worker: one chunk per sweep, over its 41 hexagon rows, its
-    # admissible pairs, or the 10 streams that draw one pair each.
+    # admissible pairs, or its 10 random trials.
     assert ends["_hexagon_chunk"] == [(0, 41)]
     assert ends["_span_chunk"] == [(0, barbell.count_admissible(2, 2))]
     assert ends["_hexagon_random_chunk"] == [(0, 10)]
