@@ -283,7 +283,6 @@ def _table_documents(rows: list[TableRow]) -> list[dict]:
             "appears_in": list(row.appears_in),
             "m1_solution": {"a": str(row.m1_solution[0]), "c": str(row.m1_solution[1])},
             "m2_solution": {"a": str(row.m2_solution[0]), "c": str(row.m2_solution[1])},
-            "admissible": row.admissible,
         }
         for row in rows
     ]

@@ -222,7 +222,6 @@ class TableRow(NamedTuple):
     appears_in: tuple[int, ...]
     m1_solution: tuple[Word, Word]
     m2_solution: tuple[Word, Word]
-    admissible: bool
 
 
 def regenerate_table(k: Exponent) -> list[TableRow]:
@@ -244,7 +243,7 @@ def regenerate_table(k: Exponent) -> list[TableRow]:
                 f"pattern {pattern}: a solution at k={k} is admissible, "
                 "contradicting the table"
             )
-        rows.append(TableRow(pattern, appears_in, pair1, pair2, False))
+        rows.append(TableRow(pattern, appears_in, pair1, pair2))
     return rows
 
 

@@ -31,21 +31,23 @@ by the same runner: once per disk at k = K, comparing the two
 constructions as formal sums with affine exponents, then instantiated
 at each k outside E.  Instantiation
 reduces a word again only where an exponent vanishes (``words.at_k``),
-and psi(1..kmax) is read on the targets through one index from witness
-word to (k, weight) (``_psi_column``); each disk's psi matrix is held
-once, as rows of its nonzero entries only.  The symbolic results are not
+and psi(1..kmax) is read on the targets by ``_psi``, through one index
+from witness word to (k, weight); each disk's psi matrix is held once,
+as rows of its nonzero entries only.  The symbolic results are not
 cached across calls: the planted-defect tests replace the tables
 between calls, and the per-call work counts must repeat from run to run.
 
 The three sweeps, ``hexagon_exhaustive``, ``hexagon_random`` and
-``span_generators``, are one computation: ``_scan`` takes psi of a
-signed formula at each of a stream of word pairs, and ``_sweep`` cuts a
-sweep into chunk tasks, runs them and joins their violations in order,
-cut to the cap.  Each suite call builds psi(1..kmax)'s witness words once, from
-``psi`` itself (``_witnesses``), and reads off their subscript
-projections (``_images``) the forced sets (below) of each sweep formula
-set it runs (``_psi_witnesses``), before any of its checks; it shares
-them with the psi matrix and every sweep.  Like the symbolic results
+``span_generators``, are one computation: ``_scan`` reads psi of each
+formula's coefficients at each of a stream of word pairs, and ``_sweep``
+cuts a sweep into chunk tasks, runs them and joins their violations in
+order, cut to the cap.  The sweeps and the targets read psi of a formal
+sum through one function, ``_psi``.  Each suite call builds
+psi(1..kmax)'s witness words once, from ``psi`` itself
+(``_witnesses``), and reads off their subscript projections
+(``_images``) the forced sets (below) of each sweep formula set it runs
+(``_psi_witnesses``), before any of its checks; it shares them with the
+psi matrix and every sweep.  Like the symbolic results
 they are not cached across calls.  A chunk task holds no word: it is
 the sweep's bounds, witnesses and forced sets, the random sweep's seed,
 then the chunk's range.  A hexagon chunk builds and pieces the bounded
@@ -330,6 +332,22 @@ def _forced(formulas: CompiledFormulas, images: Images) -> Forced:
     return tuple(frozenset(forced[var]) for var in formulas.variables)
 
 
+def _psi(
+    terms: Iterable[tuple[Run, object]], index: dict[Run, tuple[int, Fraction]]
+) -> dict[int, Fraction]:
+    """psi_k of a formal sum, given as (run, coefficient) pairs, for each k
+    of ``index``, the map from each witness word to its (k, weight);
+    nonzero values only.  m1(k) and m2(k) can both be terms, so the
+    products of one k are summed."""
+    sums: dict[int, Fraction] = {}
+    for run, coefficient in terms:
+        hit = index.get(run)
+        if hit:
+            k, weight = hit
+            sums[k] = sums.get(k, 0) + weight * coefficient
+    return {k: q for k, q in sums.items() if q}
+
+
 def _scan(
     formulas: CompiledFormulas,
     label: str,
@@ -342,28 +360,23 @@ def _scan(
     only the pairs that ``_forced`` cannot rule out; every other pair is
     settled by projection, with no violation, so each chunk counts its
     pairs from its bounds.  Every shape is evaluated once per item, and
-    only where some shape is a witness word are the signed weights of
-    each formula summed, per k.  A nonzero sum is reported as
-    psi_k(label) = sum, ``label`` formatted with (key, x, y), in item, key
-    and k order.
+    only where some shape is a witness word is each formula read, as
+    its ``coefficients``, through ``_psi``.  A nonzero psi_k is reported
+    as psi_k(label) = value, ``label`` formatted with (key, x, y), in
+    item, key and k order.
     """
     weights = {run: (k, weight) for run, k, weight in witnesses}
     misses = weights.keys().isdisjoint
-    evaluate = formulas.evaluate
+    evaluate, coefficients = formulas.evaluate, formulas.coefficients
     violations: list[str] = []
     for x, y, pieces in items:
         values = evaluate(pieces)
         if misses(values):
             continue
-        for key, signed in formulas.terms.items():
-            sums: dict[int, Fraction] = {}
-            for sign, shape in signed:
-                hit = weights.get(values[shape])
-                if hit:
-                    k, weight = hit
-                    sums[k] = sums.get(k, 0) + sign * weight
+        for key in formulas.terms:
+            sums = _psi(coefficients(key, values).items(), weights)
             for k in sorted(sums):
-                if sums[k] and len(violations) < _VIOLATION_CAP:
+                if len(violations) < _VIOLATION_CAP:
                     violations.append(f"psi_{k}({label.format(key, x, y)}) = {sums[k]}")
     return violations
 
@@ -480,32 +493,12 @@ _Family = tuple[
 ]
 
 
-def _psi_column(
-    value: RingElement, hits: dict[Run, tuple[int, Fraction]]
-) -> dict[int, Fraction]:
-    """psi(1..kmax) on one target, as index k - 1 -> value, nonzero values
-    only, read through ``hits``, the index from each witness word to its
-    (k - 1, weight), so it costs the target's own terms only."""
-    if value.alphabet is not QUAD:
-        raise AlphabetMismatchError(
-            "cannot evaluate a functional on an element over another alphabet"
-        )
-    # m1 and m2 of one k can both be terms, so a k's products are summed.
-    column: dict[int, Fraction] = {}
-    for word, coefficient in value.terms():
-        hit = hits.get(word.syllables)
-        if hit:
-            index, weight = hit
-            product = weight * coefficient
-            column[index] = column[index] + product if index in column else product
-    return {index: q for index, q in column.items() if q}
-
-
 def _target_family(kmax: int, witnesses: Witnesses) -> _Family:
     """One pass over ``_build_targets(kmax)``: each target, as it is built,
-    adds its psi column to its disk's matrix (``_psi_column``) and reduces
-    its row into its disk's pivots (``ring._reduce``), and is then
-    dropped, so the pass holds one target at a time.
+    adds psi(1..kmax) on it, read through ``_psi``, to its disk's matrix
+    and reduces its row into its disk's pivots (``ring._reduce``), and is
+    then dropped, so the pass holds one target at a time.  A target over
+    another alphabet than QUAD raises an AlphabetMismatchError.
 
     It returns (failures, matrix, ranks).  ``failures`` holds, by (disk,
     k) in build order, why a construction failed.  ``matrix`` holds each
@@ -514,7 +507,7 @@ def _target_family(kmax: int, witnesses: Witnesses) -> _Family:
     has no entries.  ``ranks`` holds the rank of each disk's built
     targets by exact elimination.
     """
-    hits = {run: (k - 1, weight) for run, k, weight in witnesses}
+    index = {run: (k, weight) for run, k, weight in witnesses}
     matrix: dict[Disk, list[dict[int, Fraction]]] = {
         disk: [{} for _ in range(kmax)] for disk in Disk
     }
@@ -525,9 +518,13 @@ def _target_family(kmax: int, witnesses: Witnesses) -> _Family:
     for (disk, j), value in _build_targets(kmax):
         if isinstance(value, str):
             failures[disk, j] = value
+        elif value.alphabet is not QUAD:
+            raise AlphabetMismatchError(
+                "cannot evaluate a functional on an element over another alphabet"
+            )
         else:
-            for index, q in _psi_column(value, hits).items():
-                matrix[disk][index][j - 1] = q
+            for k, q in _psi(((w.syllables, q) for w, q in value.terms()), index).items():
+                matrix[disk][k - 1][j - 1] = q
             _reduce(pivots[disk], _row(value, columns))
         del value  # dropped before the next target is built
     return failures, matrix, {disk: len(p) for disk, p in pivots.items()}

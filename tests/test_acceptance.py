@@ -17,6 +17,7 @@ from pathlib import Path
 from barbellw3.barbell import (
     HEXAGON_TERMS,
     Disk,
+    is_admissible,
     monomials_m,
     psi,
     t4_expansion,
@@ -106,7 +107,8 @@ def test_criterion_4_solution_table():
         rows = compare_with_reference(k)
         assert len(rows) == 21
         for row in rows:
-            assert row.admissible is False
+            assert not is_admissible(*row.m1_solution)
+            assert not is_admissible(*row.m2_solution)
     assert time.perf_counter() - started < 10.0
 
 

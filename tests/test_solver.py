@@ -248,7 +248,6 @@ def test_regenerate_table():
         a2, c2 = row.m2_solution
         assert eval_pattern(row.pattern, {"a": a1, "c": c1}) == m1
         assert eval_pattern(row.pattern, {"a": a2, "c": c2}) == m2
-        assert row.admissible is False
         assert not is_admissible(a1, c1)
         assert not is_admissible(a2, c2)
 

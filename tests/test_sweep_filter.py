@@ -161,6 +161,21 @@ def test_unplanted_sweeps_match_the_brute_force_scan():
     assert brute_force_violations(HEXAGON_FORMULAS, ("H",), HEXAGON_LABEL, drawn_pairs(), 2) == []
 
 
+@pytest.mark.parametrize("sign, expected", [(1, ["psi_1(H(1, u)) = 2"]), (-1, [])])
+def test_two_shapes_at_one_witness_word_sum_their_signs(monkeypatch, sign, expected):
+    # At nu = 1 both shapes are mu_3, so at (1, u) both take the planted
+    # witness u_3: the pair weighs twice with one sign, and not at all with two.
+    first, second = parse_pattern("nu_1 mu_3"), parse_pattern("mu_3 nu_1")
+    formulas = CompiledFormulas(("nu", "mu"), {"H": ((1, first), (sign, second))})
+    monkeypatch.setattr(verify, "HEXAGON_FORMULAS", formulas)
+    plant(monkeypatch, parse_word("u_3"))
+    items = scanned(monkeypatch)
+    found = exhaustive()
+    assert ("1", "u") in {(str(x), str(y)) for x, y, _ in items}
+    assert found == expected
+    assert found == brute_force_violations(formulas, ("H",), HEXAGON_LABEL, hexagon_pairs(), 2)
+
+
 # A shape none of whose subscripts is a single factor: no projection
 # forces a value, so the suite refuses it before any check runs.
 UNFORCED = parse_pattern("nu_1 mu_1 nu_3 mu_3")

@@ -18,6 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import barbellw3.barbell as barbell
 import barbellw3.solver as solver
@@ -36,7 +38,16 @@ from barbellw3.verify import (
     verify_span_vanishing,
 )
 from barbellw3.ring import RingElement
-from barbellw3.words import QUAD, K, Word, bounded_words, concat_words, parse_word
+from barbellw3.words import (
+    BASE,
+    QUAD,
+    AlphabetMismatchError,
+    K,
+    Word,
+    bounded_words,
+    concat_words,
+    parse_word,
+)
 
 from oracles import brute_force_violations, naive_eval_pattern, random_word
 
@@ -434,6 +445,45 @@ def test_psi_columns_read_both_witness_monomials(monkeypatch):
     assert _column(matrix, Disk.D1, 2) == {0: 4}
     assert matrix[Disk.D1] == [{1: 4}, {0: -5}, {0: Fraction(1, 2)}, {}]
     assert matrix[Disk.D2] == [{}, {}, {}, {}]
+
+
+def test_a_target_over_another_alphabet_is_refused(monkeypatch):
+    element = RingElement(BASE, [(parse_word("t u"), 1)])
+    monkeypatch.setattr(verify, "_build_targets", lambda kmax: [((Disk.D1, 1), element)])
+    with pytest.raises(AlphabetMismatchError, match="over another alphabet"):
+        verify._target_family(1, verify._witnesses(1))
+
+
+_PSI_KMAX = 3
+# m1 and m2 of every k up to one past _PSI_KMAX, and words psi never weighs.
+_PSI_WORDS = [
+    *(m for k in range(1, _PSI_KMAX + 2) for m in barbell.monomials_m(k)),
+    parse_word("t_1"),
+    parse_word("t_1^-1 t_3 u_3^-1"),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@example(drawn=[(_PSI_WORDS[2], 1), (_PSI_WORDS[3], -1)], cancelled=[])
+@example(drawn=[(_PSI_WORDS[0], 2), (_PSI_WORDS[1], 2)], cancelled=[])
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_PSI_WORDS),
+            st.fractions(-3, 3, max_denominator=3).filter(bool),
+        ),
+        max_size=8,
+    ),
+    st.lists(st.integers(0, 7), max_size=4),
+)
+def test_psi_reads_a_formal_sum_as_the_functionals_do(drawn, cancelled):
+    # Some drawn terms come again with the opposite coefficient, so they cancel.
+    terms = drawn + [(drawn[i][0], -drawn[i][1]) for i in cancelled if i < len(drawn)]
+    x = RingElement(QUAD, terms)
+    index = {run: (k, weight) for run, k, weight in verify._witnesses(_PSI_KMAX)}
+    assert verify._psi(((w.syllables, q) for w, q in terms), index) == {
+        k: psi(k)(x) for k in range(1, _PSI_KMAX + 1) if psi(k)(x)
+    }
 
 
 def test_exceptional_k_builds_the_target_concretely(monkeypatch):
