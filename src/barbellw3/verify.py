@@ -56,10 +56,10 @@ candidates' words, and the random sweep's one chunk draws its pairs
 from one seeded stream.
 
 Bad inputs are refused there, in one way: a ValueError stops the suite
-call before any check runs.  ``_require_bounds`` refuses a bound out of
-range, ``_witnesses`` a word that psi weighs at two k (every lookup by
-witness word assumes none is), and ``_single_factor`` a shape that no
-projection forces.
+call before any check runs.  ``_require_bounds`` refuses a bound or a
+worker count out of range, ``_witnesses`` a word that psi weighs at two
+k (every lookup by witness word assumes none is), and
+``_single_factor`` a shape that no projection forces.
 
 Only the pairs a subscript projection cannot rule out reach ``_scan``.
 Every shape has a subscript whose factors are one factor x or x^-1, and
@@ -202,11 +202,10 @@ def _usable_cpus() -> int:
 
 def _chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
     """[0, total) cut into min(parts, total) contiguous ranges, in order, the
-    first ones one longer when they cannot all be equal.  Fewer than one
-    part counts as one, so a worker count below 1 runs serially."""
+    first ones one longer when they cannot all be equal."""
     if total <= 0:
         return []
-    chunk_count = min(max(parts, 1), total)
+    chunk_count = min(parts, total)
     base, extra = divmod(total, chunk_count)
     starts = [index * base + min(index, extra) for index in range(chunk_count + 1)]
     return list(zip(starts, starts[1:]))
@@ -241,14 +240,14 @@ Images = dict[tuple[int, bool], frozenset[Run]]
 Forced = tuple[frozenset[Run], ...]
 
 
-def _require_bounds(
-    kmax: int, max_syllables: int = 1, max_exponent: int = 1, random_trials: int = 0
-) -> None:
+def _require_bounds(kmax: int, max_syllables: int = 1, max_exponent: int = 1,
+                    random_trials: int = 0, workers: int = 1) -> None:
     """Raise a ValueError naming the first bound out of range, before a
-    suite call builds anything: each bound must be at least 1, and
-    ``random_trials`` at least 0."""
+    suite call builds anything: each bound and ``workers`` must be at
+    least 1, and ``random_trials`` at least 0."""
     bounds = (("kmax", kmax, 1), ("max_syllables", max_syllables, 1),
-              ("max_exponent", max_exponent, 1), ("random_trials", random_trials, 0))
+              ("max_exponent", max_exponent, 1), ("random_trials", random_trials, 0),
+              ("workers", workers, 1))
     for name, value, least in bounds:
         if value < least:
             raise ValueError(f"{name} must be at least {least}, not {value}")
@@ -603,7 +602,7 @@ def verify_hexagon_vanishing(
     workers: int = 1,
 ) -> Report:
     """psi(k) kills every hexagon relator, by enumeration and by structure."""
-    _require_bounds(kmax, max_syllables, max_exponent, random_trials)
+    _require_bounds(kmax, max_syllables, max_exponent, random_trials, workers)
     witnesses, [forced] = _psi_witnesses(kmax, HEXAGON_FORMULAS)
     return _hexagon_vanishing(
         witnesses, forced, kmax, max_syllables, max_exponent, random_trials, seed, workers
@@ -697,7 +696,7 @@ def verify_span_vanishing(
     workers: int = 1,
 ) -> Report:
     """psi(k) kills every admissible-pair generator; the solution table checks out."""
-    _require_bounds(kmax, max_syllables, max_exponent)
+    _require_bounds(kmax, max_syllables, max_exponent, 0, workers)
     witnesses, [forced] = _psi_witnesses(kmax, T_POLY_FORMULAS)
     return _span_vanishing(witnesses, forced, kmax, max_syllables, max_exponent, workers)
 
@@ -920,7 +919,7 @@ def verify_all(
     refused input stops the call before any work.  Main-theorem cites
     the hexagon and span checks run before it.
     """
-    _require_bounds(kmax, max_syllables, max_exponent, random_trials)
+    _require_bounds(kmax, max_syllables, max_exponent, random_trials, workers)
     witnesses, [hexagon_forced, span_forced] = _psi_witnesses(
         kmax, HEXAGON_FORMULAS, T_POLY_FORMULAS
     )

@@ -24,6 +24,7 @@ from barbellw3.barbell import (
     T_FORMULAS,
     T_KINDS,
     T_POLY_FORMULAS,
+    count_admissible,
     enumerate_admissible,
 )
 from barbellw3.patterns import CompiledFormulas, parse_pattern, word_pieces
@@ -266,6 +267,43 @@ def test_hexagon_rows_are_the_filtered_flat_grid(case):
     ]
     assert items == expected
     assert sum(counts) == len(words) ** 2
+
+
+_SPAN_FORCED_AT_2 = verify._psi_witnesses(2, T_POLY_FORMULAS)[1][0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([(1, 1), (1, 3), (2, 1), (2, 2)]).flatmap(
+        lambda bounds: st.tuples(
+            st.just(bounds),
+            st.frozensets(st.integers(0, count_words(*bounds) - 1)),
+            st.frozensets(st.integers(0, count_words(*bounds) - 1)),
+            st.integers(1, 12),
+        )
+    )
+)
+def test_span_candidates_are_the_filtered_admissible_pairs(case):
+    # psi(1..2)'s forced sets, widened by random words, so pairs forced in a alone,
+    # in c alone and in both occur.
+    bounds, a_words, c_words, parts = case
+    words = bounded_words(*bounds)
+    forced_a, forced_c = _SPAN_FORCED_AT_2
+    forced_a = forced_a | {words[i].syllables for i in a_words}
+    forced_c = forced_c | {words[j].syllables for j in c_words}
+    total = count_admissible(*bounds)
+    items, counts = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_scan", lambda *args: items.extend(args[2]) or [])
+        for start, stop in verify._chunk_ranges(total, parts):
+            counts.append(verify._span_chunk((*bounds, (), forced_a, forced_c, start, stop))[0])
+    expected = [
+        (a, c, word_pieces(a) + word_pieces(c))
+        for a, c in enumerate_admissible(*bounds)
+        if a.syllables in forced_a or c.syllables in forced_c
+    ]
+    assert items == expected
+    assert sum(counts) == len(T_KINDS) * total
 
 
 @pytest.mark.parametrize("trials", [0, 1, 31, 32, 33, 1000])

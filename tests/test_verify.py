@@ -43,9 +43,8 @@ from barbellw3.words import (
     QUAD,
     AlphabetMismatchError,
     K,
-    Word,
-    bounded_words,
     concat_words,
+    count_words,
     parse_word,
 )
 
@@ -537,24 +536,20 @@ def test_k_specific_expansion_defect_fails_only_where_it_shows(monkeypatch):
     )
 
 
-# The tasks of each map the pool_sizes fixture's pools ran.
-mapped: list[list[tuple]] = []
-
-
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The size of each process pool opened; every pool maps in this process.
+def pools(monkeypatch):
+    """Each process pool opened, as [its size, its tasks]; every pool maps
+    in this process.
 
     No process starts, so the processor count is set high: each suite
     gets the workers it asks for, on any machine.
     """
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 1000)
-    sizes = []
-    mapped.clear()
+    opened = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            opened.append([max_workers, []])
 
         def __enter__(self):
             return self
@@ -562,67 +557,51 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, tasks):  # no chunksize: one task per worker
-            mapped.append(list(tasks))
-            return map(fn, mapped[-1])
+        def map(self, fn, tasks):
+            opened[-1][1] = list(tasks)
+            return map(fn, opened[-1][1])
 
     # _sweep imports the pool where it opens one.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return sizes
+    return opened
 
 
-def test_process_pool_is_no_larger_than_its_task_list(pool_sizes):
+_CHUNKS = ("_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk")
+
+
+def chunk_tasks(monkeypatch) -> dict[str, list[tuple]]:
+    """The task of every chunk call, per chunk function, in call order."""
+    tasks = {name: [] for name in _CHUNKS}
+    for name, calls in tasks.items():
+
+        def recorded(task, calls=calls, original=getattr(verify, name)):
+            calls.append(task)
+            return original(task)
+
+        monkeypatch.setattr(verify, name, recorded)
+    return tasks
+
+
+@pytest.mark.parametrize("cpus, workers", [(1000, 2), (1000, 3), (1000, 500), (2, 10**6)])
+def test_pools_fit_their_tasks_and_the_ranges_tile_each_sweep(monkeypatch, pools, cpus, workers):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    tasks = chunk_tasks(monkeypatch)
     kwargs = dict(kmax=1, max_syllables=1, max_exponent=1, random_trials=10, seed=0)
-    pooled = verify_all(**kwargs, workers=500)
-    # 5 hexagon rows and 8 admissible pairs, one per chunk; the random
-    # sweep is drawn in process.
-    assert pool_sizes == [5, 8]
-    serial = [report_json(r) for r in verify_all(**kwargs, workers=1)]
-    assert [report_json(r) for r in pooled] == serial
-    # A worker count below 1 runs serially: the same reports, no pool.
-    assert [report_json(r) for r in verify_all(**kwargs, workers=0)] == serial
-    assert pool_sizes == [5, 8]
-
-
-def test_workers_are_capped_at_the_usable_processors(monkeypatch, pool_sizes):
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    ranges = []
-
-    def counted(task, original=verify._span_chunk):
-        ranges.append(task[-2:])
-        return original(task)
-
-    monkeypatch.setattr(verify, "_span_chunk", counted)
-    kwargs = dict(kmax=1, max_syllables=1, max_exponent=1, random_trials=10, seed=0)
-    capped = verify_all(**kwargs, workers=10**6)
-    # Hexagon rows and the 8 admissible pairs, each in two: one range per
-    # processor, not per worker asked for.
-    assert pool_sizes == [2, 2]
-    assert ranges == [(0, 4), (4, 8)]
-    serial = verify_all(**kwargs, workers=1)
-    assert [report_json(r) for r in capped] == [report_json(r) for r in serial]
-
-
-def test_a_pool_gets_one_chunk_of_tasks_per_worker(monkeypatch, pool_sizes):
-    random_tasks = []
-
-    def counted(task, original=verify._hexagon_random_chunk):
-        random_tasks.append(task)
-        return original(task)
-
-    monkeypatch.setattr(verify, "_hexagon_random_chunk", counted)
-    kwargs = dict(kmax=2, max_syllables=1, max_exponent=1, random_trials=100, seed=3)
-    serial = [report_json(r) for r in verify_all(**kwargs, workers=1)]
-    assert pool_sizes == []
-    for workers in (2, 3):
-        del pool_sizes[:], mapped[:], random_tasks[:]
-        assert [report_json(r) for r in verify_all(**kwargs, workers=workers)] == serial
-        # Two pools, each sweep in one task per worker: the 5 hexagon rows,
-        # then the 8 admissible pairs.
-        assert pool_sizes == [len(tasks) for tasks in mapped] == [workers] * 2
-        assert [tasks[-1][-1] for tasks in mapped] == [5, 8]
-        # The random sweep is one task, drawn in process, of all its trials.
-        assert [task[-2:] for task in random_tasks] == [(0, 100)]
+    totals = {"_hexagon_chunk": count_words(1, 1) + 1,
+              "_hexagon_random_chunk": 10, "_span_chunk": barbell.count_admissible(1, 1)}
+    reports = []
+    for n in (1, workers):
+        for calls in tasks.values():
+            calls.clear()
+        reports.append([report_json(r) for r in verify_all(**kwargs, workers=n)])
+        # Each sweep's ranges cut [0, total) into nonempty pieces, in order.
+        for name, total in totals.items():
+            edges = [0] + [task[-1] for task in tasks[name]]
+            assert [task[-2] for task in tasks[name]] == edges[:-1], name
+            assert edges[-1] == total and edges == sorted(set(edges)), name
+    assert reports[1] == reports[0]
+    # No pool holds a process without a task, or more than the workers or processors.
+    assert pools and all(size == len(mapped) <= min(workers, cpus) for size, mapped in pools)
 
 
 @pytest.mark.parametrize("method", ["forkserver", "spawn"])
@@ -665,9 +644,9 @@ def planted_span_witness(monkeypatch):
 
 
 @pytest.mark.parametrize("plant", [flipped_hexagon_sign, planted_span_witness])
-def test_failing_reports_do_not_depend_on_the_split(monkeypatch, pool_sizes, plant):
+def test_failing_reports_do_not_depend_on_the_split(monkeypatch, pools, plant):
     chunk, run = plant(monkeypatch)
-    found = []  # violations per chunk, in task order
+    found = []  # violations per chunk of the last run, in task order
 
     def counted(task, original=getattr(verify, chunk)):
         checked, violations = original(task)
@@ -675,18 +654,19 @@ def test_failing_reports_do_not_depend_on_the_split(monkeypatch, pool_sizes, pla
         return checked, violations
 
     monkeypatch.setattr(verify, chunk, counted)
-    reports = [report_json(run(workers)) for workers in (1, 2, 3)]
+    reports = []
+    for workers in (1, 2, 3):
+        found.clear()
+        reports.append(report_json(run(workers)))
     assert reports[0] == reports[1] == reports[2]
     sweep = json.loads(reports[0])["checks"][0]
     assert sweep["status"] == "fail"
     assert len(sweep["details"].split("; ")) == verify._VIOLATION_CAP
-    # At three workers, two chunks find more violations than the cap.
-    assert len(found) == 1 + 2 + 3 and sum(map(bool, found[3:])) == 2
-    assert sum(found[3:]) > verify._VIOLATION_CAP
-    assert pool_sizes == [2, 3]
+    # At three workers, two chunks or more find violations, more than the cap in all.
+    assert sum(map(bool, found)) >= 2 and sum(found) > verify._VIOLATION_CAP
 
 
-def test_a_failing_random_sweep_reports_alike_at_any_worker_count(monkeypatch, pool_sizes):
+def test_a_failing_random_sweep_reports_alike_at_any_worker_count(monkeypatch, pools):
     # Twelve witness words, two per k, each the first hexagon term at a pair
     # the random sweep draws from its one stream.
     trials, seed = 64, 5
@@ -696,27 +676,18 @@ def test_a_failing_random_sweep_reports_alike_at_any_worker_count(monkeypatch, p
     planted = [naive_eval_pattern(shape, {"nu": nu, "mu": mu}) for nu, mu in pairs[::5]][:12]
     assert len(set(planted)) == 12
     monkeypatch.setattr(barbell, "monomials_m", lambda k: tuple(planted[2 * k - 2:2 * k]))
-    found = []  # violations per chunk, in task order
-
-    def counted(task, original=verify._hexagon_random_chunk):
-        checked, violations = original(task)
-        found.append(len(violations))
-        return checked, violations
-
-    monkeypatch.setattr(verify, "_hexagon_random_chunk", counted)
     kwargs = dict(kmax=6, max_syllables=1, max_exponent=1, random_trials=trials, seed=seed)
     details = {
         workers: verify_hexagon_vanishing(**kwargs, workers=workers).checks[1].details
         for workers in (1, 2, 3, 5)
     }
     assert len(set(details.values())) == 1
-    assert details[1].split("; ") == brute_force_violations(
-        barbell.HEXAGON_FORMULAS, ("H",), "H({1}, {2})", pairs, 6
+    oracle = brute_force_violations(
+        barbell.HEXAGON_FORMULAS, ("H",), "H({1}, {2})", pairs, 6, cap=None
     )
-    # At every worker count the sweep is one chunk, which stops at the cap,
-    # and only the exhaustive sweep opens a pool.
-    assert found == [verify._VIOLATION_CAP] * 4
-    assert pool_sizes == [2, 3, 5]
+    # The pairs drawn hold more violations than the cap, and the sweep reports the first ones.
+    assert len(oracle) > verify._VIOLATION_CAP
+    assert details[1].split("; ") == oracle[:verify._VIOLATION_CAP]
 
 
 def test_one_worker_enumerates_the_admissible_pairs_once(monkeypatch):
@@ -734,32 +705,28 @@ def test_one_worker_enumerates_the_admissible_pairs_once(monkeypatch):
     assert yielded == [barbell.count_admissible(2, 2)]
 
 
-@pytest.mark.parametrize("workers, last", [(1, (0, 800)), (3, (534, 800))])
-def test_a_short_admissible_walk_fails_the_span_sweep(monkeypatch, pool_sizes, workers, last):
-    def short(*bounds):
-        return iter(list(barbell.enumerate_admissible(*bounds))[:-1])
-
-    monkeypatch.setattr(verify, "enumerate_admissible", short)
-    report = verify_span_vanishing(kmax=2, max_syllables=2, max_exponent=2, workers=workers)
-    start, stop = last
-    assert report.checks[0].status == "fail"
-    assert report.checks[0].details == (
-        f"ValueError: the admissible enumeration yielded {stop - start - 1} pairs "
-        f"in [{start}, {stop}), not {stop - start}"
-    )
-
-
-@pytest.mark.parametrize("workers, chunks", [(1, []), (3, [3])])
-def test_a_short_word_list_fails_the_hexagon_sweep(monkeypatch, pool_sizes, workers, chunks):
-    monkeypatch.setattr(verify, "bounded_words", lambda *bounds, **options: (
-        bounded_words(*bounds, **options)[:-1]
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("counter", ["count_admissible", "count_words"])
+def test_a_count_one_over_the_build_fails_its_sweep(monkeypatch, pools, counter, workers):
+    # Each sweep sizes its ranges by the closed form; planted one over, the
+    # build falls one short of it, and the chunk that holds the end refuses.
+    monkeypatch.setattr(verify, counter, lambda *bounds, real=getattr(verify, counter): (
+        real(*bounds) + 1
     ))
-    report = verify_hexagon_vanishing(
-        kmax=2, max_syllables=2, max_exponent=2, random_trials=0, workers=workers
-    )
-    assert report.checks[0].status == "fail"
-    assert report.checks[0].details == "ValueError: the bounded words number 40, not 41"
-    assert pool_sizes == chunks
+    kwargs = dict(kmax=2, max_syllables=2, max_exponent=2, workers=workers)
+    if counter == "count_words":
+        check = verify_hexagon_vanishing(**kwargs, random_trials=0).checks[0]
+        assert check.status == "fail"
+        words = count_words(2, 2) + 1
+        assert check.details == f"ValueError: the bounded words number {words}, not {words + 1}"
+    else:
+        check = verify_span_vanishing(**kwargs).checks[0]
+        assert check.status == "fail"
+        refusal = re.fullmatch(r"ValueError: the admissible enumeration yielded (\d+) "
+                               r"pairs in \[(\d+), (\d+)\), not (\d+)", check.details)
+        yielded, start, stop, expected = map(int, refusal.groups())
+        assert stop == barbell.count_admissible(2, 2) + 1
+        assert yielded + 1 == expected == stop - start
 
 
 @pytest.mark.parametrize("suite, bounds, refused", [
@@ -780,6 +747,10 @@ def test_a_short_word_list_fails_the_hexagon_sweep(monkeypatch, pool_sizes, work
      "max_exponent must be at least 1, not -1"),
     (verify_all, dict(kmax=1, max_syllables=1, max_exponent=1, random_trials=-5),
      "random_trials must be at least 0, not -5"),
+    *((suite, dict(kmax=1, max_syllables=1, max_exponent=1, workers=0),
+       "workers must be at least 1, not 0")
+      for suite in (verify_hexagon_vanishing, verify_span_vanishing, verify_main_theorem,
+                    verify_all)),
 ])
 def test_out_of_range_bounds_are_refused_before_any_check(monkeypatch, suite, bounds, refused):
     ran = []
@@ -838,7 +809,7 @@ def test_words_and_pieces_share_one_syllable_per_value(monkeypatch):
 
 def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
     check = [None]  # the check running when a call is made
-    calls, tasks = [], []
+    calls = []
     run_check = verify._run_check
 
     def tracked_check(name, *args):
@@ -853,13 +824,6 @@ def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
             return original(*args, **kwargs)
 
         monkeypatch.setattr(verify, name, counted)
-    for name in ("_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk"):
-
-        def chunk(task, name=name, original=getattr(verify, name)):
-            tasks.append((name, task))
-            return original(task)
-
-        monkeypatch.setattr(verify, name, chunk)
     reports = verify_all(
         kmax=2, max_syllables=2, max_exponent=2, random_trials=10, workers=1
     )
@@ -882,30 +846,17 @@ def test_each_sweep_builds_its_words_and_pieces_once(monkeypatch):
               if where == "span_generators" and name == "word_pieces"]
     assert candidates and len(pieced) == len(set(pieced)) and set(pieced) == candidates
 
-    def fields(value):
-        if isinstance(value, (tuple, frozenset)):
-            for item in value:
-                yield from fields(item)
-        else:
-            yield value
 
-    # Every task is its sweep's one head, then its range, and holds no word.
-    for name, task in tasks:
+def test_every_task_is_small_hashable_and_picklable(monkeypatch, pools):
+    # A task carries its sweep's bounds, witnesses and forced sets, not its
+    # words: about 1.5 KB pickled here, where the (3, 3) words alone take 12 KB.
+    tasks = chunk_tasks(monkeypatch)
+    verify_all(kmax=10, max_syllables=3, max_exponent=3, random_trials=10, workers=3)
+    assert all(tasks.values())
+    for task in (task for calls in tasks.values() for task in calls):
         hash(task)
         assert pickle.loads(pickle.dumps(task)) == task
-        assert len(task) == (8 if name == "_hexagon_random_chunk" else 7)
-        assert not any(isinstance(field, Word) for field in fields(task))
-    for name in ("_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk"):
-        assert len({task[:-2] for chunk, task in tasks if chunk == name}) == 1
-    ends = {
-        name: [task[-2:] for chunk, task in tasks if chunk == name]
-        for name in ("_hexagon_chunk", "_hexagon_random_chunk", "_span_chunk")
-    }
-    # One worker: one chunk per sweep, over its 41 hexagon rows, its
-    # admissible pairs, or its 10 random trials.
-    assert ends["_hexagon_chunk"] == [(0, 41)]
-    assert ends["_span_chunk"] == [(0, barbell.count_admissible(2, 2))]
-    assert ends["_hexagon_random_chunk"] == [(0, 10)]
+        assert len(pickle.dumps(task)) < 2048
 
 
 def test_serial_run_loads_neither_the_process_pool_nor_dataclasses():
