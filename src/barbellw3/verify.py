@@ -18,9 +18,11 @@ each instantiated syllable value once per k (``_build_targets``).  They
 are read in one pass as they are built, one at a time
 (``_target_family``): each adds its psi(1..kmax) values to its disk's
 psi matrix and its row to its disk's exact elimination, and is dropped.
-``verify_all`` runs every check that reads the pass right after it, and
-releases it before the sweeps.  A target whose construction fails fails
-only the checks that use it.
+One builder, ``_target_checks``, runs every check that reads the pass,
+the psi-targets report's and main-theorem's, judging each fact about it
+once; ``verify_all`` runs it right after the pass and releases the pass
+before the sweeps.  A target whose construction fails fails only the
+checks that use it.
 
 The per-k structural checks, ``solution_table_k*`` and
 ``hexagon_cases_k*``, rest on one analysis per suite call, run with k
@@ -73,7 +75,8 @@ and 4 128 of 133 128 admissible pairs.
 A shape with no such subscript is refused, as above.  Each chunk
 counts its share from its bounds, so the reports read as if every pair
 were scanned, and refuses a build that yields another count: a word
-list (``count_words``) or an admissible walk.  A hexagon chunk takes a
+list (``count_words``) or an admissible walk (``count_admissible``),
+short of a range or past the end.  A hexagon chunk takes a
 range of rows, row-major: a forced row takes every column, any other
 row the forced columns.  The random sweep draws runs from
 ``getrandbits`` as randint and choice would, and makes words and pieces
@@ -439,7 +442,8 @@ def _span_chunk(task: tuple) -> tuple[int, list[str]]:
     pieced = cache(word_pieces)
     # zip takes a pair before its count, so ``walked`` ends at the pairs taken.
     walked = count()
-    pairs = zip(islice(enumerate_admissible(max_syllables, max_exponent), start, stop), walked)
+    walk = enumerate_admissible(max_syllables, max_exponent)
+    pairs = zip(islice(walk, start, stop), walked)
     items = (
         (a, c, pieced(a) + pieced(c))
         for (a, c), _ in pairs if a.syllables in forced_a or c.syllables in forced_c
@@ -449,6 +453,9 @@ def _span_chunk(task: tuple) -> tuple[int, list[str]]:
     if taken != stop - start:
         raise ValueError(f"the admissible enumeration yielded {taken} pairs in "
                          f"[{start}, {stop}), not {stop - start}")
+    # islice stops at ``stop``, so the chunk that holds the end checks the walk ends there.
+    if stop == (total := count_admissible(max_syllables, max_exponent)) and next(walk, None):
+        raise ValueError(f"the admissible enumeration yielded more than {total} pairs")
     return (stop - start) * len(T_KINDS), violations
 
 
@@ -533,11 +540,10 @@ def _target_family(kmax: int, witnesses: Witnesses) -> _Family:
 _PSI_ON_TARGET = {Disk.D1: 1, Disk.D2: 3}
 
 
-def _require_built(failures: dict[tuple[Disk, int], str], disk: Disk, k: int) -> None:
-    """Fail the calling check if the disk's target at k failed to build."""
-    reason = failures.get((disk, k))
-    if reason is not None:
-        raise CheckFailure(f"target construction failed for {disk.value} at k={k}: {reason}")
+def _fail_with(reason: str | None) -> None:
+    """Fail the calling check with ``reason``, if there is one."""
+    if reason:
+        raise CheckFailure(reason)
 
 
 # ---------------------------------------------------------------------------
@@ -546,51 +552,7 @@ def _require_built(failures: dict[tuple[Disk, int], str], disk: Disk, k: int) ->
 def verify_psi_targets(kmax: int = 10) -> Report:
     """psi(k) takes value 1 on disk-1 targets, 3 on disk-2 targets, 0 across."""
     _require_bounds(kmax)
-    return _psi_targets(kmax, _target_family(kmax, _witnesses(kmax)))
-
-
-def _psi_targets(kmax: int, family: _Family) -> Report:
-    report = Report("psi-targets", {"kmax": kmax})
-    failures, matrix, _ = family
-    # A disk's first failed target fails each of its checks: row k reads
-    # psi_k on all of the disk's targets.
-    failed = {
-        disk: next((j for j in range(1, kmax + 1) if (disk, j) in failures), None)
-        for disk in Disk
-    }
-    for k in range(1, kmax + 1):
-        for disk in Disk:
-            value = _PSI_ON_TARGET[disk]
-
-            def body(disk=disk, k=k, value=value) -> str:
-                if failed[disk] is not None:
-                    _require_built(failures, disk, failed[disk])  # raises
-                row = matrix[disk][k - 1]
-                diagonal = row.get(k - 1, 0)
-                if diagonal != value:
-                    raise CheckFailure(
-                        f"psi_{k} on the {disk.value} target at k={k} is {diagonal}, "
-                        f"expected {value}"
-                    )
-                off_diagonal = {
-                    index + 1: q for index, q in sorted(row.items()) if index != k - 1
-                }
-                if off_diagonal:
-                    raise CheckFailure(
-                        f"psi_{k} is nonzero off the diagonal: {off_diagonal}"
-                    )
-                return f"psi_{k} = {value} at j={k}, 0 at the other j <= {kmax}"
-
-            report.checks.append(
-                _run_check(
-                    f"psi_target_{disk.value}_k{k}",
-                    f"the functional psi({k}) takes value {value} on the {disk.value} "
-                    f"family value at k={k} and 0 on the rest of the family",
-                    "exact",
-                    body,
-                )
-            )
-    return report
+    return _target_checks(kmax, _target_family(kmax, _witnesses(kmax)))[0]
 
 
 def verify_hexagon_vanishing(
@@ -770,14 +732,24 @@ def verify_main_theorem(
 TargetChecks = tuple[Check, dict[tuple[Disk, int], Check], dict[Disk, Check]]
 
 
-def _target_checks(kmax: int, family: _Family) -> TargetChecks:
-    """Main-theorem's checks that read the target family: the expansion
-    check, then the target checks by (disk, k) and the rank checks by
-    disk, in report order.  They run before the sweeps, so the caller can
-    release ``family``, which ``_target_family`` read at the same kmax,
-    for the sweeps.
+def _target_checks(kmax: int, family: _Family) -> tuple[Report, TargetChecks]:
+    """Every check that reads ``family``, which ``_target_family`` read at
+    the same kmax, each fact about it judged once: the psi-targets report,
+    and main-theorem's expansion check, target checks by (disk, k) and
+    rank checks by disk, in report order.  They all run here, so the
+    caller can release ``family`` before the sweeps.
     """
     failures, matrix, ranks = family
+    # Why each target failed to build.  A disk's first failed target fails
+    # the checks that read all of its targets: its psi rows and its rank.
+    unbuilt = {
+        (disk, k): f"target construction failed for {disk.value} at k={k}: {reason}"
+        for (disk, k), reason in failures.items()
+    }
+    first_unbuilt = {
+        disk: next((unbuilt[disk, j] for j in range(1, kmax + 1) if (disk, j) in unbuilt), None)
+        for disk in Disk
+    }
 
     def expansions() -> str:
         if failures:
@@ -795,24 +767,40 @@ def _target_checks(kmax: int, family: _Family) -> TargetChecks:
         expansions,
     )
 
+    psi_targets = Report("psi-targets", {"kmax": kmax})
     target_checks: dict[tuple[Disk, int], Check] = {}
     for k in range(1, kmax + 1):
         for disk in Disk:
+            value = _PSI_ON_TARGET[disk]
+            # Row k reads psi_k on all of the disk's targets; entry k - 1 is
+            # the target at k, which both of its checks compare to value.
+            row = matrix[disk][k - 1]
+            diagonal = row.get(k - 1, 0)
+            wrong = None if diagonal == value else f"is {diagonal}, expected {value}"
 
-            def nonvanishing(disk=disk, k=k) -> str:
-                _require_built(failures, disk, k)
-                value = matrix[disk][k - 1].get(k - 1, 0)
-                if value != _PSI_ON_TARGET[disk]:
-                    raise CheckFailure(
-                        f"psi_{k} on the {disk.value} value is {value}, "
-                        f"expected {_PSI_ON_TARGET[disk]}"
-                    )
-                return f"psi_{k} = {_PSI_ON_TARGET[disk]} != 0"
+            def psi_row(disk=disk, k=k, value=value, row=row, wrong=wrong) -> str:
+                _fail_with(first_unbuilt[disk])
+                _fail_with(wrong and f"psi_{k} on the {disk.value} target at k={k} {wrong}")
+                off_diagonal = {j + 1: q for j, q in sorted(row.items()) if j != k - 1}
+                if off_diagonal:
+                    raise CheckFailure(f"psi_{k} is nonzero off the diagonal: {off_diagonal}")
+                return f"psi_{k} = {value} at j={k}, 0 at the other j <= {kmax}"
 
+            def nonvanishing(disk=disk, k=k, value=value, wrong=wrong) -> str:
+                _fail_with(unbuilt.get((disk, k)))
+                _fail_with(wrong and f"psi_{k} on the {disk.value} value {wrong}")
+                return f"psi_{k} = {value} != 0"
+
+            psi_targets.checks.append(_run_check(
+                f"psi_target_{disk.value}_k{k}",
+                f"the functional psi({k}) takes value {value} on the {disk.value} "
+                f"family value at k={k} and 0 on the rest of the family",
+                "exact",
+                psi_row,
+            ))
             target_checks[disk, k] = _run_check(
                 f"target_psi_{disk.value}_k{k}",
-                f"psi({k}) is nonzero (value {_PSI_ON_TARGET[disk]}) on the "
-                f"{disk.value} value at k={k}",
+                f"psi({k}) is nonzero (value {value}) on the {disk.value} value at k={k}",
                 "exact",
                 nonvanishing,
             )
@@ -821,8 +809,7 @@ def _target_checks(kmax: int, family: _Family) -> TargetChecks:
     for disk in Disk:
 
         def independent(disk=disk) -> str:
-            for k in range(1, kmax + 1):
-                _require_built(failures, disk, k)
+            _fail_with(first_unbuilt[disk])
             elimination_rank = ranks[disk]
             # _eliminate reduces the rows it is given in place.
             matrix_rank = _eliminate(dict(row) for row in matrix[disk])
@@ -844,7 +831,7 @@ def _target_checks(kmax: int, family: _Family) -> TargetChecks:
             "exact",
             independent,
         )
-    return agree, target_checks, rank_checks
+    return psi_targets, (agree, target_checks, rank_checks)
 
 
 def _main_theorem(hexagon: Report, span: Report, checked: TargetChecks) -> Report:
@@ -912,21 +899,18 @@ def verify_all(
     The 2 * kmax targets are built once, one at a time, and each is read
     as it is built and then dropped (``_target_family``): into the sparse
     kmax x kmax psi matrix of each disk, each disk's elimination rank and
-    the failures.  The psi-targets checks and main-theorem's expansion,
-    target and rank checks read that, all first, and it is then released,
-    before the sweeps.  psi's witness words and both sweeps' forced sets
-    are built first, once, for the matrix and the three sweeps, so a
-    refused input stops the call before any work.  Main-theorem cites
-    the hexagon and span checks run before it.
+    the failures.  ``_target_checks`` runs the psi-targets checks and
+    main-theorem's expansion, target and rank checks on that, all first,
+    and it is released before the sweeps.  psi's witness words and both
+    sweeps' forced sets are built first, once, for the matrix and the
+    three sweeps, so a refused input stops the call before any work.
+    Main-theorem cites the hexagon and span checks run before it.
     """
     _require_bounds(kmax, max_syllables, max_exponent, random_trials, workers)
     witnesses, [hexagon_forced, span_forced] = _psi_witnesses(
         kmax, HEXAGON_FORMULAS, T_POLY_FORMULAS
     )
-    family = _target_family(kmax, witnesses)
-    psi_targets = _psi_targets(kmax, family)
-    checked = _target_checks(kmax, family)
-    del family  # the sweeps read none of it
+    psi_targets, checked = _target_checks(kmax, _target_family(kmax, witnesses))
     bounds = (kmax, max_syllables, max_exponent)
     hexagon = _hexagon_vanishing(witnesses, hexagon_forced, *bounds, random_trials, seed, workers)
     span = _span_vanishing(witnesses, span_forced, *bounds, workers)

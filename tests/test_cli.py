@@ -306,10 +306,19 @@ PINNED_OUTPUT_SHA256 = {
         "f8cf5ad5a5a7d068e470f5eb511eee57d77fcdea84f440acb4b9e8331d415ce2",
     ("table", "--k", "3", "--format", "json"):
         "1a821366bcedd3129f92e0034b2fdac17cae55e707fa527674ef159c029b2acc",
+    ("verify", "psi", "--kmax", "10", "--format", "json"):
+        "82d12da94e6cedaf3042ee5174e96cb302ea42f96b3c9578147c23637b38682c",
+    ("verify", "psi", "--kmax", "100", "--format", "json"):
+        "e3f867db201727932db51612b1296e34d32619cb72035e2f3d7689876da10ac7",
 }
 
 
-@pytest.mark.parametrize("args", list(PINNED_OUTPUT_SHA256), ids=lambda args: args[0])
+def _pin_id(args):
+    # The command; the psi pins add the suite and kmax that tell them apart.
+    return "-".join(args[:2] + args[3:4]) if args[1] == "psi" else args[0]
+
+
+@pytest.mark.parametrize("args", list(PINNED_OUTPUT_SHA256), ids=_pin_id)
 def test_output_bytes_are_pinned(capsys, args):
     code, out, _ = run_cli(capsys, *args)
     assert code == 0

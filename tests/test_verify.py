@@ -705,20 +705,30 @@ def test_one_worker_enumerates_the_admissible_pairs_once(monkeypatch):
     assert yielded == [barbell.count_admissible(2, 2)]
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("counter", ["count_admissible", "count_words"])
-def test_a_count_one_over_the_build_fails_its_sweep(monkeypatch, pools, counter, workers):
+@pytest.mark.parametrize("counter, workers, off", [
+    pytest.param(counter, workers, off, id=f"{counter}-{workers}" + ("-under" if off < 0 else ""))
+    for off in (1, -1) for counter in ("count_admissible", "count_words") for workers in (1, 3)
+])
+def test_a_count_one_over_the_build_fails_its_sweep(monkeypatch, pools, counter, workers, off):
     # Each sweep sizes its ranges by the closed form; planted one over, the
-    # build falls one short of it, and the chunk that holds the end refuses.
+    # build falls one short of it, and planted one under, it runs one past
+    # it: either way the chunk that holds the end refuses.
     monkeypatch.setattr(verify, counter, lambda *bounds, real=getattr(verify, counter): (
-        real(*bounds) + 1
+        real(*bounds) + off
     ))
     kwargs = dict(kmax=2, max_syllables=2, max_exponent=2, workers=workers)
     if counter == "count_words":
         check = verify_hexagon_vanishing(**kwargs, random_trials=0).checks[0]
         assert check.status == "fail"
         words = count_words(2, 2) + 1
-        assert check.details == f"ValueError: the bounded words number {words}, not {words + 1}"
+        assert check.details == f"ValueError: the bounded words number {words}, not {words + off}"
+    elif off == -1:
+        check = verify_span_vanishing(**kwargs).checks[0]
+        assert check.status == "fail"
+        total = barbell.count_admissible(2, 2) - 1
+        assert check.details == (
+            f"ValueError: the admissible enumeration yielded more than {total} pairs"
+        )
     else:
         check = verify_span_vanishing(**kwargs).checks[0]
         assert check.status == "fail"
@@ -1033,6 +1043,17 @@ def test_psi_matrix_off_diagonal_details_list_j_in_ascending_order(monkeypatch):
             "psi_1 is nonzero off the diagonal: {2: Fraction(2, 3), 3: Fraction(-1, 2)}"
         )
     }
+
+
+def test_both_entry_points_write_one_failing_psi_targets_report(monkeypatch):
+    kmax = 3
+    targets = dict(verify._build_targets(kmax))
+    targets[Disk.D2, 2] = "ValueError: planted"
+    targets[Disk.D1, 3] += RingElement.monomial(_witness(1), Fraction(-1, 2))
+    alone = _psi_targets_report(monkeypatch, kmax, targets)
+    first = verify_all(kmax, max_syllables=1, max_exponent=1, random_trials=0, workers=1)[0]
+    assert alone.overall == first.overall == "fail"
+    assert report_json(alone) == report_json(first)
 
 
 def test_psi_matrix_zero_diagonal_details(monkeypatch):
