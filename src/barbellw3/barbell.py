@@ -24,12 +24,12 @@ from .ring import Functional, RingElement
 from .words import (
     BASE,
     QUAD,
-    Affine,
     Exponent,
     Word,
     at_k,
     bounded_words,
     count_words,
+    is_family_parameter,
     parse_word,
 )
 
@@ -189,12 +189,7 @@ T6_EXPANSION_ROWS = _expansion(
 
 
 def _check_k(k: Exponent) -> None:
-    # k is a positive int, or an affine exponent positive at every k >= 1
-    # (K itself, for the structural analysis run once for every k).
-    if not (
-        type(k) is int and k >= 1
-        or isinstance(k, Affine) and k.b > 0 and k.a + k.b >= 1
-    ):
+    if not is_family_parameter(k):
         raise BarbellError(f"the family parameter k must be a positive integer, got {k!r}")
 
 

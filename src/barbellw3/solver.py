@@ -21,18 +21,19 @@ Each of the 25 shapes has a subscript whose factors are one factor,
 which division fixes, and the other variable then occurs once among
 some subscript's factors.
 
-Everything here also runs with k symbolic: ``at_each_k`` passes the
-family parameter ``K`` to the table, the hexagon case analysis or a
-target build, so the words carry exponents a + b*k.  The same code then
-answers for every k >= 1 except a finite exceptional set E: the k at
-which one of its k-dependent decisions would flip, a seam sum that
-vanishes in ``_seam`` or two words that coincide in ``equal_syllables``.
-Every k in E is computed again concretely.
+Everything here also runs with k symbolic: ``words.at_each_k`` passes
+the family parameter ``K`` to the table or the hexagon case analysis, so
+the words carry exponents a + b*k.  The same code then answers for every
+k >= 1 except a finite exceptional set E: the k at which one of its
+k-dependent decisions would flip, a seam sum that vanishes in
+``words._seam`` or two words that coincide under ``==``, which records
+where unequal exponents would agree.  Every k in E is computed again
+concretely.  Words are compared here with ``==`` and ``!=`` only.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, TypeVar
+from typing import Iterable, Mapping, NamedTuple, NoReturn
 
 from .barbell import (
     HEXAGON_FORMULAS,
@@ -45,16 +46,13 @@ from .patterns import Pattern, eval_pattern, word_pieces
 from .words import (
     BASE,
     QUAD,
-    K,
     Exponent,
     Word,
     at_k,
     concat_words,
-    equal_syllables,
     invert,
     parse_word,
     project,
-    recorded_roots,
 )
 
 
@@ -119,7 +117,7 @@ def _solve_system(equations: list[tuple[Factors, Word]]) -> dict[str, Word] | No
                 index for index, (var, _) in enumerate(factors) if var not in known
             ]
             if not unknown_positions:
-                if not equal_syllables(_product(factors, known).syllables, rhs.syllables):
+                if _product(factors, known) != rhs:
                     return None
                 continue
             if len(unknown_positions) == 1:
@@ -169,7 +167,7 @@ def solve(pattern: Pattern, target: Word) -> tuple[Solution, ...]:
     if (
         assignment is None
         or any(word.is_identity for word in assignment.values())
-        or not equal_syllables(eval_pattern(pattern, assignment).syllables, target.syllables)
+        or eval_pattern(pattern, assignment) != target
     ):
         return ()
     return (Solution.of(assignment),)
@@ -279,14 +277,6 @@ REFERENCE_TABLE_ROWS: tuple[tuple[str, tuple[int, ...], tuple[Word, Word], tuple
 )
 
 
-def _same_pair(row: tuple[Word, Word], transcribed: tuple[Word, Word], k: Exponent) -> bool:
-    """Whether a regenerated pair equals a transcribed pair instantiated
-    at k (``at_k``), word for word, recording where not."""
-    return all(
-        equal_syllables(v.syllables, at_k(w, k).syllables) for v, w in zip(row, transcribed)
-    )
-
-
 def compare_with_reference(k: Exponent) -> list[TableRow]:
     """Regenerate the table at k and insist it matches the transcription,
     ``REFERENCE_TABLE_ROWS``, row for row: the same shapes, appears-in
@@ -302,16 +292,14 @@ def compare_with_reference(k: Exponent) -> list[TableRow]:
         ref = reference.get(str(row.pattern))
         if ref is None:
             raise TableError(f"shape {row.pattern} is missing from the transcription")
-        appears_in, m1_solution, m2_solution = ref
+        appears_in, *solutions = ref
         if row.appears_in != appears_in:
             raise TableError(
                 f"shape {row.pattern}: appears-in {row.appears_in} differs from "
                 f"transcribed {appears_in}"
             )
-        if not (
-            _same_pair(row.m1_solution, m1_solution, k)
-            and _same_pair(row.m2_solution, m2_solution, k)
-        ):
+        transcribed = tuple(tuple(at_k(w, k) for w in pair) for pair in solutions)
+        if (row.m1_solution, row.m2_solution) != transcribed:
             raise TableError(
                 f"shape {row.pattern}: solutions at k={k} differ from the transcription"
             )
@@ -354,8 +342,7 @@ def hexagon_case_analysis(k: Exponent) -> tuple[HexagonCase, ...]:
             # The witness monomials each term equals at (nu, mu), one
             # comparison per (term, monomial); every check below reads it.
             hits = [
-                {name for name, m in monomials.items()
-                 if equal_syllables(words[shape], m.syllables)}
+                {name for name, m in monomials.items() if words[shape] == m.syllables}
                 for _, shape in signed
             ]
             case = f"term {term_index} = {target_name}({k})"
@@ -388,32 +375,3 @@ def hexagon_case_analysis(k: Exponent) -> tuple[HexagonCase, ...]:
                 )
             cases.append(HexagonCase(term_index, target_name, nu, mu, partner_index, sign))
     return tuple(cases)
-
-
-# ---------------------------------------------------------------------------
-# One structural analysis for every k.
-
-Result = TypeVar("Result")
-
-
-def at_each_k(analysis: Callable[[Exponent], Result]) -> Callable[[int], Result]:
-    """A k-parametrised computation, such as ``compare_with_reference``,
-    ``hexagon_case_analysis`` or a target build, for each positive k.
-
-    It runs once now, at k = K, recording its exceptional set E.  At each
-    k outside E the result at K holds: every decision it made comes out
-    the same on the concrete words.  At each k in E, and at every k when
-    the run at K raised, the computation runs at that k, where a failure
-    is met again.
-    """
-    with recorded_roots() as roots:
-        try:
-            for_all = analysis(K)
-        except Exception:
-            for_all = None
-    exceptional = frozenset(roots)
-
-    def at(k: int) -> Result:
-        return analysis(k) if for_all is None or k in exceptional else for_all
-
-    return at

@@ -2,11 +2,12 @@
 
 Each suite runs a list of named checks and returns a Report.  A check
 records the claim it verifies, how it verifies it, and pass/fail with
-details.  Methods are labelled honestly: "exact" for a finite algebraic
-identity computed in full, "exhaustive-bounded" for enumeration up to
-stated bounds, "randomized" for seeded sampling, and
-"structural-complete" for solver-based arguments that cover every case
-of a finite analysis.  Bounded enumeration is never presented as a
+details; every check is built by ``_run_check``, from a body that
+returns its details or raises ``CheckFailure``.  Methods are labelled
+honestly: "exact" for a finite algebraic identity computed in full,
+"exhaustive-bounded" for enumeration up to stated bounds, "randomized"
+for seeded sampling, and "structural-complete" for solver-based
+arguments that cover every case of a finite analysis.  Bounded enumeration is never presented as a
 proof of the unbounded statement.
 
 The main-theorem suite cites the hexagon and span checks its
@@ -26,7 +27,7 @@ checks that use it.
 
 The per-k structural checks, ``solution_table_k*`` and
 ``hexagon_cases_k*``, rest on one analysis per suite call, run with k
-symbolic by ``solver.at_each_k``, which analyses concretely the k in
+symbolic by ``words.at_each_k``, which analyses concretely the k in
 its exceptional set E, or every k when the symbolic argument did not go
 through, so a report reads the same either way.  The targets are built
 by the same runner: once per disk at k = K, comparing the two
@@ -117,12 +118,13 @@ from .barbell import (
 )
 from .patterns import CompiledFormulas, Pattern, Run, word_pieces
 from .ring import RingElement, _eliminate, _reduce, _row
-from .solver import at_each_k, compare_with_reference, hexagon_case_analysis
+from .solver import compare_with_reference, hexagon_case_analysis
 from .words import (
     BASE,
     QUAD,
     AlphabetMismatchError,
     Word,
+    at_each_k,
     bounded_words,
     count_words,
     invert,
@@ -468,7 +470,7 @@ def _build_targets(kmax: int) -> Iterator[tuple[tuple[Disk, int], RingElement | 
     ((disk, k), value) by k, then disk; where a construction raised, its
     error as a string instead.
 
-    Each disk's target is built through ``solver.at_each_k``: at K,
+    Each disk's target is built through ``words.at_each_k``: at K,
     comparing the two constructions as affine formal sums, and
     instantiated at each k outside E, since instantiation is linear; a
     failure reads as it would concretely.
@@ -863,26 +865,24 @@ def _main_theorem(hexagon: Report, span: Report, checked: TargetChecks) -> Repor
                 target_checks[disk, k],
                 rank_checks[disk],
             ]
-            failed = [check.name for check in prerequisites if not check.passed]
-            report.checks.append(
-                Check(
-                    name=f"certificate_{disk.value}_k{k}",
-                    claim=(
-                        f"the {disk.value} value at k={k} is nonzero on psi({k}) "
-                        f"while psi({k}) vanishes on all hexagon relators and span "
-                        "generators verified within the bounds, certifying "
-                        "non-membership up to those bounds"
-                    ),
-                    method="exhaustive-bounded",
-                    status="fail" if failed else "pass",
-                    details=(
-                        "prerequisite checks failed: " + ", ".join(failed)
-                        if failed
-                        else "psi separates the value from every hexagon and "
-                        "admissible generator checked within bounds"
-                    ),
+            failed = ", ".join(check.name for check in prerequisites if not check.passed)
+
+            def certificate(failed=failed) -> str:
+                _fail_with(failed and f"prerequisite checks failed: {failed}")
+                return (
+                    "psi separates the value from every hexagon and "
+                    "admissible generator checked within bounds"
                 )
-            )
+
+            report.checks.append(_run_check(
+                f"certificate_{disk.value}_k{k}",
+                f"the {disk.value} value at k={k} is nonzero on psi({k}) "
+                f"while psi({k}) vanishes on all hexagon relators and span "
+                "generators verified within the bounds, certifying "
+                "non-membership up to those bounds",
+                "exhaustive-bounded",
+                certificate,
+            ))
     return report
 
 

@@ -13,9 +13,21 @@ parameter k (``Affine``).  A word with affine exponents stands for the
 whole family of words it gives at k = 1, 2, ...  Reduction, products,
 inverses, renaming and projection run on it unchanged and answer
 for every k but finitely many; the measures and the word order, which
-need the sign of an exponent, refuse it.  The exceptional k are where a
-truth test on an affine value would flip (a seam sum that vanishes, two
-exponents that coincide), and a ``recorded_roots`` block collects them.
+need the sign of an exponent, refuse it.  One rule makes every decision
+that depends on k: the truth test of an affine value, which records the
+k where it would flip.  A seam sum that vanishes is one; ``==`` on
+exponents is another, the truth test of their difference, so ``==`` and
+``!=`` on exponents, runs, words and tuples of words record the k where
+unequal values would coincide (a bare run, which compares its items
+before its length, may record one more).  A ``recorded_roots`` block
+collects these k, and ``at_each_k`` runs a computation once at ``K``
+inside one and replays it at each k; no other module records or replays.
+
+One decision is still unrecorded: a hash-keyed lookup, such as the term
+merging of ``RingElement``, between words whose exponents differ, which
+unequal hashes settle without comparing.  Each such lookup is safe
+today: it ends in ``RingElement.at_k``'s merge again at k, or in a
+failure that sends every k down the concrete path.
 
 The module also provides the text grammar used by the command line
 tools: syllables like ``t^-2`` separated by single spaces, ``1`` for
@@ -27,7 +39,7 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from enum import Enum
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 
 class WordError(ValueError):
@@ -108,14 +120,42 @@ def recorded_roots() -> Iterator[set[int]]:
         _OPEN_ROOTS.pop()
 
 
+Result = TypeVar("Result")
+
+
+def at_each_k(analysis: Callable[[Exponent], Result]) -> Callable[[int], Result]:
+    """A k-parametrised computation, such as ``solver.compare_with_reference``,
+    ``solver.hexagon_case_analysis`` or a target build, for each positive k.
+
+    It runs once now, at k = K, recording its exceptional set E.  At each
+    k outside E the result at K holds: every decision it made comes out
+    the same on the concrete words.  At each k in E, and at every k when
+    the run at K raised, the computation runs at that k, where a failure
+    is met again.
+    """
+    with recorded_roots() as roots:
+        try:
+            for_all = analysis(K)
+        except Exception:
+            for_all = None
+    exceptional = frozenset(roots)
+
+    def at(k: int) -> Result:
+        return analysis(k) if for_all is None or k in exceptional else for_all
+
+    return at
+
+
 class Affine:
     """An exponent a + b*k in the family parameter k, with b != 0.
 
     Arithmetic with ints and other affine exponents is exact and gives a
-    plain int when the k terms cancel.  Equality compares (a, b).  The
-    truth value is that of a polynomial in k, True, but it is a
-    k-dependent decision: it records the root -a/b when that is a
-    positive integer.  There is no order: whether a + b*k exceeds
+    plain int when the k terms cancel.  The truth value is that of a
+    polynomial in k, True, but it is a k-dependent decision: it records
+    the root -a/b when that is a positive integer.  Equality with an int
+    or an affine exponent is the negated truth value of the difference,
+    so it holds when (a, b) agree and otherwise records the k where the
+    two would coincide.  There is no order: whether a + b*k exceeds
     another value depends on k.
     """
 
@@ -161,7 +201,9 @@ class Affine:
         return True
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Affine) and self.a == other.a and self.b == other.b
+        if type(other) is not int and not isinstance(other, Affine):
+            return NotImplemented
+        return not (self - other)
 
     def __hash__(self) -> int:
         return hash((self.a, self.b))
@@ -186,6 +228,13 @@ Syllable = tuple[str, Exponent]
 
 # The family parameter itself.
 K = Affine(0, 1)
+
+
+def is_family_parameter(k: object) -> bool:
+    """Whether k is a positive int, or an affine exponent a + b*k with
+    b > 0 and a + b >= 1, so positive at every k >= 1 (``K`` itself, for
+    a computation run once for every k)."""
+    return type(k) is int and k >= 1 or isinstance(k, Affine) and k.b > 0 and k.a + k.b >= 1
 
 
 class Word:
@@ -248,7 +297,10 @@ class Word:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        return self.alphabet is other.alphabet and self.syllables == other.syllables
+        # Lengths first: a tuple compares its items before its length, and
+        # == on an affine exponent records a root.
+        x, y = self.syllables, other.syllables
+        return self.alphabet is other.alphabet and len(x) == len(y) and x == y
 
     def __hash__(self) -> int:
         # The alphabets share no letter, so the syllables alone hash well;
@@ -272,8 +324,9 @@ class Word:
     def __str__(self) -> str:
         if not self.syllables:
             return "1"
-        return " ".join(
-            letter if exp == 1 else f"{letter}^{exp}" for letter, exp in self.syllables
+        return " ".join(  # printing records nothing: no == on an affine exponent
+            letter if type(exp) is int and exp == 1 else f"{letter}^{exp}"
+            for letter, exp in self.syllables
         )
 
     def __repr__(self) -> str:
@@ -339,25 +392,10 @@ def _merge_runs(parts: Iterable[tuple[Syllable, ...]]) -> tuple[Syllable, ...]:
     return tuple(merged)
 
 
-def equal_syllables(x: tuple[Syllable, ...], y: tuple[Syllable, ...]) -> bool:
-    """Whether two reduced syllable runs are equal, recording where not.
-
-    Runs equal syllable for syllable are equal at every k.  Otherwise
-    they can be equal only at a k where their letters agree and every
-    exponent difference vanishes, so the first difference is truth
-    tested, which records its root.  ``Word.__eq__`` compares the runs
-    with ``==``, which tests no difference and would record nothing.
-    """
-    if x == y:
-        return True
-    if len(x) != len(y) or any(a != b for (a, _), (b, _) in zip(x, y)):
-        return False
-    return not any(e - f for (_, e), (_, f) in zip(x, y))
-
-
 def at_k(w: Word, k: Exponent, memo: dict | None = None) -> Word:
-    """A word with affine exponents at one k (a positive int, or an
-    affine exponent for a sub-family), reduced.
+    """A word with affine exponents at one k, reduced: a positive int, or
+    an affine exponent for a sub-family (``is_family_parameter``; any
+    other k is refused).
 
     Adjacent syllables of a reduced word have different letters, so only
     an exponent that vanishes at k can bring equal letters together: the
@@ -368,8 +406,8 @@ def at_k(w: Word, k: Exponent, memo: dict | None = None) -> Word:
     syllable to its first object, so the words it instantiates there hold
     one object per syllable value.
     """
-    if not (type(k) is int and k >= 1 or isinstance(k, Affine)):
-        raise WordError(f"k must be a positive int or an affine exponent, got {k!r}")
+    if not is_family_parameter(k):
+        raise WordError(f"k must be a family parameter, positive at every k >= 1, got {k!r}")
     syllables = []
     vanished = False
     for s in w.syllables:

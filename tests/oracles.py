@@ -22,7 +22,26 @@ from itertools import product
 import barbellw3.barbell as barbell
 from barbellw3.patterns import CompiledFormulas, Pattern, eval_pattern
 from barbellw3.ring import RingElement
-from barbellw3.words import BASE, QUAD, Word, _merge_runs, equal_syllables, identity
+from barbellw3.words import BASE, QUAD, Syllable, Word, _merge_runs, identity
+
+
+def equal_syllables(x: tuple[Syllable, ...], y: tuple[Syllable, ...]) -> bool:
+    """Whether two reduced syllable runs are equal, recording where not:
+    the reference for ``==`` on runs and words.
+
+    Runs equal syllable for syllable are equal at every k.  Otherwise
+    they can be equal only at a k where their letters agree and every
+    exponent difference vanishes, so the first difference is truth
+    tested, which records its root.  Lengths and letters are compared
+    before any exponent.  ``Word.__eq__`` compares lengths first, so over
+    the two-letter alphabet, where runs of one length whose first letters
+    agree agree in every letter, it records the same roots.  Over four
+    letters it may record one more, where a later letter differs, and so
+    may ``==`` on bare runs of two lengths.
+    """
+    if len(x) != len(y) or any(a != b for (a, _), (b, _) in zip(x, y)):
+        return False
+    return not any(e - f for (_, e), (_, f) in zip(x, y))
 
 
 def expand_letters(w: Word) -> list[tuple[str, int]]:
@@ -325,7 +344,7 @@ def _divide(equations) -> dict[str, Word] | None:
             raise ValueError(f"division does not fix every variable of {pending}")
         del pending[index]
         if not unknown:
-            if not equal_syllables(_naive_product(factors, known).syllables, rhs.syllables):
+            if _naive_product(factors, known) != rhs:
                 return None
             continue
         [i] = unknown
@@ -361,7 +380,7 @@ def branch_solutions(pattern: Pattern, target: Word) -> set[tuple[tuple[str, Wor
         assignment = _divide(equations)
         if assignment is None or any(word.is_identity for word in assignment.values()):
             continue
-        if equal_syllables(eval_pattern(pattern, assignment).syllables, target.syllables):
+        if eval_pattern(pattern, assignment) == target:
             found.add(tuple(sorted(assignment.items())))
     return found
 

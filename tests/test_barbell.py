@@ -28,7 +28,17 @@ from barbellw3.barbell import (
     w3_target,
 )
 from barbellw3.ring import RingElement
-from barbellw3.words import BASE, K, Word, identity, parse_word
+from barbellw3.words import (
+    BASE,
+    QUAD,
+    K,
+    Word,
+    WordError,
+    at_k,
+    identity,
+    is_family_parameter,
+    parse_word,
+)
 
 from oracles import all_base_words, naive_concat, naive_invert, naive_rename
 from test_words import rand_word
@@ -179,13 +189,22 @@ def test_w3_target_validation():
 
 
 def test_family_parameter_is_a_positive_int_or_affine_in_k():
-    # True used to pass as k = 1.
-    for bad in (True, False, 2.0, "2", None, -K, K - 1):
+    # True used to pass as k = 1; at_k took 2 - K, giving u^-k+2 t.
+    w = parse_word("u^k t", k=True)
+    for bad in (True, False, 2.0, "2", None, 0, -K, K - 1, 2 - K, K - 5):
+        assert not is_family_parameter(bad)
         for build in (monomials_m, psi, t4_expansion, target_argument_pair):
             with pytest.raises(BarbellError, match="positive integer"):
                 build(bad)
         with pytest.raises(BarbellError):
             w3_target(Disk.D1, bad)
+        with pytest.raises(WordError, match="family parameter"):
+            at_k(w, bad)
+    for good, text in ((K + 2, "u^k+2 t"), (2 * K - 1, "u^2k-1 t"), (7, "u^7 t")):
+        assert is_family_parameter(good)
+        assert at_k(w, good) == parse_word(text, k=True)
+        m2 = Word(QUAD, [("t_1", 2), ("u_1", good), ("t_1", -1), ("t_3", 1)])
+        assert monomials_m(good)[1] == m2
     m1, m2 = monomials_m(K)
     assert (str(m1), str(m2)) == ("t_1^-1 t_3 u_3^-k t_3^-2", "t_1^2 u_1^k t_1^-1 t_3")
     assert monomials_m(2 * K + 1)[0] == parse_word("t_1^-1 t_3 u_3^-2k-1 t_3^-2", k=True)

@@ -9,6 +9,7 @@ the words instantiated at that k.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -25,7 +26,6 @@ from barbellw3.words import (
     Word,
     at_k,
     concat_words,
-    equal_syllables,
     identity,
     invert,
     parse_word,
@@ -35,6 +35,7 @@ from barbellw3.words import (
 )
 
 from oracles import (
+    equal_syllables,
     merged_at_k,
     naive_concat,
     naive_invert,
@@ -210,7 +211,7 @@ def test_operations_commute_with_instantiation(a_syllables, c_syllables, pattern
     with recorded_roots() as input_roots:
         a, c = Word(BASE, a_syllables), Word(BASE, c_syllables)
     with recorded_roots() as equality_roots:
-        equal = equal_syllables(a.syllables, c.syllables)
+        equal = a == c
     with recorded_roots() as roots:
         product = concat_words([a, c, invert(a)])
         inverse = invert(a)
@@ -231,6 +232,34 @@ def test_operations_commute_with_instantiation(a_syllables, c_syllables, pattern
             assert [at_k(Word(QUAD, shape), k).syllables for shape in shapes] == (
                 formulas.evaluate(word_pieces(a_k) + word_pieces(c_k))
             )
+
+
+@settings(max_examples=300, deadline=None)
+@given(syllables(exponents=AFFINE), syllables(exponents=AFFINE), st.booleans())
+@example([("u", K)], [("u", 3)], False)
+@example([("t", 1), ("u", K)], [("t", 1), ("u", K)], True)
+@example([("t", K), ("u", 2)], [("t", 2 * K - 3), ("u", 2)], True)
+@example([("t", K), ("u", 2)], [("u", K), ("t", 2)], False)
+def test_equality_records_as_the_reference(x_syllables, y_syllables, nested):
+    # Words compare lengths first and record the reference's roots.  A
+    # tuple compares its items before its length, so runs of two lengths
+    # may record a root more; never one fewer.
+    x, y = tuple(x_syllables), tuple(y_syllables)
+    with recorded_roots() as reference_roots:
+        expected = equal_syllables(x, y)
+    for left, right in ((Word(BASE, x), Word(BASE, y)), (x, y)):
+        for compare, answer in ((operator.eq, expected), (operator.ne, not expected)):
+            with recorded_roots() as roots:
+                if nested:
+                    with recorded_roots() as inner:
+                        assert compare(left, right) is answer
+                    assert inner == roots
+                else:
+                    assert compare(left, right) is answer
+            if len(x) == len(y) or type(left) is Word:
+                assert roots == reference_roots
+            else:
+                assert roots >= reference_roots
 
 
 @settings(max_examples=100, deadline=None)

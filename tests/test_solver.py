@@ -21,7 +21,6 @@ from barbellw3.solver import (
     Solution,
     SolveError,
     TableError,
-    at_each_k,
     compare_with_reference,
     hexagon_case_analysis,
     regenerate_table,
@@ -32,6 +31,7 @@ from barbellw3.words import (
     BASE,
     QUAD,
     K,
+    at_each_k,
     at_k,
     identity,
     invert,

@@ -24,10 +24,10 @@ from barbellw3.words import (
     WordError,
     WordSyntaxError,
     ZeroExponentError,
+    at_each_k,
     at_k,
     bounded_words,
     concat_words,
-    equal_syllables,
     identity,
     invert,
     parse_word,
@@ -166,21 +166,44 @@ def test_truth_tests_on_affine_exponents_record_their_roots():
     u_k, u_minus_2 = parse_word("u^k", k=True), parse_word("u^-2")
     with recorded_roots() as roots:
         product = concat_words([u_k, u_minus_2])  # u^(k-2): the seam vanishes at k = 2
-        assert not equal_syllables(u_k.syllables, parse_word("u^3").syllables)
-        assert equal_syllables(u_k.syllables, parse_word("u^k", k=True).syllables)
-        assert not equal_syllables(u_k.syllables, parse_word("t^3").syllables)
+        assert u_k != parse_word("u^3")
+        assert u_k == parse_word("u^k", k=True)
+        assert u_k != parse_word("t^3")
+        assert str(product) == "u^k-2" and str(u_k) == "u^k"  # printing records nothing
         with recorded_roots() as inner:
             Word(BASE, [("t", 2 * K - 8)])
-    assert str(product) == "u^k-2"
-    assert roots == {2, 3, 4} and inner == {4}
+            assert (u_k, u_k) != (u_k, parse_word("u^5"))
+    assert roots == {2, 3, 4, 5} and inner == {4, 5}
     concat_words([parse_word("u^k", k=True), parse_word("u^-5")])  # outside any block
-    assert roots == {2, 3, 4}
+    assert roots == {2, 3, 4, 5}
     assert at_k(product, 2) == identity(BASE) and at_k(product, 5) == parse_word("u^3")
     assert at_k(parse_word("t u^k-1 t", k=True), 1) == parse_word("t^2")
     assert at_k(product, K + 2) == parse_word("u^k", k=True)
     for bad in (0, True, 1.0):
         with pytest.raises(WordError):
             at_k(product, bad)
+
+
+def test_affine_equality_is_a_recorded_decision():
+    with recorded_roots() as roots:
+        assert K + 1 == 1 + K and not K + 1 != 1 + K and 2 * K == K + K
+        assert K != 3 and 3 != K and K - 1 != -1 + 2 * K and K != 2 * K + 1
+        assert K != "k" and K != 1.0
+    # K = 3 and k - 1 = 2k - 1 at k = 0; k = 2k + 1 at no positive k.
+    assert roots == {3}
+    assert K.__eq__("k") is NotImplemented and K.__eq__(1.0) is NotImplemented
+    assert len({K + 1, 1 + K, K}) == 2
+
+
+def test_a_plain_equality_inside_an_analysis_is_replayed():
+    # The analysis decides on an == between u^(k-2) and u, true at k = 3
+    # only; at K it answers False, and k = 3 must be run again.
+    def analysis(k):
+        return Word(BASE, [("u", k - 2)]) == parse_word("u")
+
+    at = at_each_k(analysis)
+    assert at(3) is True
+    assert at(1) is False and at(4) is False and at(30) is False
 
 
 def test_equality_and_hash():
