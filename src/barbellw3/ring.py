@@ -2,14 +2,17 @@
 
 Elements are finite formal sums of reduced words with Fraction
 coefficients, stored sparsely as a word -> coefficient map with no zero
-entries.  Everything is exact: floats are rejected outright so a
-verification can never pass by rounding.
+entries.  The ``RingElement`` constructor alone builds that map, for a sum
+of elements and a ``Functional``'s weights too: repeated words sum, a
+zero sum is dropped, each word keeps its first place.  Everything is
+exact: floats are rejected outright so a verification can never pass
+by rounding.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .words import (
     Alphabet,
@@ -28,6 +31,8 @@ class CoefficientError(ValueError):
 def as_fraction(value) -> Fraction:
     """Coerce int, Fraction, or a rational string to Fraction; floats and
     bools are refused."""
+    if type(value) is int:  # first: isinstance on Fraction, an ABC, is slower
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -65,13 +70,12 @@ class RingElement:
                 raise AlphabetMismatchError(
                     f"term {word} is over {word.alphabet.name}, element is over {alphabet.name}"
                 )
-            value = acc.get(word, _ZERO) + as_fraction(coeff)
-            if value:
-                acc[word] = value
-            elif word in acc:
-                del acc[word]
+            q = as_fraction(coeff)
+            previous = acc.get(word)
+            acc[word] = q if previous is None else previous + q
         self.alphabet = alphabet
-        self._terms = acc
+        # Rebuilt only when a sum vanished: a rebuild hashes every word again.
+        self._terms = acc if all(acc.values()) else {word: q for word, q in acc.items() if q}
 
     @classmethod
     def monomial(cls, word: Word, coeff=1) -> "RingElement":
@@ -93,12 +97,13 @@ class RingElement:
         return sorted(self._terms.items(), key=lambda item: item[0].sort_key())
 
     def terms(self) -> Iterable[tuple[Word, Fraction]]:
-        """The terms in no fixed order, for lookups that need no sorting."""
+        """The terms unsorted, each word where it first appeared."""
         return self._terms.items()
 
     def at_k(self, k: Exponent, memo: dict | None = None) -> "RingElement":
         """An element with affine exponents at one k: each word through
         ``words.at_k``, and words that coincide there merged.
+        Its own merge loop is the per-k fast path: the constructor's is slower.
 
         ``memo``, a dict a caller keeps for one k, is passed on to
         ``words.at_k``, so the elements instantiated with it hold one
@@ -134,14 +139,7 @@ class RingElement:
             return NotImplemented
         if self.alphabet is not other.alphabet:
             raise AlphabetMismatchError("cannot add elements over different alphabets")
-        acc = dict(self._terms)
-        for word, coeff in other._terms.items():
-            value = acc.get(word, _ZERO) + coeff
-            if value:
-                acc[word] = value
-            elif word in acc:
-                del acc[word]
-        return RingElement._from_clean_dict(self.alphabet, acc)
+        return RingElement(self.alphabet, [*self._terms.items(), *other._terms.items()])
 
     def __neg__(self) -> "RingElement":
         return RingElement._from_clean_dict(
@@ -167,19 +165,12 @@ class RingElement:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         pieces = []
         for word, coeff in self.items():
-            sign = "-" if coeff < 0 else "+"
-            magnitude = abs(coeff)
-            body = str(word) if magnitude == 1 else f"{_format_fraction(magnitude)} * {word}"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        text = ("- " if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+            body = str(word) if abs(coeff) == 1 else f"{_format_fraction(abs(coeff))} * {word}"
+            pieces.append(f"{'-' if coeff < 0 else '+'} {body}")
+        text = " ".join(pieces)
+        return text[2:] if text.startswith("+") else text or "0"
 
     def __repr__(self) -> str:
         return f"RingElement({self.alphabet.name}, {self})"
@@ -217,26 +208,17 @@ _ZERO = Fraction(0)
 
 
 class Functional:
-    """A linear functional given by finitely many word weights."""
+    """A linear functional given by finitely many word weights, merged like
+    a ``RingElement``'s terms; one with no nonzero weight is refused."""
 
     __slots__ = ("alphabet", "weights")
 
     def __init__(self, weights: Mapping[Word, object] | Iterable[tuple[Word, object]]):
-        items = weights.items() if isinstance(weights, Mapping) else list(weights)
-        acc: dict[Word, Fraction] = {}
-        alphabet = None
-        for word, value in items:
-            if alphabet is None:
-                alphabet = word.alphabet
-            elif word.alphabet is not alphabet:
-                raise AlphabetMismatchError("functional weights must share one alphabet")
-            q = as_fraction(value)
-            if q:
-                acc[word] = q
-        if alphabet is None:
-            raise ValueError("a functional needs at least one weighted word")
-        self.alphabet = alphabet
-        self.weights = acc
+        items = list(weights.items() if isinstance(weights, Mapping) else weights)
+        self.alphabet = items[0][0].alphabet if items else None
+        self.weights = RingElement(self.alphabet, items)._terms
+        if not self.weights:
+            raise ValueError("a functional needs a nonzero weight")
 
     def evaluate(self, x: RingElement) -> Fraction:
         if x.alphabet is not self.alphabet:

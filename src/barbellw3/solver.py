@@ -28,7 +28,9 @@ k >= 1 except a finite exceptional set E: the k at which one of its
 k-dependent decisions would flip, a seam sum that vanishes in
 ``words._seam`` or two words that coincide under ``==``, which records
 where unequal exponents would agree.  Every k in E is computed again
-concretely.  Words are compared here with ``==`` and ``!=`` only.
+concretely.  Words are compared here with ``==`` and ``!=`` only, as
+``Word``s, whose ``==`` compares syllable counts first: a bare run
+compares its items first and could record a k where no decision flips.
 """
 
 from __future__ import annotations
@@ -339,12 +341,10 @@ def hexagon_case_analysis(k: Exponent) -> tuple[HexagonCase, ...]:
         for target_name, other_name, assignment in zip(("m1", "m2"), ("m2", "m1"), solved):
             nu, mu = assignment["nu"], assignment["mu"]
             words = HEXAGON_FORMULAS.evaluate(word_pieces(nu) + word_pieces(mu))
-            # The witness monomials each term equals at (nu, mu), one
-            # comparison per (term, monomial); every check below reads it.
-            hits = [
-                {name for name, m in monomials.items() if words[shape] == m.syllables}
-                for _, shape in signed
-            ]
+            # The witness monomials each term equals at (nu, mu), compared as
+            # Words (syllable counts first); every check below reads it.
+            values = [Word._raw(QUAD, words[shape]) for _, shape in signed]
+            hits = [{name for name, m in monomials.items() if value == m} for value in values]
             case = f"term {term_index} = {target_name}({k})"
             partners = [i for i, hit in enumerate(hits, 1)
                         if i != term_index and other_name in hit]

@@ -12,14 +12,15 @@ An exponent is an int, or an affine exponent ``a + b*k`` in the family
 parameter k (``Affine``).  A word with affine exponents stands for the
 whole family of words it gives at k = 1, 2, ...  Reduction, products,
 inverses, renaming and projection run on it unchanged and answer
-for every k but finitely many; the measures and the word order, which
-need the sign of an exponent, refuse it.  One rule makes every decision
-that depends on k: the truth test of an affine value, which records the
-k where it would flip.  A seam sum that vanishes is one; ``==`` on
-exponents is another, the truth test of their difference, so ``==`` and
-``!=`` on exponents, runs, words and tuples of words record the k where
-unequal values would coincide (a bare run, which compares its items
-before its length, may record one more).  A ``recorded_roots`` block
+for every k but finitely many; the measures, which need the sign of an
+exponent, refuse it, and the word order puts it after every concrete
+word.  One rule makes every decision that depends on k: the truth test
+of an affine value, which records the k where it would flip.  A seam
+sum that vanishes is one; ``==`` on exponents is another, the truth
+test of their difference, so ``==`` and ``!=`` on exponents, runs,
+words and tuples of words record the k where unequal values would
+coincide (a bare run, which compares its items before its length, may
+record one more).  A ``recorded_roots`` block
 collects these k, and ``at_each_k`` runs a computation once at ``K``
 inside one and replays it at each k; no other module records or replays.
 
@@ -287,12 +288,18 @@ class Word:
     def syllable_count(self) -> int:
         return len(self.syllables)
 
+    def _sizes(self) -> list[int]:
+        try:
+            return [abs(exp) for _, exp in self.syllables]
+        except TypeError:  # Affine has no abs: its sign depends on k
+            raise WordError(f"the exponent sizes of {self} depend on k") from None
+
     @property
     def length(self) -> int:
-        return sum(abs(exp) for _, exp in self.syllables)
+        return sum(self._sizes())
 
     def max_exponent(self) -> int:
-        return max((abs(exp) for _, exp in self.syllables), default=0)
+        return max(self._sizes(), default=0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Word):
@@ -333,10 +340,19 @@ class Word:
         return f"Word({self.alphabet.name}, {self})"
 
     def sort_key(self) -> tuple:
-        """Total order on words of one alphabet: length, syllables, spelling."""
+        """Total order on words of one alphabet: length, syllables, spelling.
+        A word with an affine exponent comes after every concrete word, each
+        exponent a + b*k keyed as the ints (a, b), so sorting records nothing."""
         index = self.alphabet.letter_index
+        try:
+            length = self.length
+        except WordError:
+            return (float("inf"), len(self.syllables), tuple(
+                (index(letter), (exp, 0) if type(exp) is int else (exp.a, exp.b))
+                for letter, exp in self.syllables
+            ))
         return (
-            self.length,
+            length,
             len(self.syllables),
             tuple((index(letter), exp) for letter, exp in self.syllables),
         )

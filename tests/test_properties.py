@@ -12,12 +12,13 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barbellw3.barbell import HEXAGON_FORMULAS, T_POLY_FORMULAS, monomials_m, psi
 from barbellw3.patterns import eval_pattern, word_pieces
-from barbellw3.ring import RingElement, rank
+from barbellw3.ring import Functional, RingElement, rank
 from barbellw3.solver import solve, table_patterns
 from barbellw3.words import (
     BASE,
@@ -175,6 +176,34 @@ def test_psi_is_linear(case):
     m1, m2 = monomials_m(k)
     assert functional(x) == x.coeff(m1) - x.coeff(m2)
     assert isinstance(functional(x), Fraction)
+
+
+def pairs():
+    """(word, coefficient) pairs over at most 3 words, so that words repeat
+    and their coefficients often cancel."""
+    pool = st.lists(words(QUAD), min_size=1, max_size=3, unique=True)
+    coefficient = st.fractions(-2, 2, max_denominator=2)
+    return pool.flatmap(
+        lambda pool: st.lists(st.tuples(st.sampled_from(pool), coefficient), max_size=8)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs(), pairs())
+def test_weights_and_sums_merge_by_the_one_rule(x_pairs, y_pairs):
+    # The reference: sums in order of first appearance, zero sums dropped.
+    merged = {}
+    for word, q in x_pairs:
+        merged[word] = merged.get(word, 0) + q
+    x, y = RingElement(QUAD, x_pairs), RingElement(QUAD, y_pairs)
+    assert list(x.terms()) == [(word, q) for word, q in merged.items() if q]
+    if x:
+        assert list(Functional(x_pairs).weights.items()) == list(x.terms())
+    else:
+        with pytest.raises(ValueError, match="nonzero weight"):
+            Functional(x_pairs)
+    # Term order included: _row numbers rank's columns by it.
+    assert list((x + y).terms()) == list(RingElement(QUAD, [*x.terms(), *y.terms()]).terms())
 
 
 @st.composite

@@ -21,10 +21,12 @@ from barbellw3.ring import (
 from barbellw3.words import (
     BASE,
     QUAD,
+    K,
     AlphabetMismatchError,
     at_k,
     identity,
     parse_word,
+    recorded_roots,
 )
 
 from test_words import rand_word
@@ -54,6 +56,13 @@ def test_constructor_sums_duplicates_and_drops_zeros():
     assert not RingElement(BASE, [(t, 1), (t, -1)])
     assert not RingElement(BASE)
     assert str(RingElement(BASE)) == "0"
+
+
+def test_constructor_keeps_each_word_where_it_first_appeared():
+    t, u = parse_word("t"), parse_word("u")
+    x = RingElement(BASE, [(t, 1), (u, 1), (t, -1), (t, 2)])
+    assert list(x.terms()) == [(t, 2), (u, 1)]
+    assert list((x + RingElement(BASE, [(u, -1), (t, 1)])).terms()) == [(t, 3)]
 
 
 def test_constructor_rejects_bad_terms():
@@ -108,6 +117,24 @@ def test_str_format():
     assert str(x) == "- 1 + t - 2 * u + 1/3 * t u"
     assert str(RingElement(BASE, {t: -1})) == "- t"
     assert str(RingElement(BASE, {t: 1})) == "t"
+
+
+def test_values_at_K_print_and_record_nothing():
+    targets = [w3_target(disk, K) for disk in (Disk.D1, Disk.D2)]
+    with recorded_roots() as roots:
+        printed = [(str(x), repr(x), x.to_json_dict()) for x in targets]
+    assert roots == set()
+    for target, (text, text_repr, document), count in zip(targets, printed, (8, 18)):
+        assert text_repr == f"RingElement(QUAD, {text})"
+        assert text.count(" + ") + text.count(" - ") + 1 == count == target.term_count
+        assert {
+            parse_word(term["word"], QUAD, k=True): Fraction(term["coeff"])
+            for term in document["terms"]
+        } == dict(target.terms())
+    assert printed[0][0].startswith("- t_1 u_1^-k t_3 + t_1 t_3 u_3^-k + ")
+    # Concrete words first, then affine ones.
+    mixed = RingElement(BASE, [(parse_word("u^k", k=True), 1), (parse_word("t^5"), -1)])
+    assert str(mixed) == "- t^5 + u^k"
 
 
 def test_json_round_trip_and_shape():
@@ -183,6 +210,16 @@ def test_functional_is_linear():
         q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         assert f(x + y) == f(x) + f(y)
         assert f(x.scale(q)) == q * f(x)
+
+
+def test_functional_weights_merge_like_ring_elements():
+    t = parse_word("t")
+    assert Functional([(t, 1), (t, 2)]).weights[t] == 3
+    for cancelled in ([(t, 1), (t, -1)], [(t, 0)], {}):
+        with pytest.raises(ValueError, match="a functional needs a nonzero weight"):
+            Functional(cancelled)
+    with pytest.raises(AlphabetMismatchError):
+        Functional([(t, 1), (parse_word("t_1"), 1)])
 
 
 def test_functional_rejects_cross_alphabet_input():

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import barbellw3.solver as solver
 from barbellw3.barbell import (
+    HEXAGON_FORMULAS,
     HEXAGON_TERMS,
     T_FORMULAS,
     hexagon,
@@ -433,6 +435,23 @@ def test_a_third_term_hit_fails_the_case_analysis(monkeypatch):
         assert str(cases.value) == (
             f"term 1 = m1({k}): term 5 also hits a witness monomial"
         )
+
+
+def test_a_shape_value_of_another_length_records_no_root(monkeypatch):
+    # A fifth hexagon shape whose value is m1(3) without its last syllable.
+    # A run compares its items before its length: against m1(K) its u_3^-3
+    # would meet u_3^-k and record k = 3, where no decision flips.
+    expected = hexagon_case_analysis(K)
+    run = (("t_1", -1), ("t_3", 1), ("u_3", -3))
+    planted = SimpleNamespace(
+        terms={"H": HEXAGON_FORMULAS.terms["H"] + ((1, len(HEXAGON_FORMULAS.shapes)),)},
+        evaluate=lambda pieces: HEXAGON_FORMULAS.evaluate(pieces) + [run],
+    )
+    monkeypatch.setattr(solver, "HEXAGON_FORMULAS", planted)
+    with recorded_roots() as roots:
+        cases = hexagon_case_analysis(K)
+    assert roots == set()
+    assert cases == expected
 
 
 def test_case_analysis_structure():

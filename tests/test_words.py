@@ -278,6 +278,18 @@ def test_sort_key_orders_by_length_then_spelling():
     assert [str(w) for w in ordered] == ["1", "t", "u^-1", "u", "t^2", "t u"]
 
 
+def test_an_affine_word_has_no_measure_and_sorts_after_concrete_words():
+    w = parse_word("t u^k", k=True)
+    for measure in (lambda: w.length, w.max_exponent):
+        with pytest.raises(WordError, match="depend on k"):
+            measure()
+    words = [parse_word(text, k=True) for text in ("t u^k", "t^9 u^9", "t u^-k", "t^2 u^k-1")]
+    with recorded_roots() as roots:
+        ordered = sorted(words, key=Word.sort_key)
+    assert roots == set()
+    assert [str(w) for w in ordered] == ["t^9 u^9", "t u^-k", "t u^k", "t^2 u^k-1"]
+
+
 def test_rename_is_a_homomorphism():
     rng = random.Random(11)
     for tag in (1, 3):
