@@ -176,6 +176,10 @@ class RingElement:
         return f"RingElement({self.alphabet.name}, {self})"
 
     def to_json_dict(self) -> dict:
+        """The canonical JSON form: the alphabet's name and each term's word
+        text and coefficient, in ``items`` order.  A value at K writes
+        its affine exponents, such as ``u_1^-k``, which ``from_json_dict``
+        does not read: the JSON form reads back concrete values only."""
         return {
             "alphabet": self.alphabet.name,
             "terms": [
@@ -186,6 +190,9 @@ class RingElement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RingElement":
+        """The element of a canonical JSON form (``to_json_dict``).  Words
+        are read with integer exponents only, so the JSON form of a value
+        at K is refused with a WordSyntaxError naming its exponent."""
         if not isinstance(data, dict) or "alphabet" not in data or "terms" not in data:
             raise ValueError("element JSON must have 'alphabet' and 'terms' fields")
         try:

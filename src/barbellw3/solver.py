@@ -5,11 +5,14 @@ subscript projections.  pi_s (``words.project``) keeps the letters of
 subscript s and is a homomorphism onto the two-letter group, so every
 solution also solves pi_s(pattern) = pi_s(target) for s = 1 and s = 3,
 where pi_s(pattern) is the product of the pattern's subscript-s factors
-(``Pattern.projection``).  Whenever one of these equations has exactly
-one unknown occurrence the unknown is forced by one-sided division.
-``solve`` answers by division alone: it fixes each variable once, so
-there is at most one solution, which is checked on the pattern itself.
-A system that division cannot finish is refused with ``SolveError``.
+(``Pattern.projection``).  ``solve`` answers by two one-sided
+divisions.  The first subscript, 1 then 3, whose factors are one factor
+x or x^-1 (``forcing_factor``) pins x to pi_s(target) or its inverse.
+The other variable must then occur once among the other subscript's
+factors, and dividing that equation by the factors of x on either side
+pins it.  So there is at most one solution, which is checked on the
+pattern itself.  A pattern where either step fails is refused with
+``SolveError``, whatever the target.
 
 The module also regenerates the solution table for the 21 monomial
 shapes of the four T-polynomials, compares it with an independently
@@ -18,8 +21,8 @@ hexagon case analysis.  Both rest on one lemma, which
 ``_unique_solutions`` checks shape by shape: each shape meets each
 witness monomial m1(k), m2(k) in exactly one pair, found by division.
 Each of the 25 shapes has a subscript whose factors are one factor,
-which division fixes, and the other variable then occurs once among
-some subscript's factors.
+and the other variable then occurs once in the other subscript, so
+both divisions go through.
 
 Everything here also runs with k symbolic: ``words.at_each_k`` passes
 the family parameter ``K`` to the table or the hexagon case analysis, so
@@ -35,7 +38,7 @@ compares its items first and could record a k where no decision flips.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, NoReturn
+from typing import Mapping, NamedTuple, NoReturn
 
 from .barbell import (
     HEXAGON_FORMULAS,
@@ -88,87 +91,66 @@ class Solution(NamedTuple):
         return ", ".join(f"{var} = {word}" for var, word in self.items)
 
 
-Factors = tuple[tuple[str, bool], ...]
-
-
-def _product(
-    factors: Iterable[tuple[str, bool]], known: Mapping[str, Word]
-) -> Word:
-    pieces = []
-    for var, inverted in factors:
-        value = known[var]
-        pieces.append(invert(value) if inverted else value)
-    return concat_words(pieces, BASE)
-
-
-def _solve_system(equations: list[tuple[Factors, Word]]) -> dict[str, Word] | None:
-    """The one assignment satisfying every equation, or None when an
-    equation with no unknowns fails.
-
-    Each step divides an equation with a single unknown occurrence by
-    the known factors on either side, exactly; a divided value may be
-    the identity.  Raises SolveError when no equation left has a single
-    unknown occurrence.
-    """
-    pending = list(equations)
-    known: dict[str, Word] = {}
-    while pending:
-        remaining = []
-        for factors, rhs in pending:
-            unknown_positions = [
-                index for index, (var, _) in enumerate(factors) if var not in known
-            ]
-            if not unknown_positions:
-                if _product(factors, known) != rhs:
-                    return None
-                continue
-            if len(unknown_positions) == 1:
-                index = unknown_positions[0]
-                var, inverted = factors[index]
-                prefix = _product(factors[:index], known)
-                suffix = _product(factors[index + 1:], known)
-                value = concat_words([invert(prefix), rhs, invert(suffix)], BASE)
-                known[var] = invert(value) if inverted else value
-                continue
-            remaining.append((factors, rhs))
-        # Every step that makes progress removes its equation.
-        if len(remaining) == len(pending):
-            _enumerate_one_variable(remaining)
-        pending = remaining
-    return known
-
-
 # The refusal keeps this name because bench/tracer.py times it as
 # solver.fallback, whose count is therefore the number of refusals.
-def _enumerate_one_variable(pending: list[tuple[Factors, Word]]) -> NoReturn:
-    stuck = "; ".join(
-        " ".join(var + ("^-1" if inverted else "") for var, inverted in factors)
-        + f" = {rhs}"
-        for factors, rhs in pending
-    )
-    raise SolveError(
-        "division does not fix every variable: no equation left has a single "
-        f"unknown occurrence ({stuck})"
-    )
+def _enumerate_one_variable(pattern: Pattern, reason: str) -> NoReturn:
+    raise SolveError(f"division does not fix every variable of {pattern}: {reason}")
+
+
+def forcing_factor(pattern: Pattern) -> tuple[str, int, bool]:
+    """Division's first step: (variable, subscript, inverted) of the first
+    subscript, 1 then 3, whose factors in ``pattern``
+    (``Pattern.projection``) are one factor x or x^-1, so that its
+    projection equation fixes x.  Raises SolveError when no subscript
+    has a single factor.
+    """
+    for tag in (1, 3):
+        factors = pattern.projection(tag)
+        if len(factors) == 1:
+            [(var, inverted)] = factors
+            return var, tag, inverted
+    _enumerate_one_variable(pattern, "no subscript has a single factor")
 
 
 def solve(pattern: Pattern, target: Word) -> tuple[Solution, ...]:
     """The assignment of nontrivial words satisfying pattern = target, as
     a tuple of at most one solution.
 
-    The system solved is the pair of projection equations
-    pi_s(pattern) = pi_s(target), s = 1, 3.  Division fixes each variable
-    once, so there is at most one candidate, and it is checked on the
-    pattern.  Raises SolveError when division does not fix every
-    variable.
+    Two divisions solve the projection equations pi_s(pattern) =
+    pi_s(target), s = 1, 3.  The first pins the variable x of
+    ``forcing_factor`` to pi_s(target) or its inverse.  The second
+    divides the other subscript's equation, prefix * y * suffix, by its
+    factors of x on either side, for the other variable y.  The one
+    candidate is checked on the pattern.  Raises SolveError when no
+    subscript has a single factor, or y occurs more than once in the
+    other subscript.
     """
     if target.alphabet is not QUAD:
         raise SolveError("the target must be a word over the four-letter alphabet")
-    equations = [(pattern.projection(tag), project(target, tag)) for tag in (1, 3)]
-    assignment = _solve_system(equations)
+    var, tag, inverted = forcing_factor(pattern)
+    image = project(target, tag)
+    value, inverse = (invert(image), image) if inverted else (image, invert(image))
+    assignment = {var: value}
+    other = 4 - tag
+    factors = pattern.projection(other)
+    unknown = [index for index, (each, _) in enumerate(factors) if each != var]
+    if len(unknown) > 1:
+        _enumerate_one_variable(
+            pattern, f"{factors[unknown[0]][0]} occurs {len(unknown)} times in subscript {other}"
+        )
+    if unknown:
+        [index] = unknown
+        y, y_inverted = factors[index]
+        undo = {False: inverse, True: value}  # the inverses of x and of x^-1
+        divided = concat_words(
+            [undo[each] for _, each in reversed(factors[:index])]
+            + [project(target, other)]
+            + [undo[each] for _, each in reversed(factors[index + 1:])],
+            BASE,
+        )
+        assignment[y] = invert(divided) if y_inverted else divided
     if (
-        assignment is None
-        or any(word.is_identity for word in assignment.values())
+        any(word.is_identity for word in assignment.values())
         or eval_pattern(pattern, assignment) != target
     ):
         return ()

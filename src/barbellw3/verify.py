@@ -62,7 +62,7 @@ Bad inputs are refused there, in one way: a ValueError stops the suite
 call before any check runs.  ``_require_bounds`` refuses a bound or a
 worker count out of range, ``_witnesses`` a word that psi weighs at two
 k (every lookup by witness word assumes none is), and
-``_single_factor`` a shape that no projection forces.
+``solver.forcing_factor`` a shape that no projection forces.
 
 Only the pairs a subscript projection cannot rule out reach ``_scan``.
 Every shape has a subscript whose factors are one factor x or x^-1, and
@@ -70,9 +70,13 @@ projecting onto that subscript, a homomorphism, forces x to one value
 per witness word (``_forced``, sets of syllable runs read off the
 witnesses' projections, the one key the sweeps test words by); a pair
 taking none of its variables' forced values has no witness word among
-its shape values and no violation, so it is settled by projection.  At
-bounds (3, 3) and kmax 10 that leaves 6 172 of 267 289 hexagon pairs
-and 4 128 of 133 128 admissible pairs.
+its shape values and no violation, so it is settled by projection.
+That is the first of ``solver.solve``'s two divisions, and one
+function, ``solver.forcing_factor``, decides it for both.  The
+prefilter needs no second step, which pins the other variable in the
+other subscript, so a shape that only the second step refuses is swept
+like any other.  At bounds (3, 3) and kmax 10 the prefilter leaves
+6 172 of 267 289 hexagon pairs and 4 128 of 133 128 admissible pairs.
 A shape with no such subscript is refused, as above.  Each chunk
 counts its share from its bounds, so the reports read as if every pair
 were scanned, and refuses a build that yields another count: a word
@@ -116,9 +120,9 @@ from .barbell import (
     psi,
     w3_target,
 )
-from .patterns import CompiledFormulas, Pattern, Run, word_pieces
+from .patterns import CompiledFormulas, Run, word_pieces
 from .ring import RingElement, _eliminate, _reduce, _row
-from .solver import compare_with_reference, hexagon_case_analysis
+from .solver import compare_with_reference, forcing_factor, hexagon_case_analysis
 from .words import (
     BASE,
     QUAD,
@@ -277,18 +281,6 @@ def _witnesses(kmax: int) -> Witnesses:
     return tuple(witnesses)
 
 
-def _single_factor(shape: Pattern) -> tuple[str, int, bool]:
-    """(variable, subscript, inverted) of the first subscript whose factors
-    in ``shape`` (``Pattern.projection``) are one factor.  A shape with no
-    such subscript raises a ValueError: no projection forces its values."""
-    for tag in (1, 3):
-        factors = shape.projection(tag)
-        if len(factors) == 1:
-            [(var, inverted)] = factors
-            return var, tag, inverted
-    raise ValueError(f"no subscript of shape {shape} has a single factor")
-
-
 def _images(witnesses: Witnesses) -> Images:
     """pi_s(m) and pi_s(m)^-1 of every witness word m, as one run set per
     (subscript s, inverted), built once per suite call with the witnesses.
@@ -316,20 +308,20 @@ def _psi_witnesses(
 def _forced(formulas: CompiledFormulas, images: Images) -> Forced:
     """The syllable runs each variable of ``formulas`` is forced to take
     where some shape is a witness word, in the order of ``variables``.
-    A shape with no subscript whose factors are one factor raises a
-    ValueError (``_single_factor``), which stops the suite call before
-    any check runs.
+    A shape with no subscript whose factors are one factor raises
+    ``solver.SolveError``, a ValueError, from ``solver.forcing_factor``,
+    which stops the suite call before any check runs.
 
     pi_s is a homomorphism, and pi_s(shape) is the product of the shape's
     subscript-s factors (``Pattern.projection``): the projection
-    equations ``solver.solve`` solves.  So a shape whose subscript-s
-    factors are the one factor x (or x^-1) is the witness m at (x, y) only
-    if x = pi_s(m) (or pi_s(m)^-1).  A pair whose values are all outside
+    equations ``solver.solve`` solves.  So a shape whose ``forcing_factor``
+    is x (or x^-1) in subscript s is the witness m at (x, y) only if
+    x = pi_s(m) (or pi_s(m)^-1).  A pair whose values are all outside
     these sets has no witness word among its shape values, hence no psi
     violation.  Each (subscript, inverted) image is one run set of
     ``images``, shared by the shapes that use it.
     """
-    choices = {_single_factor(shape) for shape in formulas.shapes}
+    choices = {forcing_factor(shape) for shape in formulas.shapes}
     forced: dict[str, set[Run]] = {var: set() for var in formulas.variables}
     for var, tag, inverted in choices:
         forced[var] |= images[tag, inverted]

@@ -358,6 +358,17 @@ def _divide(equations) -> dict[str, Word] | None:
     return known
 
 
+def first_single_factor(pattern: Pattern) -> tuple[str, int, bool] | None:
+    """``solver.forcing_factor``'s answer read off the factors, or None
+    where it refuses: (variable, subscript, inverted) of the first
+    subscript, 1 then 3, holding exactly one factor of ``pattern``."""
+    for tag in (1, 3):
+        factors = [factor for factor in pattern.factors if factor.tag == tag]
+        if len(factors) == 1:
+            return factors[0].var, tag, factors[0].inverted
+    return None
+
+
 def branch_solutions(pattern: Pattern, target: Word) -> set[tuple[tuple[str, Word], ...]]:
     """``solve``'s answer by the route of block matching.
 

@@ -23,6 +23,7 @@ from barbellw3.words import (
     QUAD,
     K,
     AlphabetMismatchError,
+    WordSyntaxError,
     at_k,
     identity,
     parse_word,
@@ -135,6 +136,12 @@ def test_values_at_K_print_and_record_nothing():
     # Concrete words first, then affine ones.
     mixed = RingElement(BASE, [(parse_word("u^k", k=True), 1), (parse_word("t^5"), -1)])
     assert str(mixed) == "- t^5 + u^k"
+
+
+def test_the_json_form_reads_back_concrete_values_only():
+    document = w3_target(Disk.D1, K).to_json_dict()
+    with pytest.raises(WordSyntaxError, match="-k"):
+        RingElement.from_json_dict(document)
 
 
 def test_json_round_trip_and_shape():

@@ -6,6 +6,8 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import barbellw3.solver as solver
 from barbellw3.barbell import (
@@ -16,7 +18,13 @@ from barbellw3.barbell import (
     is_admissible,
     monomials_m,
 )
-from barbellw3.patterns import CompiledFormulas, eval_pattern, parse_pattern
+from barbellw3.patterns import (
+    CompiledFormulas,
+    Pattern,
+    PatternFactor,
+    eval_pattern,
+    parse_pattern,
+)
 from barbellw3.solver import (
     REFERENCE_TABLE_ROWS,
     CaseAnalysisError,
@@ -33,6 +41,7 @@ from barbellw3.words import (
     BASE,
     QUAD,
     K,
+    Word,
     at_each_k,
     at_k,
     identity,
@@ -41,7 +50,8 @@ from barbellw3.words import (
     recorded_roots,
 )
 
-from oracles import branch_solutions, oracle_solutions
+from oracles import branch_solutions, first_single_factor, oracle_solutions
+from test_properties import syllables
 from test_words import rand_word
 
 
@@ -89,7 +99,7 @@ def test_solve_never_returns_trivial_values():
 
 
 def test_solve_refuses_what_division_cannot_fix():
-    # a a^-1 = 1 holds for every a: no equation has a single unknown.
+    # a a^-1 = 1 holds for every a: no subscript has a single factor.
     with pytest.raises(SolveError, match="division does not fix every variable"):
         solve(parse_pattern("a_1 a_1^-1"), identity(QUAD))
 
@@ -119,6 +129,41 @@ def test_solve_matches_branch_reference_at_K():
             assert {s.items for s in found} == expected
             assert len(found) == 1
             assert solve_roots == branch_roots == set()
+
+
+def division_refuses(pattern: Pattern) -> bool:
+    """Whether one of division's two steps fails on ``pattern``: no
+    subscript holds a single factor, or the variable that the first such
+    subscript leaves occurs more than once in the other subscript."""
+    first = first_single_factor(pattern)
+    if first is None:
+        return True
+    var, tag, _ = first
+    return sum(f.tag != tag and f.var != var for f in pattern.factors) > 1
+
+
+@st.composite
+def patterns_and_targets(draw):
+    """A pattern of up to 5 factors in a and c, and a target: the pattern
+    at random values, or a random four-letter word."""
+    factor = st.builds(PatternFactor, st.sampled_from("ac"), st.sampled_from((1, 3)), st.booleans())
+    pattern = Pattern(tuple(draw(st.lists(factor, min_size=1, max_size=5))))
+    if draw(st.booleans()):
+        return pattern, Word(QUAD, draw(syllables(QUAD)))
+    values = {var: Word(BASE, draw(syllables(max_size=3))) for var in pattern.variables()}
+    return pattern, eval_pattern(pattern, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns_and_targets())
+def test_solve_refuses_exactly_where_a_division_step_fails(case):
+    pattern, target = case
+    if division_refuses(pattern):
+        with pytest.raises(SolveError, match="division does not fix"):
+            solve(pattern, target)
+    else:
+        found = solve(pattern, target)
+        assert {s.items for s in found} == branch_solutions(pattern, target)
 
 
 def test_branch_reference_catches_a_planted_division_fault(monkeypatch):
@@ -182,6 +227,31 @@ def test_unforced_shape_is_refused_and_fails_the_table(monkeypatch):
             solver._unique_solutions(planted, k, f"pattern {planted}", TableError)
         with pytest.raises(TableError, match="division does not fix"):
             regenerate_table(k)
+
+
+def test_a_variable_twice_in_the_second_equation_is_refused(monkeypatch):
+    # Subscript 1 of a_1 c_3 a_3 c_3 pins a, but c occurs twice in
+    # subscript 3, so the second division cannot pin it.
+    planted = parse_pattern("a_1 c_3 a_3 c_3")
+    assert solver.forcing_factor(planted) == ("a", 1, False)
+    refused = []
+    real = solver._enumerate_one_variable
+
+    def recording(pattern, reason):
+        refused.append((pattern, reason))
+        real(pattern, reason)
+
+    monkeypatch.setattr(solver, "_enumerate_one_variable", recording)
+    monkeypatch.setattr(
+        solver, "table_patterns", lambda: [(planted, (1,))] + table_patterns()
+    )
+    for k in (K, 2):
+        m1, _ = monomials_m(k)
+        with pytest.raises(SolveError, match="division does not fix"):
+            solve(planted, m1)
+        with pytest.raises(TableError, match="division does not fix"):
+            regenerate_table(k)
+    assert refused == [(planted, "c occurs 2 times in subscript 3")] * 4
 
 
 def test_an_unforced_hexagon_term_fails_the_case_analysis(monkeypatch):

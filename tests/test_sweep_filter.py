@@ -29,6 +29,7 @@ from barbellw3.barbell import (
 )
 from barbellw3.patterns import CompiledFormulas, parse_pattern, word_pieces
 from barbellw3.cli import main
+from barbellw3.solver import SolveError, forcing_factor
 from barbellw3.verify import (
     verify_hexagon_vanishing,
     verify_main_theorem,
@@ -36,10 +37,16 @@ from barbellw3.verify import (
 )
 from barbellw3.words import bounded_words, count_words, parse_word
 
-from oracles import brute_force_violations, naive_eval_pattern, random_word
+from oracles import (
+    brute_force_violations,
+    first_single_factor,
+    naive_eval_pattern,
+    random_word,
+)
 
 HEXAGON_LABEL = "H({1}, {2})"
 SPAN_LABEL = "t_poly({0}, {1}, {2})"
+REFUSAL = "division does not fix every variable of {}: no subscript has a single factor"
 
 
 def plant(monkeypatch, word):
@@ -103,13 +110,21 @@ def span(kmax=2, max_syllables=2, max_exponent=1):
 
 
 def test_every_shape_has_a_single_factor_subscript():
-    for formulas in (HEXAGON_FORMULAS, T_POLY_FORMULAS):
-        assert all(verify._single_factor(shape) for shape in formulas.shapes)
-    assert len(HEXAGON_FORMULAS.shapes) + len(T_POLY_FORMULAS.shapes) == 25
-    unforced = "a_1 c_1 a_3 c_3"
-    with pytest.raises(ValueError, match=f"^no subscript of shape {unforced} has a single factor$"):
-        verify._single_factor(parse_pattern(unforced))
-    assert verify._single_factor(parse_pattern("c_1^-1 a_1 a_3")) == ("a", 3, False)
+    shapes = HEXAGON_FORMULAS.shapes + T_POLY_FORMULAS.shapes
+    assert len(shapes) == 25
+    for shape in shapes:
+        var, tag, inverted = forcing_factor(shape)
+        assert (var, tag, inverted) == first_single_factor(shape), shape
+        # Division's second step: the other variable occurs once in the
+        # other subscript.
+        others = [f for f in shape.factors if f.tag != tag and f.var != var]
+        assert len(others) == 1, shape
+    assert forcing_factor(parse_pattern("c_1^-1 a_1 a_3")) == ("a", 3, False)
+    assert forcing_factor(parse_pattern("a_1^-1 c_3")) == ("a", 1, True)
+    unforced = parse_pattern("a_1 c_1 a_3 c_3")
+    assert first_single_factor(unforced) is None
+    with pytest.raises(SolveError, match=f"^{re.escape(REFUSAL.format(unforced))}$"):
+        forcing_factor(unforced)
 
 
 def test_forced_values_are_the_projected_witnesses():
@@ -180,7 +195,6 @@ def test_two_shapes_at_one_witness_word_sum_their_signs(monkeypatch, sign, expec
 # A shape none of whose subscripts is a single factor: no projection
 # forces a value, so the suite refuses it before any check runs.
 UNFORCED = parse_pattern("nu_1 mu_1 nu_3 mu_3")
-REFUSAL = "no subscript of shape {} has a single factor"
 
 
 def refused(capsys, items, shape, suites, commands):
@@ -219,6 +233,23 @@ def test_an_unforced_t_poly_shape_is_refused(monkeypatch, capsys):
         span,
         lambda: verify_main_theorem(kmax=2, max_syllables=2, max_exponent=1, workers=1),
     ), ("span", "all", "main"))
+
+
+def test_a_shape_only_the_second_division_refuses_passes_the_prefilter(monkeypatch):
+    # Subscript 1 of a_1 c_3 a_3 c_3 is one factor, which is all the
+    # prefilter reads; c occurs twice in subscript 3, so ``solve``
+    # refuses the shape (test_solver), but the sweep runs and finds it.
+    shape = parse_pattern("a_1 c_3 a_3 c_3")
+    kinds = {**T_FORMULAS, 1: T_FORMULAS[1] + ((1, shape),)}
+    formulas = CompiledFormulas(("a", "c"), kinds)
+    monkeypatch.setattr(verify, "T_POLY_FORMULAS", formulas)
+    a, c = parse_word("t u"), parse_word("t^-1 u")
+    plant(monkeypatch, naive_eval_pattern(shape, {"a": a, "c": c}))
+    found = span()
+    assert any(f"t_poly(1, {a}, {c})) = " in v for v in found)
+    assert found == brute_force_violations(
+        formulas, T_KINDS, SPAN_LABEL, enumerate_admissible(2, 1), 2
+    )
 
 
 def test_sweeps_scan_only_the_candidates_and_count_every_pair(monkeypatch):
